@@ -4,23 +4,29 @@
 //
 //   --mode=rss (default)  The claim under test is the streaming pipeline's
 //       reason to exist: a MetricSample over an N-record trace file costs
-//       O(chunk) resident memory through SpilledTraceSource +
-//       measure_stream, while the materialized path (load_binary ->
-//       TraceCollector -> measure_run) costs O(N). Both must produce
-//       bit-identical samples — this mode checks equality AND that the
-//       streaming pass's RSS growth stays flat while the trace is >= 100x
-//       the SpillWriter's in-memory batch default (4096 records).
+//       O(chunk) resident memory through measure_stream, while the
+//       materialized path (load_binary -> TraceCollector -> measure_run)
+//       costs O(N). Three passes, in this order because ru_maxrss never
+//       decreases: open_trace_source() (the mmap source bpsio_report and
+//       the daemons' drains use; mapped file pages count in RSS, so its
+//       budget is a few chunks), SpilledTraceSource, then the materialized
+//       path. All three must produce bit-identical samples, and the two
+//       streaming passes must stay inside their budgets while the trace is
+//       >= 100x the SpillWriter's in-memory batch default (4096 records).
 //
 //   --mode=throughput  Statistical-harness drain of the same file through
 //       SpilledTraceSource (ifstream copy-per-chunk) and MappedTraceSource
 //       (spans over the mapping, zero copies), emitting
 //       BENCH_trace_stream_ifstream.json and BENCH_trace_stream_mmap.json;
-//       the mmap record carries `speedup_vs_ifstream`. Both drains must
-//       agree on record count and total blocks or the bench fails.
+//       the mmap record carries `speedup_vs_ifstream`. Each timed drain
+//       reads every record's payload into a checksum, so the mapped source
+//       pays its page faults and page release, and both drains must agree
+//       on record count and total blocks or the bench fails.
 //
 // The rss smoke ctest runs --records=409600 (100x the in-memory default,
 // ~12.5 MiB on disk). Exit status is nonzero on any mismatch or an RSS
-// blowup, so CI catches a regression that quietly re-materializes the trace.
+// blowup, so CI catches a regression that quietly re-materializes the trace
+// or keeps the mapped trace resident.
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -102,7 +108,19 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
               static_cast<double>(records) * sizeof(trace::IoRecord) /
                   (1024.0 * 1024.0));
 
-  // Pass 1 — streaming (must run first: ru_maxrss never decreases).
+  // Pass 1 — the default source (must run first: ru_maxrss never
+  // decreases, so no later pass can push the high-water mark it sets).
+  const long rss_before_mapped = peak_rss_kib();
+  const auto mapped_source = trace::open_trace_source(path, chunk);
+  const auto mapped = metrics::measure_stream(*mapped_source, moved, exec);
+  const long mapped_growth = peak_rss_kib() - rss_before_mapped;
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "FAIL: default-source measure: %s\n",
+                 mapped.error().message.c_str());
+    return 1;
+  }
+
+  // Pass 2 — the ifstream source.
   const long rss_before_stream = peak_rss_kib();
   trace::SpilledTraceSource source(path, chunk);
   const auto streamed = metrics::measure_stream(source, moved, exec);
@@ -113,7 +131,7 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
     return 1;
   }
 
-  // Pass 2 — materialized batch path.
+  // Pass 3 — materialized batch path.
   const long rss_before_batch = peak_rss_kib();
   metrics::MetricSample batch;
   {
@@ -130,19 +148,35 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
   const long batch_growth = peak_rss_kib() - rss_before_batch;
 
   std::printf("  streaming: %s\n", streamed->to_string().c_str());
-  std::printf("  rss growth: streaming %+ld KiB (chunk=%zu records), "
-              "materialized %+ld KiB\n",
-              stream_growth, chunk, batch_growth);
+  std::printf("  rss growth: default source %+ld KiB, ifstream source %+ld "
+              "KiB (chunk=%zu records), materialized %+ld KiB\n",
+              mapped_growth, stream_growth, chunk, batch_growth);
 
   int failures = 0;
+  if (!identical(*mapped, batch, "default-source vs materialized sample")) {
+    ++failures;
+  }
   if (!identical(*streamed, batch, "streaming vs materialized sample")) {
+    ++failures;
+  }
+  const long chunk_kib =
+      static_cast<long>(chunk * sizeof(trace::IoRecord) / 1024);
+  // The default source maps the file, and mapped pages count in RSS: it may
+  // hold about one chunk plus fault-around and allocator slack, never the
+  // trace. Four chunks (2 MiB at the default chunk) plus 1 MiB is a sixth
+  // of the smoke trace.
+  const long mapped_budget_kib = 4 * chunk_kib + 1024;
+  if (mapped_growth > mapped_budget_kib) {
+    std::fprintf(stderr,
+                 "FAIL: default-source pass grew %ld KiB (budget %ld KiB) — "
+                 "the mapped trace stayed resident\n",
+                 mapped_growth, mapped_budget_kib);
     ++failures;
   }
   // Flat-memory check, deliberately generous: the streaming pass may grow by
   // its chunk buffer plus allocator slack, never by anything proportional to
   // the trace. 16 MiB is ~3% of the full-mode trace's materialized footprint.
-  const long stream_budget_kib =
-      16 * 1024 + static_cast<long>(chunk * sizeof(trace::IoRecord) / 1024);
+  const long stream_budget_kib = 16 * 1024 + chunk_kib;
   if (stream_growth > stream_budget_kib) {
     std::fprintf(stderr,
                  "FAIL: streaming pass grew %ld KiB (budget %ld KiB) — "
@@ -177,9 +211,10 @@ struct DrainTotals {
   std::uint64_t blocks = 0;
 };
 
-// Untimed verification drain: touches every record's payload so the two
-// sources are proven to deliver identical streams (and the mapping is
-// faulted in before timing starts).
+// Drain that reads every record's payload: the untimed pass proves the two
+// sources deliver identical streams, and the timed passes charge each
+// source what a consumer pays to read it — the ifstream path its copy into
+// the chunk buffer, the mapped path its page faults and page release.
 DrainTotals checksum_drain(trace::RecordSource& source) {
   DrainTotals totals;
   for (;;) {
@@ -191,22 +226,6 @@ DrainTotals checksum_drain(trace::RecordSource& source) {
   BPSIO_CHECK(source.status().ok(), "drain failed: %s",
               source.status().error().message.c_str());
   return totals;
-}
-
-// Timed delivery drain: pull every chunk, count records, leave the payload
-// untouched. This isolates what the source itself costs: the ifstream path
-// copies every byte into its chunk buffer, the mapped path yields spans over
-// the page cache — delivery is decoupled from payload size, which is the
-// zero-copy claim under test. (Downstream consumption cost is identical for
-// both and is measured by bench_agent_ingest / bench_window_ingest.)
-std::uint64_t delivery_drain(trace::RecordSource& source) {
-  std::uint64_t count = 0;
-  for (;;) {
-    const auto chunk = source.next_chunk();
-    if (chunk.empty()) break;
-    count += chunk.size();
-  }
-  return count;
 }
 
 int run_throughput_mode(const bench::CommonBenchArgs& args,
@@ -222,15 +241,16 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
   // Prove the two sources deliver identical streams before timing anything;
   // this also checks the mapped source really is mapping — a silent
   // fallback to the ifstream path would make the comparison meaningless.
+  DrainTotals expected;
   {
     trace::MappedTraceSource mapped(path, chunk);
     BPSIO_CHECK(mapped.status().ok(), "mmap source failed: %s",
                 mapped.status().error().message.c_str());
     trace::SpilledTraceSource spilled(path, chunk);
-    const DrainTotals a = checksum_drain(mapped);
+    expected = checksum_drain(mapped);
     const DrainTotals b = checksum_drain(spilled);
-    BPSIO_CHECK(a.count == records && b.count == records &&
-                    a.blocks == b.blocks,
+    BPSIO_CHECK(expected.count == records && b.count == records &&
+                    expected.blocks == b.blocks,
                 "ifstream and mmap drains disagree");
   }
 
@@ -238,18 +258,20 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
   const bench::BenchHarness ifstream_harness(ifstream_cfg);
   const auto ifstream_result = ifstream_harness.run([&] {
     trace::SpilledTraceSource source(path, chunk);
-    const std::uint64_t count = delivery_drain(source);
-    BPSIO_CHECK(count == records, "ifstream drain lost records");
-    return static_cast<double>(count);
+    const DrainTotals got = checksum_drain(source);
+    BPSIO_CHECK(got.count == records && got.blocks == expected.blocks,
+                "ifstream drain lost records");
+    return static_cast<double>(got.count);
   });
 
   auto mmap_cfg = bench::make_harness_config("trace_stream_mmap", args);
   const bench::BenchHarness mmap_harness(mmap_cfg);
   const auto mmap_result = mmap_harness.run([&] {
     trace::MappedTraceSource source(path, chunk);
-    const std::uint64_t count = delivery_drain(source);
-    BPSIO_CHECK(count == records, "mmap drain lost records");
-    return static_cast<double>(count);
+    const DrainTotals got = checksum_drain(source);
+    BPSIO_CHECK(got.count == records && got.blocks == expected.blocks,
+                "mmap drain lost records");
+    return static_cast<double>(got.count);
   });
 
   const double speedup = ifstream_result.est.mean > 0

@@ -1,13 +1,26 @@
-// Harness bench: SlidingWindowMetrics ingest — the live daemon's per-record
-// hot path (incremental windowed interval-union + expiry heap).
+// Harness bench: SlidingWindowMetrics ingest — the live daemon's window hot
+// path (incremental windowed interval-union + end-time-bucketed expiry).
 //
-// Pre-generates a shuffled-arrival record stream once (the daemon sees
-// frames from many clients interleaved, so arrival order is adversarial by
-// design); each sample ingests the whole stream into a fresh
-// SlidingWindowMetrics. Emits BENCH_window_ingest.json; throughput is
-// ingested records/sec.
+// Pre-generates one seeded record stream and times two arrival shapes, each
+// sample ingesting the whole stream into a fresh SlidingWindowMetrics:
+//
+//   window_ingest          shuffled arrival, one add() per record: frames
+//                          from many clients interleaved, adversarial order.
+//                          `now` jumps to the stream's end almost at once,
+//                          so most records arrive already expired and are
+//                          rejected without touching the stores.
+//   window_ingest_ordered  the same records in start order, in frames of
+//                          kFrame records through add(span): one capture
+//                          connection's shape. Nearly every record is
+//                          accepted, so this pass times insertion and
+//                          expiry in the stores.
+//
+// Each pass prints the share of records the window accepted. Emits
+// BENCH_window_ingest.json and BENCH_window_ingest_ordered.json; throughput
+// is ingested records/sec.
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
@@ -20,9 +33,11 @@ using namespace bpsio;
 
 namespace {
 
-std::vector<trace::IoRecord> shuffled_stream(std::uint64_t n,
-                                             std::uint64_t seed) {
-  Rng rng(seed);
+/// Records per frame of the ordered pass (a capture client ships up to
+/// 4096 per frame; the agent splits them into per-pid runs).
+constexpr std::size_t kFrame = 1024;
+
+std::vector<trace::IoRecord> ordered_stream(std::uint64_t n, Rng& rng) {
   std::vector<trace::IoRecord> records;
   records.reserve(n);
   std::int64_t t = 0;
@@ -33,8 +48,30 @@ std::vector<trace::IoRecord> shuffled_stream(std::uint64_t n,
                                          rng.uniform_u64(64) + 1, SimTime(t),
                                          SimTime(t + len)));
   }
-  std::shuffle(records.begin(), records.end(), rng);
   return records;
+}
+
+/// Share of records the window accepts when fed in this order, `frame`
+/// records per add() (one add(record) each when `frame` is 1): after each
+/// add(), the frame's records whose end lies past the store's window start
+/// are the ones it took in.
+double store_accepted_share(std::span<const trace::IoRecord> records,
+                            std::size_t frame, SimDuration window) {
+  metrics::SlidingWindowMetrics live(window);
+  std::uint64_t accepted = 0;
+  for (std::size_t at = 0; at < records.size(); at += frame) {
+    const auto batch =
+        records.subspan(at, std::min(frame, records.size() - at));
+    if (frame == 1) {
+      live.add(batch.front());
+    } else {
+      live.add(batch);
+    }
+    for (const trace::IoRecord& r : batch) {
+      if (r.end_ns > live.window_start_ns()) ++accepted;
+    }
+  }
+  return static_cast<double>(accepted) / static_cast<double>(records.size());
 }
 
 }  // namespace
@@ -44,8 +81,8 @@ int main(int argc, char** argv) {
   double window_ms = 10.0;
   cli::ArgParser parser("bench_window_ingest",
                         "SlidingWindowMetrics ingest throughput over a "
-                        "shuffled-arrival record stream, with a statistical "
-                        "harness.");
+                        "shuffled per-record and an ordered frame-batched "
+                        "record stream, with a statistical harness.");
   bench::register_common_flags(parser, &args, /*with_threads=*/false);
   parser.add_positive_double("--window", &window_ms, "MS",
                              "sliding window length in milliseconds "
@@ -58,23 +95,53 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t n = bench::resolve_records(args, 100'000, 2'000'000);
-  const auto records = shuffled_stream(n, static_cast<std::uint64_t>(args.seed));
+  Rng rng(static_cast<std::uint64_t>(args.seed));
+  const std::vector<trace::IoRecord> ordered = ordered_stream(n, rng);
+  std::vector<trace::IoRecord> shuffled = ordered;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
   const SimDuration window = SimDuration::from_ms(window_ms);
-  std::printf("=== window ingest: %llu shuffled records, window=%.1f ms, "
-              "seed=%llu ===\n",
+  const double shuffled_share = store_accepted_share(shuffled, 1, window);
+  const double ordered_share = store_accepted_share(ordered, kFrame, window);
+  std::printf("=== window ingest: %llu records, window=%.1f ms, seed=%llu ===\n",
               static_cast<unsigned long long>(n), window_ms,
               static_cast<unsigned long long>(args.seed));
+  std::printf("  accepted: shuffled per-record %.1f%%, ordered %zu-record "
+              "frames %.1f%%\n",
+              100.0 * shuffled_share, kFrame, 100.0 * ordered_share);
 
-  const auto cfg = bench::make_harness_config("window_ingest", args);
-  const bench::BenchHarness harness(cfg);
-  const auto result = harness.run([&] {
+  const std::map<std::string, std::string> shared = {
+      {"records", std::to_string(n)},
+      {"window_ms", std::to_string(window_ms)},
+      {"profile", args.profile}};
+
+  auto shuffled_extra = shared;
+  shuffled_extra.emplace("accepted_share", std::to_string(shuffled_share));
+  const auto shuffled_cfg = bench::make_harness_config("window_ingest", args);
+  const auto shuffled_result =
+      bench::BenchHarness(shuffled_cfg).run([&] {
+        metrics::SlidingWindowMetrics live(window);
+        for (const auto& record : shuffled) live.add(record);
+        BPSIO_CHECK(live.any(), "ingest produced no live window state");
+        return static_cast<double>(shuffled.size());
+      });
+
+  auto ordered_extra = shared;
+  ordered_extra.emplace("accepted_share", std::to_string(ordered_share));
+  ordered_extra.emplace("frame", std::to_string(kFrame));
+  const auto ordered_cfg =
+      bench::make_harness_config("window_ingest_ordered", args);
+  const auto ordered_result = bench::BenchHarness(ordered_cfg).run([&] {
     metrics::SlidingWindowMetrics live(window);
-    for (const auto& record : records) live.add(record);
+    const std::span<const trace::IoRecord> all(ordered);
+    for (std::size_t at = 0; at < all.size(); at += kFrame) {
+      live.add(all.subspan(at, std::min(kFrame, all.size() - at)));
+    }
     BPSIO_CHECK(live.any(), "ingest produced no live window state");
-    return static_cast<double>(records.size());
+    return static_cast<double>(ordered.size());
   });
-  return bench::report_result(args, cfg, result,
-                              {{"records", std::to_string(n)},
-                               {"window_ms", std::to_string(window_ms)},
-                               {"profile", args.profile}});
+
+  int rc = bench::report_result(args, shuffled_cfg, shuffled_result,
+                                shuffled_extra);
+  rc |= bench::report_result(args, ordered_cfg, ordered_result, ordered_extra);
+  return rc;
 }

@@ -166,24 +166,25 @@ std::uint64_t TenantShards::tenants_seen() const {
 }
 
 void TenantShards::fill_window_figures(TenantSnapshot& snap,
-                                       const metrics::SlidingWindowMetrics& w,
-                                       Bytes block_size) {
-  snap.window_records = w.accesses();
-  snap.window_blocks = w.blocks();
-  snap.window_io_s = w.io_time().seconds();
+                                       const metrics::WindowFigures& w,
+                                       SimDuration window, Bytes block_size) {
+  snap.window_records = w.count;
+  snap.window_blocks = w.blocks;
+  snap.window_io_s = SimDuration(w.busy_ns).seconds();
   snap.bps = w.bps();
-  snap.iops = w.iops();
-  snap.bw_bps = w.bandwidth_bps(block_size);
+  snap.iops = w.iops(window);
+  snap.bw_bps = w.bandwidth_bps(window, block_size);
   snap.arpt_s = w.arpt_s();
 }
 
 std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
-  // Copy the counters and the window OBJECT out under each shard lock, then
-  // run the metric accessors on the copies after the lock is dropped. The
-  // critical sections make no function calls at all, which keeps them tiny
-  // and keeps the lock scopes leaves of the static call graph.
+  // Copy the counters and the window's figures (one 32-byte struct) out
+  // under each shard lock, then derive the rates after the lock is
+  // dropped. The only calls in the critical section are vector appends and
+  // the inline figures() accessor, leaves of the static call graph, so the
+  // lock scopes stay tiny and add no lock-order edges.
   std::vector<TenantSnapshot> out;
-  std::vector<metrics::SlidingWindowMetrics> windows;
+  std::vector<metrics::WindowFigures> figures;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
     for (const auto& [name, tenant] : shard->tenants) {
@@ -191,11 +192,11 @@ std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
                                    tenant->blocks_total, tenant->failed_total,
                                    tenant->sync_total, tenant->invalid_total,
                                    0, 0, 0.0, 0.0, 0.0, 0.0, 0.0});
-      windows.push_back(tenant->window);
+      figures.push_back(tenant->window.figures());
     }
   }
   for (std::size_t i = 0; i < out.size(); ++i) {
-    fill_window_figures(out[i], windows[i], block_size_);
+    fill_window_figures(out[i], figures[i], window_, block_size_);
   }
   std::sort(out.begin(), out.end(),
             [](const TenantSnapshot& a, const TenantSnapshot& b) {
@@ -207,7 +208,7 @@ std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
 TenantShards::TenantSnapshot TenantShards::snapshot_global() const {
   TenantSnapshot all{};
   all.name = "all";
-  metrics::SlidingWindowMetrics window(window_);
+  metrics::WindowFigures figures;
   {
     MutexLock lock(global_mu_);
     all.records_total = global_records_;
@@ -215,9 +216,9 @@ TenantShards::TenantSnapshot TenantShards::snapshot_global() const {
     all.failed_total = global_failed_;
     all.sync_total = global_sync_;
     all.invalid_total = global_invalid_;
-    window = global_;
+    figures = global_.figures();
   }
-  fill_window_figures(all, window, block_size_);
+  fill_window_figures(all, figures, window_, block_size_);
   return all;
 }
 

@@ -20,8 +20,9 @@
 //    and its hold time is one span-batch splice.
 //
 // Rendering (Prometheus plaintext / CSV) walks the shards one lock at a
-// time, snapshots, and formats outside the locks, sorted by tenant name so
-// the output is deterministic.
+// time, copies each window's running figures (metrics::WindowFigures, 32
+// bytes) rather than the window, and formats outside the locks, sorted by
+// tenant name so the output is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +136,8 @@ class TenantShards {
   std::vector<TenantSnapshot> snapshot() const;
   TenantSnapshot snapshot_global() const;
   static void fill_window_figures(TenantSnapshot& snap,
-                                  const metrics::SlidingWindowMetrics& w,
-                                  Bytes block_size);
+                                  const metrics::WindowFigures& w,
+                                  SimDuration window, Bytes block_size);
 
   SimDuration window_;
   Bytes block_size_;

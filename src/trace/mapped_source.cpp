@@ -99,10 +99,27 @@ std::span<const IoRecord> MappedTraceSource::next_chunk() {
     remaining_ = 0;
     return {};
   }
+  // The previous chunk's span dies with this call: release its pages.
+  release_before(delivered_);
   const std::span<const IoRecord> out{records_ + delivered_, take};
   delivered_ += take;
   remaining_ -= take;
   return out;
+}
+
+void MappedTraceSource::release_before(std::uint64_t index) {
+#if BPSIO_HAS_MMAP && defined(MADV_DONTNEED)
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t byte =
+      sizeof(TraceHeader) + static_cast<std::size_t>(index) * sizeof(IoRecord);
+  const std::size_t upto = byte / page * page;
+  if (upto <= released_) return;
+  ::madvise(static_cast<char*>(map_) + released_, upto - released_,
+            MADV_DONTNEED);
+  released_ = upto;
+#else
+  (void)index;
+#endif
 }
 
 std::optional<std::uint64_t> MappedTraceSource::size_hint() const {

@@ -8,9 +8,17 @@
 // error text, same chunk granularity — and open_trace_source() picks
 // between them so callers never care which one they got.
 //
-// Lifetime contract (DESIGN.md §13): spans returned by next_chunk() alias
-// the file mapping and die with the source object. Consumers that outlive
-// the source must copy.
+// Lifetime contract (DESIGN.md §13), the same as every RecordSource's: a
+// span returned by next_chunk() is valid until the next next_chunk() call on
+// the same source. Consumers that keep records longer must copy them.
+//
+// Residency stays O(chunk): each next_chunk() releases (MADV_DONTNEED) the
+// whole pages before the chunk it returns. The mapping is read-only and
+// private, so a released page holds no private data; touching it again
+// re-faults the same bytes from the page cache. Without the release, every
+// page read would stay mapped and count in the process's RSS until the
+// source is destroyed: a merge over N files would peak at the size of the
+// N files.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +63,13 @@ class MappedTraceSource final : public RecordSource {
   bool environment_failed() const { return env_failed_; }
 
  private:
+  /// Release the whole pages before record `index`.
+  void release_before(std::uint64_t index);
+
   std::string path_;
   void* map_ = nullptr;
   std::size_t map_len_ = 0;
+  std::size_t released_ = 0;  ///< bytes at the mapping's start released
   const IoRecord* records_ = nullptr;
   TraceHeader header_{};
   std::uint64_t available_ = 0;  ///< complete records physically in the file

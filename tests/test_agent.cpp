@@ -189,6 +189,179 @@ TEST(Aggregator, AllInvalidSpanCountsButCreatesNoWindows) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden exposition: the byte-exact /metrics and CSV output for a fixed
+// seeded stream. It pins the renderers and the window store together, so a
+// change to either that moves one byte a scraper sees fails here.
+
+/// Five pids of overlapping accesses over ~150 ms in shuffled arrival order
+/// (a local Fisher-Yates, so the order does not depend on the standard
+/// library), plus a block count past 2^32 and a 6 s response time.
+std::vector<IoRecord> golden_stream() {
+  Rng rng(2013);
+  std::vector<IoRecord> records;
+  std::int64_t t = 5'000'000'000;
+  for (int i = 0; i < 320; ++i) {
+    t += static_cast<std::int64_t>(rng.uniform_u64(900'000));
+    const auto len = static_cast<std::int64_t>(rng.uniform_u64(2'500'000)) + 1;
+    const auto pid = static_cast<std::uint32_t>(100 + rng.uniform_u64(5));
+    const std::uint8_t flags =
+        rng.uniform_u64(10) == 0 ? trace::kIoFailed : trace::kIoOk;
+    records.push_back(make_record(pid, rng.uniform_u64(64) + 1, SimTime(t),
+                                  SimTime(t + len), trace::IoOpKind::read,
+                                  flags));
+  }
+  records.push_back(make_record(101, (1ULL << 32) + 7,
+                                SimTime(t - 30'000'000),
+                                SimTime(t - 29'000'000)));
+  records.push_back(make_record(102, 3, SimTime(t - 6'000'000'000),
+                                SimTime(t - 20'000'000)));
+  for (std::size_t i = records.size() - 1; i > 0; --i) {
+    std::swap(records[i], records[rng.uniform_u64(i + 1)]);
+  }
+  return records;
+}
+
+/// Frames of 1-16 records (or one record at a time), then an advance() that
+/// expires the stream's first ~40 ms.
+void feed_golden(MetricAggregator& agg, bool frames) {
+  const std::vector<IoRecord> records = golden_stream();
+  std::int64_t last_end = 0;
+  for (const IoRecord& r : records) last_end = std::max(last_end, r.end_ns);
+  Rng slicer(17);
+  std::span<const IoRecord> rest(records);
+  while (!rest.empty()) {
+    const std::size_t take =
+        std::min<std::size_t>(slicer.uniform_u64(16) + 1, rest.size());
+    if (frames) {
+      agg.add(rest.subspan(0, take));
+    } else {
+      for (const IoRecord& r : rest.subspan(0, take)) agg.add(r);
+    }
+    rest = rest.subspan(take);
+  }
+  agg.advance(SimTime(last_end + 60'000'000));
+}
+
+constexpr const char* kGoldenAgentMetrics = R"golden(# HELP bpsio_records_total I/O access records received.
+# TYPE bpsio_records_total counter
+bpsio_records_total 322
+# HELP bpsio_blocks_total Application-required blocks received (B).
+# TYPE bpsio_blocks_total counter
+bpsio_blocks_total 4294978674
+# HELP bpsio_failed_records_total Records flagged as failed accesses (still counted in B).
+# TYPE bpsio_failed_records_total counter
+bpsio_failed_records_total 24
+# HELP bpsio_sync_records_total fsync/fdatasync records (zero-block, time-only).
+# TYPE bpsio_sync_records_total counter
+bpsio_sync_records_total 0
+# HELP bpsio_invalid_records_total Records rejected (end < start).
+# TYPE bpsio_invalid_records_total counter
+bpsio_invalid_records_total 0
+# HELP bpsio_clients_connected_total Capture connections accepted.
+# TYPE bpsio_clients_connected_total counter
+bpsio_clients_connected_total 6
+# HELP bpsio_clients_active Capture connections currently open.
+# TYPE bpsio_clients_active gauge
+bpsio_clients_active 2
+# HELP bpsio_frames_total Complete record frames decoded.
+# TYPE bpsio_frames_total counter
+bpsio_frames_total 41
+# HELP bpsio_bad_frames_total Connections dropped on a malformed frame.
+# TYPE bpsio_bad_frames_total counter
+bpsio_bad_frames_total 1
+# HELP bpsio_forward_frames_total Tagged frames shipped to the upstream collector.
+# TYPE bpsio_forward_frames_total counter
+bpsio_forward_frames_total 40
+# HELP bpsio_forward_records_total Records shipped upstream.
+# TYPE bpsio_forward_records_total counter
+bpsio_forward_records_total 318
+# HELP bpsio_forward_spilled_records_total Records diverted to the forward spill fallback.
+# TYPE bpsio_forward_spilled_records_total counter
+bpsio_forward_spilled_records_total 4
+# HELP bpsio_forward_dropped_records_total Records dropped with no upstream and no spill dir.
+# TYPE bpsio_forward_dropped_records_total counter
+bpsio_forward_dropped_records_total 0
+# HELP bpsio_pids_seen Distinct process ids observed.
+# TYPE bpsio_pids_seen gauge
+bpsio_pids_seen 5
+# HELP bpsio_window_seconds Sliding-window length.
+# TYPE bpsio_window_seconds gauge
+bpsio_window_seconds 0.100
+# HELP bpsio_block_size_bytes Block unit used for bandwidth.
+# TYPE bpsio_block_size_bytes gauge
+bpsio_block_size_bytes 512
+# HELP bpsio_window_bps Windowed BPS (blocks per second of busy time) per pid; pid="all" is the global stream.
+# TYPE bpsio_window_bps gauge
+bpsio_window_records{pid="all"} 91
+bpsio_window_blocks{pid="all"} 4294970489
+bpsio_window_io_seconds{pid="all"} 0.039905223
+bpsio_window_bps{pid="all"} 107629281735.877
+bpsio_window_iops{pid="all"} 910.000
+bpsio_window_bw_bytes_per_second{pid="all"} 21990248903680.000
+bpsio_window_arpt_seconds{pid="all"} 0.067008008
+bpsio_window_records{pid="100"} 28
+bpsio_window_blocks{pid="100"} 1052
+bpsio_window_io_seconds{pid="100"} 0.027449207
+bpsio_window_bps{pid="100"} 38325.333
+bpsio_window_iops{pid="100"} 280.000
+bpsio_window_bw_bytes_per_second{pid="100"} 5386240.000
+bpsio_window_arpt_seconds{pid="100"} 0.001349449
+bpsio_window_records{pid="101"} 20
+bpsio_window_blocks{pid="101"} 4294968059
+bpsio_window_io_seconds{pid="101"} 0.020574886
+bpsio_window_bps{pid="101"} 208748085359.987
+bpsio_window_iops{pid="101"} 200.000
+bpsio_window_bw_bytes_per_second{pid="101"} 21990236462080.000
+bpsio_window_arpt_seconds{pid="101"} 0.001244157
+bpsio_window_records{pid="102"} 11
+bpsio_window_blocks{pid="102"} 239
+bpsio_window_io_seconds{pid="102"} 0.028352520
+bpsio_window_bps{pid="102"} 8429.586
+bpsio_window_iops{pid="102"} 110.000
+bpsio_window_bw_bytes_per_second{pid="102"} 1223680.000
+bpsio_window_arpt_seconds{pid="102"} 0.544853009
+bpsio_window_records{pid="103"} 17
+bpsio_window_blocks{pid="103"} 620
+bpsio_window_io_seconds{pid="103"} 0.014717272
+bpsio_window_bps{pid="103"} 42127.373
+bpsio_window_iops{pid="103"} 170.000
+bpsio_window_bw_bytes_per_second{pid="103"} 3174400.000
+bpsio_window_arpt_seconds{pid="103"} 0.001276516
+bpsio_window_records{pid="104"} 15
+bpsio_window_blocks{pid="104"} 519
+bpsio_window_io_seconds{pid="104"} 0.018468793
+bpsio_window_bps{pid="104"} 28101.457
+bpsio_window_iops{pid="104"} 150.000
+bpsio_window_bw_bytes_per_second{pid="104"} 2657280.000
+bpsio_window_arpt_seconds{pid="104"} 0.001331811
+)golden";
+
+constexpr const char* kGoldenAgentCsv = R"golden(pid,window_records,window_blocks,window_io_s,window_bps,window_iops,window_bw_Bps,window_arpt_s
+all,91,4294970489,0.039905223,107629281735.877,910.000,21990248903680.000,0.067008008
+100,28,1052,0.027449207,38325.333,280.000,5386240.000,0.001349449
+101,20,4294968059,0.020574886,208748085359.987,200.000,21990236462080.000,0.001244157
+102,11,239,0.028352520,8429.586,110.000,1223680.000,0.544853009
+103,17,620,0.014717272,42127.373,170.000,3174400.000,0.001276516
+104,15,519,0.018468793,28101.457,150.000,2657280.000,0.001331811
+)golden";
+
+TEST(Aggregator, GoldenExposition) {
+  TransportStats transport;
+  transport.clients_connected_total = 6;
+  transport.clients_active = 2;
+  transport.frames_total = 41;
+  transport.bad_frames_total = 1;
+  transport.forward = ForwardStats{true, 40, 318, 4, 0};
+  for (const bool frames : {true, false}) {
+    MetricAggregator agg = make_aggregator();
+    feed_golden(agg, frames);
+    EXPECT_EQ(agg.prometheus_text(transport), kGoldenAgentMetrics)
+        << "frames " << frames;
+    EXPECT_EQ(agg.csv_snapshot(), kGoldenAgentCsv) << "frames " << frames;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // In-process server round trip.
 
 std::filesystem::path make_temp_dir() {

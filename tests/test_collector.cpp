@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "agent/server.hpp"
 #include "collector/server.hpp"
 #include "collector/tenant_shards.hpp"
+#include "common/rng.hpp"
 #include "common/wallclock.hpp"
 #include "trace/frame.hpp"
 #include "trace/merge.hpp"
@@ -222,6 +224,150 @@ TEST(TenantShards, AdvanceExpiresWindowsButKeepsTotals) {
               1e-12);
   EXPECT_EQ(shards.records_total(), 1u);
   EXPECT_EQ(shards.blocks_total(), 8u);
+}
+
+// Golden exposition: the byte-exact /metrics and CSV output for a fixed
+// seeded stream over two tenants. It pins the renderers, the scrape
+// snapshot and the window store together.
+
+/// Four pids of overlapping accesses over ~150 ms in shuffled arrival order
+/// (a local Fisher-Yates, so the order does not depend on the standard
+/// library), plus a block count past 2^32, a 6 s response time and one
+/// invalid record.
+std::vector<IoRecord> golden_stream() {
+  Rng rng(1307);
+  std::vector<IoRecord> records;
+  std::int64_t t = 7'000'000'000;
+  for (int i = 0; i < 300; ++i) {
+    t += static_cast<std::int64_t>(rng.uniform_u64(1'000'000));
+    const auto len = static_cast<std::int64_t>(rng.uniform_u64(3'000'000)) + 1;
+    const auto pid = static_cast<std::uint32_t>(200 + rng.uniform_u64(4));
+    std::uint8_t flags = trace::kIoOk;
+    if (rng.uniform_u64(10) == 0) flags = trace::kIoFailed;
+    if (rng.uniform_u64(10) == 1) flags = trace::kIoSync;
+    records.push_back(make_record(pid, rng.uniform_u64(48) + 1, SimTime(t),
+                                  SimTime(t + len), trace::IoOpKind::write,
+                                  flags));
+  }
+  records.push_back(make_record(201, (1ULL << 32) + 9,
+                                SimTime(t - 30'000'000),
+                                SimTime(t - 29'000'000)));
+  records.push_back(make_record(203, 5, SimTime(t - 6'000'000'000),
+                                SimTime(t - 10'000'000)));
+  records.push_back(make_record(202, 2, SimTime(t), SimTime(t - 1)));
+  for (std::size_t i = records.size() - 1; i > 0; --i) {
+    std::swap(records[i], records[rng.uniform_u64(i + 1)]);
+  }
+  return records;
+}
+
+constexpr const char* kGoldenCollectorMetrics = R"golden(# HELP bpsio_records_total I/O access records received, per tenant; tenant="all" is the fleet.
+# TYPE bpsio_records_total counter
+# HELP bpsio_blocks_total Application-required blocks received (B), per tenant.
+# TYPE bpsio_blocks_total counter
+# HELP bpsio_failed_records_total Records flagged as failed accesses (still counted in B).
+# TYPE bpsio_failed_records_total counter
+# HELP bpsio_sync_records_total fsync/fdatasync records (zero-block, time-only).
+# TYPE bpsio_sync_records_total counter
+# HELP bpsio_invalid_records_total Records rejected (end < start).
+# TYPE bpsio_invalid_records_total counter
+bpsio_records_total{tenant="all"} 302
+bpsio_blocks_total{tenant="all"} 4294975058
+bpsio_failed_records_total{tenant="all"} 21
+bpsio_sync_records_total{tenant="all"} 33
+bpsio_invalid_records_total{tenant="all"} 1
+bpsio_records_total{tenant="alpha"} 175
+bpsio_blocks_total{tenant="alpha"} 4469
+bpsio_failed_records_total{tenant="alpha"} 13
+bpsio_sync_records_total{tenant="alpha"} 20
+bpsio_invalid_records_total{tenant="alpha"} 0
+bpsio_records_total{tenant="beta"} 127
+bpsio_blocks_total{tenant="beta"} 4294970589
+bpsio_failed_records_total{tenant="beta"} 8
+bpsio_sync_records_total{tenant="beta"} 13
+bpsio_invalid_records_total{tenant="beta"} 1
+# HELP bpsio_agents_connected_total Agent connections accepted.
+# TYPE bpsio_agents_connected_total counter
+bpsio_agents_connected_total 5
+# HELP bpsio_agents_active Agent connections currently open.
+# TYPE bpsio_agents_active gauge
+bpsio_agents_active 2
+# HELP bpsio_frames_total Complete record frames decoded.
+# TYPE bpsio_frames_total counter
+bpsio_frames_total 37
+# HELP bpsio_bad_frames_total Connections dropped on a malformed frame.
+# TYPE bpsio_bad_frames_total counter
+bpsio_bad_frames_total 1
+# HELP bpsio_streams_total Distinct origin streams spooled.
+# TYPE bpsio_streams_total counter
+bpsio_streams_total 4
+# HELP bpsio_tenants_seen Distinct tenants observed.
+# TYPE bpsio_tenants_seen gauge
+bpsio_tenants_seen 2
+# HELP bpsio_window_seconds Sliding-window length.
+# TYPE bpsio_window_seconds gauge
+bpsio_window_seconds 0.100
+# HELP bpsio_block_size_bytes Block unit used for bandwidth.
+# TYPE bpsio_block_size_bytes gauge
+bpsio_block_size_bytes 512
+# HELP bpsio_window_bps Windowed BPS (blocks per second of busy time) per tenant; tenant="all" is the fleet stream.
+# TYPE bpsio_window_bps gauge
+bpsio_window_records{tenant="all"} 85
+bpsio_window_blocks{tenant="all"} 4294969407
+bpsio_window_io_seconds{tenant="all"} 0.039462235
+bpsio_window_bps{tenant="all"} 108837459586.361
+bpsio_window_iops{tenant="all"} 850.000
+bpsio_window_bw_bytes_per_second{tenant="all"} 21990243363840.000
+bpsio_window_arpt_seconds{tenant="all"} 0.071814760
+bpsio_window_records{tenant="alpha"} 50
+bpsio_window_blocks{tenant="alpha"} 1232
+bpsio_window_io_seconds{tenant="alpha"} 0.033096114
+bpsio_window_bps{tenant="alpha"} 37224.914
+bpsio_window_iops{tenant="alpha"} 500.000
+bpsio_window_bw_bytes_per_second{tenant="alpha"} 6307840.000
+bpsio_window_arpt_seconds{tenant="alpha"} 0.001445268
+bpsio_window_records{tenant="beta"} 35
+bpsio_window_blocks{tenant="beta"} 4294968175
+bpsio_window_io_seconds{tenant="beta"} 0.034822734
+bpsio_window_bps{tenant="beta"} 123338051946.180
+bpsio_window_iops{tenant="beta"} 350.000
+bpsio_window_bw_bytes_per_second{tenant="beta"} 21990237056000.000
+bpsio_window_arpt_seconds{tenant="beta"} 0.172342607
+)golden";
+
+constexpr const char* kGoldenCollectorCsv = R"golden(tenant,records_total,blocks_total,window_records,window_blocks,window_io_s,window_bps,window_iops,window_bw_Bps,window_arpt_s
+all,302,4294975058,85,4294969407,0.039462235,108837459586.361,850.000,21990243363840.000,0.071814760
+alpha,175,4469,50,1232,0.033096114,37224.914,500.000,6307840.000,0.001445268
+beta,127,4294970589,35,4294968175,0.034822734,123338051946.180,350.000,21990237056000.000,0.172342607
+)golden";
+
+TEST(TenantShards, GoldenExposition) {
+  TenantShards shards(3, SimDuration::from_ms(100), kBlock);
+  TenantShards::Tenant* tenants[2] = {shards.handle("alpha"),
+                                      shards.handle("beta")};
+  const std::vector<IoRecord> records = golden_stream();
+  std::int64_t last_end = 0;
+  for (const IoRecord& r : records) last_end = std::max(last_end, r.end_ns);
+  // Frames of 1-16 records, alternating tenants, then an advance that
+  // expires the stream's first ~40 ms.
+  Rng slicer(29);
+  std::span<const IoRecord> rest(records);
+  for (std::size_t frame = 0; !rest.empty(); ++frame) {
+    const std::size_t take =
+        std::min<std::size_t>(slicer.uniform_u64(16) + 1, rest.size());
+    shards.ingest(tenants[frame % 2], rest.subspan(0, take));
+    rest = rest.subspan(take);
+  }
+  shards.advance_windows(SimTime(last_end + 60'000'000));
+
+  CollectorTransport transport;
+  transport.agents_connected_total = 5;
+  transport.agents_active = 2;
+  transport.frames_total = 37;
+  transport.bad_frames_total = 1;
+  transport.streams_total = 4;
+  EXPECT_EQ(shards.prometheus_text(transport), kGoldenCollectorMetrics);
+  EXPECT_EQ(shards.csv_snapshot(), kGoldenCollectorCsv);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@
 // verbatim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -226,6 +230,65 @@ TEST(MappedTraceSource, MidStreamAbandonmentIsSafe) {
   }
   for (std::size_t i = 0; i < copied.size(); ++i) {
     EXPECT_EQ(copied[i], records[i]) << "record " << i;
+  }
+  std::remove(path.c_str());
+}
+
+/// Resident KiB of the mapping that contains `p`, from /proc/self/smaps;
+/// -1 where that file is unavailable.
+long mapping_rss_kib(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    const std::size_t dash = line.find('-');
+    const std::size_t space = line.find(' ');
+    if (dash != std::string::npos && space != std::string::npos &&
+        dash < space && line.find(':') > space) {
+      const auto lo = std::strtoull(line.substr(0, dash).c_str(), nullptr, 16);
+      const auto hi = std::strtoull(
+          line.substr(dash + 1, space - dash - 1).c_str(), nullptr, 16);
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      std::istringstream fields(line.substr(4));
+      long kib = -1;
+      fields >> kib;
+      return kib;
+    }
+  }
+  return -1;
+}
+
+TEST(MappedTraceSource, ReleasesPagesBehindTheCursor) {
+  // Residency stays O(chunk): pages before the returned chunk are released
+  // as the cursor passes them, and the records stay exactly the file's at
+  // every chunk size, page-straddling ones included.
+  const auto records = ordered_records(40'000);  // 1.25 MiB of records
+  if (mapping_rss_kib(records.data()) < 0) {
+    GTEST_SKIP() << "no /proc/self/smaps";
+  }
+  const std::string path =
+      write_spill("/tmp/bpsio_map_release.bpstrace", records);
+  // Behind the 24-byte header, none of these chunks ends on a page edge.
+  for (const std::size_t chunk : {300u, 1000u, 4096u}) {
+    trace::MappedTraceSource source(path, chunk);
+    ASSERT_TRUE(source.status().ok());
+    std::vector<IoRecord> all;
+    long peak_kib = 0;
+    for (auto span = source.next_chunk(); !span.empty();
+         span = source.next_chunk()) {
+      all.insert(all.end(), span.begin(), span.end());
+      const long kib = mapping_rss_kib(span.data());
+      EXPECT_GE(kib, 0) << "chunk " << chunk;
+      peak_kib = std::max(peak_kib, kib);
+    }
+    EXPECT_EQ(all, records) << "chunk " << chunk;
+    // One chunk, two fault-around windows (64 KiB each by default) and a
+    // few pages of slack; the whole file would be 1250 KiB.
+    const long budget_kib =
+        static_cast<long>(chunk * sizeof(IoRecord) / 1024) + 2 * 64 + 16;
+    EXPECT_LE(peak_kib, budget_kib) << "chunk " << chunk;
   }
   std::remove(path.c_str());
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "metrics/overlap.hpp"
 #include "workload/iozone.hpp"
 #include "workload/process.hpp"
+#include "window_oracle.hpp"
 
 namespace bpsio::metrics {
 namespace {
@@ -496,6 +499,147 @@ TEST(SlidingWindow, RatesUseWindowAndBusyTime) {
   EXPECT_DOUBLE_EQ(live.iops(), 2.0 / window.seconds());  // per window
   EXPECT_DOUBLE_EQ(live.arpt_s(), 0.010);
   EXPECT_DOUBLE_EQ(live.bandwidth_bps(512), 128.0 * 512.0 / window.seconds());
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the end-time-bucketed store against the per-record heap store
+// it replaced (tests/window_oracle.hpp), compared after every step.
+// ---------------------------------------------------------------------------
+
+struct DiffCase {
+  const char* name;
+  std::int64_t window_ns;
+  std::int64_t base_ns;   ///< earliest start
+  std::int64_t span_ns;   ///< starts lie in [base, base + span)
+  std::int64_t max_len_ns;  ///< typical response times lie in [0, max_len]
+};
+
+/// Mostly typical records, plus full-width escapes on both fields and the
+/// values either side of the 32-bit limit.
+std::vector<trace::IoRecord> diff_records(const DiffCase& c, std::uint64_t seed,
+                                          std::size_t n) {
+  Rng rng(seed);
+  std::vector<trace::IoRecord> records;
+  records.reserve(n);
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t start =
+        c.base_ns + static_cast<std::int64_t>(
+                        rng.uniform_u64(static_cast<std::uint64_t>(c.span_ns)));
+    auto len = static_cast<std::int64_t>(
+        rng.uniform_u64(static_cast<std::uint64_t>(c.max_len_ns) + 1));
+    std::uint64_t blocks = 1 + rng.uniform_u64(128);
+    switch (rng.uniform_u64(16)) {
+      case 0: blocks = kLimit + rng.uniform_u64(1000); break;
+      case 1: blocks = kLimit - 1; break;
+      case 2: blocks = kLimit; break;
+      case 3:
+        len = static_cast<std::int64_t>(kLimit + rng.uniform_u64(kLimit));
+        break;
+      case 4: len = static_cast<std::int64_t>(kLimit - 1); break;
+      case 5: len = static_cast<std::int64_t>(kLimit); break;
+      default: break;
+    }
+    records.push_back(trace::make_record(
+        static_cast<std::uint32_t>(1 + i % 5), blocks, SimTime(start),
+        SimTime(start + len)));
+  }
+  return records;
+}
+
+::testing::AssertionResult same_window(const SlidingWindowMetrics& live,
+                                       const testing::HeapWindowOracle& oracle) {
+  if (live.accesses() != oracle.accesses() || live.blocks() != oracle.blocks() ||
+      live.io_time().ns() != oracle.io_time().ns() ||
+      live.now().ns() != oracle.now().ns() ||
+      // Bit-identical, not merely close: both divide the same integers.
+      live.arpt_s() != oracle.arpt_s()) {
+    return ::testing::AssertionFailure()
+           << "store {n=" << live.accesses() << " B=" << live.blocks()
+           << " T=" << live.io_time().ns() << " now=" << live.now().ns()
+           << " arpt=" << live.arpt_s() << "} oracle {n=" << oracle.accesses()
+           << " B=" << oracle.blocks() << " T=" << oracle.io_time().ns()
+           << " now=" << oracle.now().ns() << " arpt=" << oracle.arpt_s()
+           << "}";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SlidingWindow, MatchesHeapOracleAfterEveryStep) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const DiffCase cases[] = {
+      // 1 ns window: 1 ns buckets, almost every record expires its elders.
+      {"w1ns", 1, -500, 1'000, 3},
+      // 1 ms window across zero: 16 us buckets, negative ends included.
+      {"w1ms", 1'000'000, -2'000'000, 4'000'000, 200'000},
+      // Past 2^38 ns the bucket width caps at 2^32 (more than 64 buckets).
+      {"w2^38", (std::int64_t{1} << 38) + 12'345, -(std::int64_t{1} << 39),
+       std::int64_t{1} << 40, std::int64_t{1} << 31},
+      // Near the epoch minimum the window start saturates at INT64_MIN.
+      {"near-min", 1'000'000, kMin + 10, 3'000'000, 100'000},
+  };
+  std::uint64_t checks = 0;
+  for (const DiffCase& c : cases) {
+    for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
+      for (const bool shuffled : {false, true}) {
+        for (const bool spans : {false, true}) {
+          std::vector<trace::IoRecord> records = diff_records(c, seed, 700);
+          if (shuffled) {
+            Rng order(seed ^ 0x5eed);
+            std::shuffle(records.begin(), records.end(), order);
+          } else {
+            std::sort(records.begin(), records.end(),
+                      [](const trace::IoRecord& a, const trace::IoRecord& b) {
+                        return a.start_ns < b.start_ns;
+                      });  // bpsio-lint: allow(iorecord-sort) test fixture ordering
+          }
+          SlidingWindowMetrics live(SimDuration(c.window_ns));
+          testing::HeapWindowOracle oracle(SimDuration(c.window_ns));
+          Rng steps(seed * 31 + (shuffled ? 1 : 0) + (spans ? 2 : 0));
+          std::size_t at = 0;
+          while (at < records.size()) {
+            if (steps.uniform_u64(8) == 0) {
+              // Interleaved advance: up to one window past now.
+              const SimTime to(live.now().ns() +
+                               static_cast<std::int64_t>(steps.uniform_u64(
+                                   static_cast<std::uint64_t>(c.window_ns) + 1)));
+              live.advance(to);
+              oracle.advance(to);
+            } else {
+              const std::size_t take =
+                  spans ? std::min<std::size_t>(1 + steps.uniform_u64(24),
+                                                records.size() - at)
+                        : 1;
+              const std::span<const trace::IoRecord> frame(
+                  records.data() + at, take);
+              if (spans) {
+                live.add(frame);
+              } else {
+                live.add(frame.front());
+              }
+              oracle.add(frame);
+              at += take;
+            }
+            ASSERT_TRUE(same_window(live, oracle))
+                << c.name << " seed " << seed << " shuffled " << shuffled
+                << " spans " << spans << " at " << at;
+            checks += 5;
+          }
+          // Drain to empty through the edge bucket and the wide list.
+          for (int k = 1; k <= 4; ++k) {
+            const SimTime to(live.now().ns() +
+                             std::max<std::int64_t>(c.window_ns / 2, 1));
+            live.advance(to);
+            oracle.advance(to);
+            ASSERT_TRUE(same_window(live, oracle)) << c.name << " drain " << k;
+          }
+          EXPECT_EQ(live.accesses(), 0u) << c.name;
+          EXPECT_EQ(live.blocks(), 0u) << c.name;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 100'000u);
 }
 
 }  // namespace

@@ -35,6 +35,9 @@
 // Memory stays O(chunk * files): everything is open_trace_source (mmap
 // spans when the platform allows, SpilledTraceSource otherwise) ->
 // MergedSource -> single-pass consumers; no trace is ever materialized.
+// Mapped pages count in RSS once touched, so MappedTraceSource releases
+// (MADV_DONTNEED) the pages behind each file's current chunk as the merge
+// advances; each file keeps about one chunk resident, not its whole size.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
