@@ -28,6 +28,7 @@
 // blowup, so CI catches a regression that quietly re-materializes the trace
 // or keeps the mapped trace resident.
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -327,9 +328,21 @@ int main(int argc, char** argv) {
                                         : 4'096'000)
                     : bench::resolve_records(args, 409'600, 4'096'000);
   const auto chunk = static_cast<std::size_t>(chunk_arg);
-  const std::string path = "/tmp/bpsio_bench_trace_stream.bpstrace";
+  // A path of this process's own: ctest runs the rss and throughput smokes
+  // in parallel, and a shared name let one delete the other's trace.
+  std::string path = "/tmp/bpsio_bench_trace_stream_XXXXXX.bpstrace";
+  const int fd =
+      ::mkstemps(path.data(), static_cast<int>(sizeof ".bpstrace" - 1));
+  if (fd < 0) {
+    std::fprintf(stderr, "FAIL: cannot create a temporary trace file\n");
+    return 1;
+  }
+  ::close(fd);
 
-  if (!write_trace(path, records)) return 1;
+  if (!write_trace(path, records)) {
+    std::remove(path.c_str());
+    return 1;
+  }
   const int rc = mode == "rss"
                      ? run_rss_mode(path, records, chunk)
                      : run_throughput_mode(args, path, records, chunk);

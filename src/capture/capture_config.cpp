@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/config.hpp"
+#include "trace/frame.hpp"
 
 namespace bpsio::capture {
 
@@ -86,6 +87,15 @@ CaptureConfig parse_capture_config(const EnvLookup& env,
     const long long records = std::strtoll(raw.c_str(), &end, 10);
     if (end != nullptr && *end == '\0' && records > 0) {
       config.buffer_records = static_cast<std::size_t>(records);
+      if (config.buffer_records > trace::kMaxFrameRecords) {
+        config.buffer_records = trace::kMaxFrameRecords;
+        // One flushed buffer is one socket frame; a larger buffer would be
+        // a frame every daemon rejects.
+        warn(warnings, "BPSIO_CAPTURE_BUFFER_RECORDS='" + raw +
+                           "' exceeds the largest frame a daemon accepts; "
+                           "using " +
+                           std::to_string(trace::kMaxFrameRecords));
+      }
     } else {
       warn(warnings, "BPSIO_CAPTURE_BUFFER_RECORDS='" + raw +
                          "' is not a positive count; using 4096");
@@ -120,11 +130,6 @@ std::string capture_trace_path(const CaptureConfig& config, std::uint32_t pid,
   path += "bpsio-" + std::to_string(pid) + "-" + std::to_string(tid) + "-" +
           std::to_string(stamp_ns) + ".bpstrace";
   return path;
-}
-
-std::uint64_t requested_blocks(const CaptureConfig& config,
-                               std::uint64_t bytes) {
-  return bytes_to_blocks(bytes, config.block_size);
 }
 
 }  // namespace bpsio::capture

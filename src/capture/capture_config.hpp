@@ -28,7 +28,11 @@
 //   BPSIO_CAPTURE_BUFFER_RECORDS  per-thread buffer capacity (default 4096;
 //                                 32 bytes/record). Bounds both resident
 //                                 memory and the records a thread can lose
-//                                 at a hard exit.
+//                                 at a hard exit. Clamped, with a warning,
+//                                 to trace::kMaxFrameRecords (1,048,576 =
+//                                 32 MiB per thread): one flushed buffer is
+//                                 one socket frame, and the daemons reject
+//                                 larger frames.
 //   BPSIO_CAPTURE_INCLUDE_FDS     comma-separated fd allowlist; when set,
 //                                 only these fds are recorded.
 //   BPSIO_CAPTURE_EXCLUDE_FDS     comma-separated fd denylist (default
@@ -97,6 +101,10 @@ std::string capture_trace_path(const CaptureConfig& config, std::uint32_t pid,
 
 /// ceil(bytes / block_size) in the configured unit — the paper's B
 /// contribution of one access, computed from the *requested* byte count.
-std::uint64_t requested_blocks(const CaptureConfig& config, std::uint64_t bytes);
+/// Inline: the interposer computes it on every recorded call.
+inline std::uint64_t requested_blocks(const CaptureConfig& config,
+                                      std::uint64_t bytes) {
+  return bytes_to_blocks(bytes, config.block_size);
+}
 
 }  // namespace bpsio::capture

@@ -3,10 +3,11 @@
 // information of each I/O access" (Section III.B), except nothing is
 // modified — the dynamic linker resolves open/read/write/... to the
 // wrappers below, which stamp CLOCK_MONOTONIC around the real call and
-// append a 32-byte IoRecord to a lock-free per-thread buffer. Buffers
-// spill to per-thread .bpstrace v2 files through SpillWriter; every
-// spill ends in a header checkpoint, so a traced process that dies
-// without running atexit still leaves a readable trace.
+// store a 32-byte IoRecord through a per-thread cursor into a lock-free
+// per-thread buffer. Full buffers ship to bpsio_agentd or spill to
+// per-thread .bpstrace v2 files through SpillWriter; every spill ends in a
+// header checkpoint, so a traced process that dies without running atexit
+// still leaves a readable trace.
 //
 // Ground rules for code in this file (it runs inside OTHER PEOPLE'S
 // processes):
@@ -21,7 +22,7 @@
 //    everyone else); a thread_local reentrancy depth drops them.
 //  * No locks on the hot path. Each thread owns its buffer and its
 //    writer outright; the only shared mutable state is atomics (the
-//    runtime pointer, the cached pid, the fd-tracking table).
+//    runtime pointer, the cached pid, the fd-verdict table).
 //
 // Scope: only PLT calls to libc-exported symbols are interposable.
 // glibc-internal I/O (the loader, stdio's internal syscalls when the
@@ -39,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -69,21 +71,47 @@ struct Runtime {
 std::atomic<Runtime*> g_runtime{nullptr};
 std::atomic<std::uint32_t> g_pid{0};
 
-/// Which fds were opened through the interposed open/openat family (and not
-/// by the capture machinery itself). Indexed by fd; fds beyond the table are
-/// simply not tracked. 64 KiB of zero-initialized statics — no constructor
-/// ordering hazards.
+/// Per-fd record verdict, decided once at open: 1 when the fd was opened
+/// through the interposed open/openat family (not by the capture machinery
+/// itself) and passes the include/exclude filters. The configuration is
+/// immutable after capture_init, so a stored verdict cannot go stale;
+/// close() clears it. Indexed by fd; fds beyond the table get no verdict.
+/// 64 KiB of zero-initialized statics — no constructor ordering hazards.
 constexpr int kMaxTrackedFd = 1 << 16;
-std::array<std::atomic<unsigned char>, kMaxTrackedFd> g_fd_tracked{};
+std::array<std::atomic<unsigned char>, kMaxTrackedFd> g_fd_verdict{};
 
-/// Reentrancy depth: >0 while capture bookkeeping (spill I/O, warnings) is
-/// on the stack, so the wrappers pass its syscalls through unrecorded.
+// Every thread_local in this file is initial-exec (the target is built with
+// -ftls-model=initial-exec), so each access is one %fs-relative load or
+// store instead of a __tls_get_addr call; DESIGN.md §9 has the dlopen
+// caveat, and the capture_tls_model ctest pins it.
+
+/// Reentrancy depth: >0 while capture bookkeeping (the cursor's own store,
+/// spill I/O, warnings) is on the stack, so the wrappers pass its syscalls
+/// through unrecorded.
 thread_local int t_in_capture = 0;
 
+/// The depth is raised before and lowered after everything in its scope,
+/// also as seen by a signal handler interrupting this thread: the fences
+/// keep the compiler from moving the cursor's accesses outside it.
 struct ReentrancyGuard {
-  ReentrancyGuard() { ++t_in_capture; }
-  ~ReentrancyGuard() { --t_in_capture; }
+  ReentrancyGuard() {
+    ++t_in_capture;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
+  ~ReentrancyGuard() {
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    --t_in_capture;
+  }
 };
+
+/// The record cursor: the calling thread's next free buffer slot and the
+/// buffer's end. Both are null whenever a record may not be stored straight
+/// away — before the thread's first record, after a transport failure or
+/// close, in a fork child until it is re-armed, and after thread exit — and
+/// every one of those cases falls to arm_thread(). Trivially destructible,
+/// so they stay readable while the thread's TLS is torn down.
+thread_local trace::IoRecord* t_next = nullptr;
+thread_local trace::IoRecord* t_end = nullptr;
 
 /// Set once the current thread's ThreadCapture has been destroyed. A
 /// trivially destructible TLS flag stays readable after complex TLS objects
@@ -91,54 +119,87 @@ struct ReentrancyGuard {
 /// resurrecting a destroyed buffer.
 thread_local bool t_capture_dead = false;
 
+/// warn_once() bit for a thread that drops its records for lack of memory.
+std::atomic<bool> g_warned_memory{false};
+
 std::uint32_t cached_pid() {
   const std::uint32_t pid = g_pid.load(std::memory_order_relaxed);
   return pid != 0 ? pid : static_cast<std::uint32_t>(::getpid());
 }
 
-/// Per-thread capture state: the lock-free record buffer plus the thread's
-/// own transport (socket shipping with spill fallback — record_shipper.hpp).
-/// No other thread ever touches an instance.
+/// Per-thread capture state: the record buffer the cursor walks plus the
+/// thread's own transport (socket shipping with spill fallback —
+/// record_shipper.hpp). No other thread ever touches an instance.
 struct ThreadCapture {
-  std::vector<trace::IoRecord> buffer;
+  /// buffer_records slots, allocated on the thread's first record.
+  trace::IoRecord* buffer = nullptr;
   RecordShipper* shipper = nullptr;
-  bool disabled = false;  ///< transport failed or already closed: drop records
+  bool disabled = false;  ///< no buffer, transport failed, or closed: drop
 
   ThreadCapture();
 
   ~ThreadCapture() {
     ReentrancyGuard guard;
     flush_and_close();
+    ::operator delete(buffer);
     detach();
   }
 
-  void detach();  // defined after the TLS mirrors below
+  void detach();  // defined after the TLS mirror below
 
-  void append(const trace::IoRecord& record, const CaptureConfig& cfg) {
-    if (disabled) return;
-    // The guard covers buffer growth, not just the flush: reserve/push_back
-    // may hit the allocator, and any syscall the allocator issues is capture
-    // bookkeeping that must not be recorded (or recurse into append).
-    ReentrancyGuard guard;
-    if (buffer.capacity() == 0) buffer.reserve(cfg.buffer_records);
-    buffer.push_back(record);
-    if (buffer.size() >= cfg.buffer_records) flush(cfg);
+  /// Point the cursor at the buffer's first slot, sizing the buffer on the
+  /// thread's first record. False leaves the cursor null: this thread
+  /// drops its records.
+  bool arm(const CaptureConfig& cfg) {
+    if (disabled) return false;
+    if (buffer == nullptr) {
+      // Raw storage: pages are committed as the cursor reaches them, as
+      // with the reserve() the buffer used to make.
+      buffer = static_cast<trace::IoRecord*>(::operator new(
+          cfg.buffer_records * sizeof(trace::IoRecord), std::nothrow));
+      if (buffer == nullptr) {
+        disabled = true;
+        warn_once(g_warned_memory,
+                  "cannot allocate a thread's record buffer; that thread's "
+                  "records are dropped");
+        return false;
+      }
+    }
+    t_next = buffer;
+    t_end = buffer + cfg.buffer_records;
+    return true;
   }
 
-  /// Ship the buffer through the thread's transport. Caller holds the
-  /// reentrancy guard. On transport failure, capture for this thread
-  /// degrades to a silent drop (the shipper warns once per process).
+  void disarm() {
+    t_next = nullptr;
+    t_end = nullptr;
+  }
+
+  /// Ship the buffered records through the thread's transport and restart
+  /// the cursor at the first slot. On transport failure (or no memory for
+  /// one), capture for this thread degrades to a silent drop (the shipper
+  /// warns once per process).
   void flush(const CaptureConfig& cfg) {
-    if (disabled || buffer.empty()) {
-      buffer.clear();
-      return;
+    if (t_next == nullptr) return;  // not armed: nothing buffered
+    const auto count = static_cast<std::size_t>(t_next - buffer);
+    t_next = buffer;
+    if (count == 0) return;
+    bool shipped = false;
+    try {
+      if (shipper == nullptr) {
+        shipper = new RecordShipper(cfg, cached_pid(),
+                                    static_cast<std::uint32_t>(::gettid()));
+      }
+      shipped = shipper->ship({buffer, count});
+    } catch (const std::bad_alloc&) {
+      warn_once(g_warned_memory,
+                "out of memory while shipping records; that thread's "
+                "records are dropped");
     }
-    if (shipper == nullptr) {
-      shipper = new RecordShipper(cfg, cached_pid(),
-                                  static_cast<std::uint32_t>(::gettid()));
+    if (!shipped) {
+      disabled = true;
+      disarm();
     }
-    if (!shipper->ship(buffer)) disabled = true;
-    buffer.clear();
   }
 
   void flush_and_close() {
@@ -150,15 +211,17 @@ struct ThreadCapture {
       shipper = nullptr;
     }
     disabled = true;  // records arriving after close have nowhere to go
+    disarm();
   }
 
   /// Fork child: the inherited transport belongs to the parent — the socket
   /// reference is dropped and an inherited spill writer (with the parent's
   /// file offset) abandoned un-closed. Buffered records were flushed on the
-  /// parent side by the fork prepare handler; the child starts fresh with a
-  /// transport carrying its own pid.
+  /// parent side by the fork prepare handler; the child's cursor re-arms at
+  /// the buffer's first slot on its next record, with a transport carrying
+  /// its own pid.
   void abandon_after_fork() {
-    buffer.clear();
+    disarm();
     if (shipper != nullptr) {
       shipper->abandon_after_fork();
       delete shipper;
@@ -169,8 +232,9 @@ struct ThreadCapture {
 };
 
 /// Raw pointer mirror of the function-local TLS instance, so the fork and
-/// atexit handlers can reach the current thread's state without
-/// constructing it. Null before first record and again after teardown.
+/// atexit handlers and a full cursor can reach the current thread's state
+/// without constructing it. Null before first record and again after
+/// teardown.
 thread_local ThreadCapture* t_capture = nullptr;
 
 ThreadCapture::ThreadCapture() { t_capture = this; }
@@ -185,61 +249,80 @@ ThreadCapture& thread_capture() {
   return capture;
 }
 
-bool fd_tracked(int fd) {
-  return fd >= 0 && fd < kMaxTrackedFd &&
-         g_fd_tracked[static_cast<std::size_t>(fd)].load(
-             std::memory_order_relaxed) != 0;
+/// The one slow path of the record cursor, taken under the caller's
+/// reentrancy guard whenever the cursor is null: constructs the thread's
+/// ThreadCapture on first use and arms the cursor. False drops the record.
+[[gnu::noinline]] bool arm_thread(const CaptureConfig& cfg) {
+  if (t_capture_dead) return false;
+  return thread_capture().arm(cfg);
 }
 
-/// Should a call on `fd` produce a record right now?
-bool should_record(int fd) {
-  if (t_in_capture > 0 || t_capture_dead) return false;
-  Runtime* runtime = g_runtime.load(std::memory_order_acquire);
-  if (runtime == nullptr || !runtime->cfg.enabled) return false;
+[[gnu::noinline]] bool should_record_untracked(int fd) {
   if (fd < 0) return false;
-  if (!runtime->cfg.capture_all_fds && !fd_tracked(fd)) return false;
-  return fd_passes_filters(runtime->cfg, fd);
+  const Runtime* runtime = g_runtime.load(std::memory_order_acquire);
+  return runtime != nullptr && runtime->cfg.enabled &&
+         runtime->cfg.capture_all_fds && fd_passes_filters(runtime->cfg, fd);
 }
 
-/// Build and buffer one record. `requested` is the byte count the
-/// application asked for — B counts requested blocks even when the call
-/// came back short or failed (Section III.A). Preserves errno across all
-/// bookkeeping.
-void record_io(trace::IoOpKind op, std::size_t requested, ssize_t ret,
-               std::int64_t start_ns, std::int64_t end_ns,
-               bool is_sync = false) {
-  const int saved_errno = errno;
-  Runtime* runtime = g_runtime.load(std::memory_order_acquire);
-  if (runtime != nullptr) {
-    trace::IoRecord record;
-    record.pid = cached_pid();
-    record.op = op;
-    record.flags = static_cast<std::uint8_t>(
-        (ret < 0 ? trace::kIoFailed : trace::kIoOk) |
-        (is_sync ? trace::kIoSync : trace::kIoOk));
-    record.blocks = is_sync ? 0 : requested_blocks(runtime->cfg, requested);
-    record.start_ns = start_ns;
-    record.end_ns = end_ns;
-    thread_capture().append(record, runtime->cfg);
+/// Should a call on `fd` produce a record right now? A tracked fd's answer
+/// is the verdict note_open stored; only untracked fds under
+/// BPSIO_CAPTURE_ALL_FDS consult the filters per call.
+[[gnu::always_inline]] inline bool should_record(int fd) {
+  if (t_in_capture > 0) return false;
+  if (fd >= 0 && fd < kMaxTrackedFd &&
+      g_fd_verdict[static_cast<std::size_t>(fd)].load(
+          std::memory_order_relaxed) != 0) {
+    return true;
   }
-  errno = saved_errno;
+  return should_record_untracked(fd);
 }
 
-/// Successful open through the wrappers marks the fd as application I/O.
-/// Capture-internal opens run under the reentrancy guard and stay
-/// untracked — that is what keeps the trace file's own writes out of the
+/// Build one record and store it at the cursor. `requested` is the byte
+/// count the application asked for — B counts requested blocks even when
+/// the call came back short or failed (Section III.A). The wrapper saves
+/// errno before and restores it after.
+[[gnu::always_inline]] inline void record_io(trace::IoOpKind op,
+                                             std::size_t requested,
+                                             ssize_t ret, std::int64_t start_ns,
+                                             std::int64_t end_ns,
+                                             bool is_sync = false) {
+  // should_record() said yes, which takes an initialized runtime.
+  const CaptureConfig& cfg = g_runtime.load(std::memory_order_acquire)->cfg;
+  trace::IoRecord record;
+  record.pid = cached_pid();
+  record.op = op;
+  record.flags = static_cast<std::uint8_t>(
+      (ret < 0 ? trace::kIoFailed : trace::kIoOk) |
+      (is_sync ? trace::kIoSync : trace::kIoOk));
+  record.blocks = is_sync ? 0 : requested_blocks(cfg, requested);
+  record.start_ns = start_ns;
+  record.end_ns = end_ns;
+  // The depth stays raised while the cursor moves: a signal handler's I/O
+  // in this window passes through unrecorded instead of claiming the same
+  // slot or flushing under the interrupted store.
+  ReentrancyGuard guard;
+  if (t_next == nullptr && !arm_thread(cfg)) return;
+  *t_next = record;
+  if (++t_next == t_end) t_capture->flush(cfg);
+}
+
+/// Successful open through the wrappers stores the fd's verdict.
+/// Capture-internal opens run under the reentrancy guard and get a zero
+/// verdict — that is what keeps the trace file's own writes out of the
 /// trace.
 void note_open(int fd) {
   if (fd < 0 || fd >= kMaxTrackedFd) return;
-  if (t_in_capture > 0) return;
-  if (g_runtime.load(std::memory_order_acquire) == nullptr) return;
-  g_fd_tracked[static_cast<std::size_t>(fd)].store(1,
+  const Runtime* runtime = g_runtime.load(std::memory_order_acquire);
+  const bool record = t_in_capture == 0 && runtime != nullptr &&
+                      runtime->cfg.enabled &&
+                      fd_passes_filters(runtime->cfg, fd);
+  g_fd_verdict[static_cast<std::size_t>(fd)].store(record ? 1 : 0,
                                                    std::memory_order_relaxed);
 }
 
 void note_close(int fd) {
   if (fd < 0 || fd >= kMaxTrackedFd) return;
-  g_fd_tracked[static_cast<std::size_t>(fd)].store(0,
+  g_fd_verdict[static_cast<std::size_t>(fd)].store(0,
                                                    std::memory_order_relaxed);
 }
 

@@ -16,16 +16,8 @@
 namespace bpsio::capture {
 namespace {
 
-// Process-wide warn-once flags: an LD_PRELOAD library degrades quietly, but
-// says why exactly once per process per failure class.
 std::atomic<bool> g_warned_socket{false};
 std::atomic<bool> g_warned_dead{false};
-
-void warn_once(std::atomic<bool>& flag, const char* what) {
-  if (!flag.exchange(true)) {
-    std::fprintf(stderr, "bpsio-capture: %s\n", what);
-  }
-}
 
 /// Best-effort full send with SIGPIPE suppressed; false on any error.
 bool send_all(int fd, const char* data, std::size_t size) {
@@ -43,6 +35,12 @@ bool send_all(int fd, const char* data, std::size_t size) {
 }
 
 }  // namespace
+
+void warn_once(std::atomic<bool>& flag, const char* what) {
+  if (!flag.exchange(true)) {
+    std::fprintf(stderr, "bpsio-capture: %s\n", what);
+  }
+}
 
 RecordShipper::RecordShipper(const CaptureConfig& config, std::uint32_t pid,
                              std::uint32_t tid)
@@ -106,14 +104,14 @@ bool RecordShipper::ensure_backend() {
   return false;
 }
 
-bool RecordShipper::send_frame(const std::vector<trace::IoRecord>& records) {
+bool RecordShipper::send_frame(std::span<const trace::IoRecord> records) {
   frame_buf_.clear();
   trace::encode_frame(records, frame_buf_);
   return send_all(socket_fd_, frame_buf_.data(), frame_buf_.size());
 }
 
-bool RecordShipper::spill(const std::vector<trace::IoRecord>& records) {
-  for (const trace::IoRecord& record : records) writer_->append(record);
+bool RecordShipper::spill(std::span<const trace::IoRecord> records) {
+  writer_->append(records);
   if (!writer_->checkpoint().ok()) {
     delete writer_;
     writer_ = nullptr;
@@ -123,7 +121,7 @@ bool RecordShipper::spill(const std::vector<trace::IoRecord>& records) {
   return true;
 }
 
-bool RecordShipper::ship(const std::vector<trace::IoRecord>& records) {
+bool RecordShipper::ship(std::span<const trace::IoRecord> records) {
   if (records.empty()) return backend_ != Backend::dead;
   if (!ensure_backend()) return false;
   if (backend_ == Backend::socket) {

@@ -27,7 +27,9 @@
 // here are additionally never marked as tracked application fds).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "capture/capture_config.hpp"
@@ -38,6 +40,11 @@ class SpillWriter;  // spill_writer.hpp
 }
 
 namespace bpsio::capture {
+
+/// One stderr line per process per failure class: an LD_PRELOAD library
+/// degrades quietly, but says why exactly once. `flag` is the class's
+/// process-wide warned bit.
+void warn_once(std::atomic<bool>& flag, const char* what);
 
 class RecordShipper {
  public:
@@ -59,7 +66,7 @@ class RecordShipper {
 
   /// Ship one flushed buffer. Returns false once the shipper is dead (no
   /// transport left) — the caller should stop buffering.
-  bool ship(const std::vector<trace::IoRecord>& records);
+  bool ship(std::span<const trace::IoRecord> records);
 
   /// Flush/close the active transport (socket gets an orderly shutdown so
   /// the daemon sees EOF; spill writer checkpoints and closes). Idempotent.
@@ -77,8 +84,8 @@ class RecordShipper {
   bool ensure_backend();
   bool try_connect();
   bool open_spill();
-  bool spill(const std::vector<trace::IoRecord>& records);
-  bool send_frame(const std::vector<trace::IoRecord>& records);
+  bool spill(std::span<const trace::IoRecord> records);
+  bool send_frame(std::span<const trace::IoRecord> records);
   void die(const char* what);
 
   const CaptureConfig* config_;

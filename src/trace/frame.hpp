@@ -72,7 +72,8 @@ inline constexpr std::uint32_t kHelloMagic = 0x42505348;        // "BPSH"
 
 /// Upper bound on records per frame: rejects garbage length prefixes before
 /// they turn into multi-gigabyte buffer reservations. Capture clients ship
-/// one spill buffer per frame (default 4096 records), far below this.
+/// one spill buffer per frame (default 4096 records) and clamp
+/// BPSIO_CAPTURE_BUFFER_RECORDS to this bound.
 inline constexpr std::uint32_t kMaxFrameRecords = 1u << 20;
 
 /// Tenant ids are Prometheus labels, file-name fragments, and CSV cells;

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -260,6 +261,75 @@ TEST(AgentE2E, PreloadShipsOverSocketWithoutSpilling) {
   EXPECT_EQ(row[1], std::to_string(kExpectedRecords));  // records
   EXPECT_EQ(row[2], std::to_string(kProcs));            // processes
   EXPECT_EQ(row[4], std::to_string(kExpectedBlocks));   // B
+
+  std::filesystem::remove_all(agent_dir);
+  std::filesystem::remove_all(spill_dir);
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST(AgentE2E, MidRunThreadExitAndForkFlushesOverSocket) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "agent binaries not in environment";
+
+  // The socket twin of CaptureE2E.MidRunThreadExitAndForkFlushes: a
+  // 7-record buffer ships frames mid-run at uneven boundaries, three
+  // threads per child each open their own connection and ship their tail
+  // at thread exit, and the parent's pre-fork records go out from the
+  // atfork prepare handler — every call reaches the agent exactly once,
+  // and nothing falls back to spill.
+  constexpr int kChildren = 2;
+  constexpr int kThreads = 3;
+  constexpr int kChildWrites = 23;
+  constexpr int kParentWrites = 10;
+  constexpr int kConnections = kChildren * kThreads + 1;
+  const std::string agent_dir = make_temp_dir("flush_live");
+  const std::string spill_dir = make_temp_dir("flush_fallback");
+  const std::string data_dir = make_temp_dir("flush_data");
+  const std::string socket_path = agent_dir + "/agent.sock";
+  const std::string drain_path = agent_dir + "/drain.bpstrace";
+  FILE* daemon = start_agentd("'" + paths->agentd + "' --socket='" +
+                                  socket_path + "' --http-port=-1" +
+                                  " --drain='" + drain_path +
+                                  "' --expect-clients=" +
+                                  std::to_string(kConnections) + " 2>&1",
+                              socket_path);
+
+  int exit_code = 0;
+  const std::string out = run_and_read(
+      "BPSIO_CAPTURE_BUFFER_RECORDS=7 BPSIO_CAPTURE_SOCKET='" + socket_path +
+          "' BPSIO_CAPTURE_DIR='" + spill_dir + "' LD_PRELOAD='" +
+          paths->lib + "' '" + paths->smoke + "' '" + data_dir + "' " +
+          std::to_string(kChildren) + " " + std::to_string(kChildWrites) +
+          " 4096 --threads=" + std::to_string(kThreads) +
+          " --parent-writes=" + std::to_string(kParentWrites),
+      &exit_code);
+  ASSERT_EQ(exit_code, 0) << out;
+  std::uint32_t parent_pid = 0;
+  ASSERT_EQ(std::sscanf(out.c_str(), "parent-pid %u", &parent_pid), 1) << out;
+
+  std::string daemon_log;
+  const int daemon_rc = finish_agentd(daemon, &daemon_log);
+  ASSERT_EQ(daemon_rc, 0) << daemon_log;
+
+  EXPECT_TRUE(trace_files(spill_dir).empty());
+  auto drained = trace::load_binary(drain_path);
+  ASSERT_TRUE(drained.ok()) << drained.error().to_string();
+  std::map<std::uint32_t, std::uint64_t> records_by_pid;
+  std::uint64_t blocks = 0;
+  for (const trace::IoRecord& r : *drained) {
+    ++records_by_pid[r.pid];
+    blocks += r.blocks;
+  }
+  const std::uint64_t calls = kChildren * kThreads * kChildWrites + kParentWrites;
+  EXPECT_EQ(drained->size(), calls);
+  EXPECT_EQ(blocks, calls * (4096 / 512));
+  ASSERT_EQ(records_by_pid.size(), static_cast<std::size_t>(kChildren + 1));
+  for (const auto& [pid, count] : records_by_pid) {
+    EXPECT_EQ(count, pid == parent_pid
+                         ? static_cast<std::uint64_t>(kParentWrites)
+                         : static_cast<std::uint64_t>(kThreads * kChildWrites))
+        << "pid " << pid;
+  }
 
   std::filesystem::remove_all(agent_dir);
   std::filesystem::remove_all(spill_dir);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "capture/capture_config.hpp"
+#include "trace/frame.hpp"
 
 namespace bpsio::capture {
 namespace {
@@ -88,6 +89,36 @@ TEST(CaptureConfig, MalformedValuesFallBackWithWarnings) {
   // Malformed list entries are skipped, valid ones kept.
   EXPECT_EQ(config.exclude_fds, (std::vector<int>{1, 3}));
   EXPECT_EQ(warnings.size(), 4u);
+}
+
+TEST(CaptureConfig, OversizedBufferIsClampedToTheFrameLimit) {
+  // One flushed buffer is one socket frame: a buffer above the largest
+  // frame a daemon accepts is clamped (with a warning) rather than sized
+  // to exhaust memory or turn every flush into a rejected frame.
+  for (const char* raw : {"99999999999", "1048577",
+                          "99999999999999999999999999"}) {
+    const FakeEnv env({
+        {"BPSIO_CAPTURE_DIR", "/tmp/traces"},
+        {"BPSIO_CAPTURE_BUFFER_RECORDS", raw},
+    });
+    std::vector<std::string> warnings;
+    const CaptureConfig config = parse_capture_config(env.lookup(), &warnings);
+    EXPECT_EQ(config.buffer_records, trace::kMaxFrameRecords) << raw;
+    ASSERT_EQ(warnings.size(), 1u) << raw;
+    EXPECT_NE(warnings[0].find("BPSIO_CAPTURE_BUFFER_RECORDS"),
+              std::string::npos)
+        << warnings[0];
+  }
+  // The limit itself is a legal size and passes silently.
+  const FakeEnv at_limit({
+      {"BPSIO_CAPTURE_DIR", "/tmp/traces"},
+      {"BPSIO_CAPTURE_BUFFER_RECORDS", "1048576"},
+  });
+  std::vector<std::string> warnings;
+  const CaptureConfig config =
+      parse_capture_config(at_limit.lookup(), &warnings);
+  EXPECT_EQ(config.buffer_records, trace::kMaxFrameRecords);
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(CaptureConfig, AllowlistWinsOverDenylist) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -109,6 +110,16 @@ std::vector<std::string> split(const std::string& line, char sep) {
     at = next + 1;
   }
   return out;
+}
+
+/// The pid a trace file is named after: bpsio-<pid>-<tid>-<stamp>.bpstrace.
+std::uint32_t file_pid(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  const std::vector<std::string> parts = split(name, '-');
+  EXPECT_GE(parts.size(), 4u) << name;
+  return parts.size() >= 4
+             ? static_cast<std::uint32_t>(std::stoul(parts[1]))
+             : 0;
 }
 
 TEST(CaptureE2E, KnownPatternCapturesExactBlocks) {
@@ -281,6 +292,142 @@ TEST(CaptureE2E, ErrnoProbeUnderPreload) {
   EXPECT_NE(out.find("errno-probe: ok"), std::string::npos) << out;
 
   std::filesystem::remove_all(trace_dir);
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST(CaptureE2E, MidRunThreadExitAndForkFlushes) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+
+  // A 7-record buffer makes flushes fall mid-run at uneven boundaries
+  // (23 writes = 3 full buffers + 2 left for the exit flush). Three writing
+  // threads per child exercise per-thread files and the thread-exit flush;
+  // the parent's 10 pre-fork writes leave 3 records buffered at fork(),
+  // which the atfork prepare handler must ship under the parent's pid only.
+  constexpr int kChildren = 2;
+  constexpr int kThreads = 3;
+  constexpr int kChildWrites = 23;
+  constexpr int kParentWrites = 10;
+  constexpr std::uint64_t kBlocksPerWrite = 4096 / 512;
+  const std::string trace_dir = make_temp_dir("flush_traces");
+  const std::string data_dir = make_temp_dir("flush_data");
+  int exit_code = 0;
+  const std::string out = run_and_read(
+      "BPSIO_CAPTURE_BUFFER_RECORDS=7 BPSIO_CAPTURE_DIR='" + trace_dir +
+          "' LD_PRELOAD='" + paths->lib + "' '" + paths->smoke + "' '" +
+          data_dir + "' " + std::to_string(kChildren) + " " +
+          std::to_string(kChildWrites) + " 4096 --threads=" +
+          std::to_string(kThreads) +
+          " --parent-writes=" + std::to_string(kParentWrites),
+      &exit_code);
+  ASSERT_EQ(exit_code, 0) << out;
+  std::uint32_t parent_pid = 0;
+  ASSERT_EQ(std::sscanf(out.c_str(), "parent-pid %u", &parent_pid), 1) << out;
+
+  // One trace file per writing thread.
+  const std::vector<std::string> files = trace_files(trace_dir);
+  ASSERT_EQ(files.size(), static_cast<std::size_t>(kChildren * kThreads + 1));
+  std::map<std::uint32_t, std::uint64_t> records_by_pid;
+  std::map<std::uint32_t, int> files_by_pid;
+  std::uint64_t blocks = 0;
+  for (const std::string& file : files) {
+    auto records = trace::load_binary(file);
+    ASSERT_TRUE(records.ok()) << records.error().to_string();
+    // Each file is one thread's stream: start-ordered, and every record
+    // carries the pid of the process that wrote the file — a parent record
+    // shipped again from a child would carry the parent's pid here.
+    const auto report = trace::validate(*records, true);
+    EXPECT_TRUE(report.ok()) << file << ": " << report.to_string();
+    const std::uint32_t pid = file_pid(file);
+    for (const trace::IoRecord& r : *records) {
+      EXPECT_EQ(r.pid, pid) << file;
+      blocks += r.blocks;
+    }
+    records_by_pid[pid] += records->size();
+    ++files_by_pid[pid];
+  }
+  ASSERT_EQ(records_by_pid.size(), static_cast<std::size_t>(kChildren + 1));
+  EXPECT_EQ(records_by_pid[parent_pid], static_cast<std::uint64_t>(kParentWrites));
+  EXPECT_EQ(files_by_pid[parent_pid], 1);
+  std::uint64_t total = 0;
+  for (const auto& [pid, count] : records_by_pid) {
+    total += count;
+    if (pid == parent_pid) continue;
+    EXPECT_EQ(count, static_cast<std::uint64_t>(kThreads * kChildWrites))
+        << "pid " << pid;
+    EXPECT_EQ(files_by_pid[pid], kThreads) << "pid " << pid;
+  }
+  const std::uint64_t calls = kChildren * kThreads * kChildWrites + kParentWrites;
+  EXPECT_EQ(total, calls);
+  EXPECT_EQ(blocks, calls * kBlocksPerWrite);
+
+  std::filesystem::remove_all(trace_dir);
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST(CaptureE2E, OversizedBufferIsClampedNotFatal) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+
+  // A buffer far beyond what memory (or a daemon's frame limit) allows must
+  // not kill the traced application: the value is clamped at parse time
+  // with a warning, and every record still arrives.
+  const std::string trace_dir = make_temp_dir("oversized_traces");
+  const std::string data_dir = make_temp_dir("oversized_data");
+  int exit_code = 0;
+  const std::string out = run_and_read(
+      "BPSIO_CAPTURE_BUFFER_RECORDS=99999999999 BPSIO_CAPTURE_DIR='" +
+          trace_dir + "' LD_PRELOAD='" + paths->lib + "' '" + paths->smoke +
+          "' '" + data_dir + "' 1 5 4096 2>&1",
+      &exit_code);
+  ASSERT_EQ(exit_code, 0) << out;
+  EXPECT_NE(out.find("BPSIO_CAPTURE_BUFFER_RECORDS"), std::string::npos)
+      << out;
+  const std::vector<std::string> files = trace_files(trace_dir);
+  ASSERT_EQ(files.size(), 1u);
+  auto records = trace::load_binary(files[0]);
+  ASSERT_TRUE(records.ok()) << records.error().to_string();
+  ASSERT_EQ(records->size(), 5u);
+  std::uint64_t blocks = 0;
+  for (const trace::IoRecord& r : *records) blocks += r.blocks;
+  EXPECT_EQ(blocks, 5u * (4096 / 512));
+
+  std::filesystem::remove_all(trace_dir);
+  std::filesystem::remove_all(data_dir);
+}
+
+TEST(CaptureE2E, ExcludedFdOpenedThroughWrappersRecordsNothing) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+
+  // The record verdict is taken when the wrappers see the open: a data fd
+  // the exclude list names must record nothing, while the same run under
+  // the default list records every write. The child's fd number depends
+  // on what the test runner left open, so the list covers 3..1023.
+  std::string all_but_stdio;
+  for (int fd = 3; fd < 1024; ++fd) {
+    all_but_stdio += (fd > 3 ? "," : "") + std::to_string(fd);
+  }
+  const std::string data_dir = make_temp_dir("verdict_data");
+  for (const bool excluded : {false, true}) {
+    const std::string trace_dir = make_temp_dir("verdict_traces");
+    const std::string exclude =
+        excluded ? "BPSIO_CAPTURE_EXCLUDE_FDS=" + all_but_stdio + " " : "";
+    const std::string command = exclude + "BPSIO_CAPTURE_DIR='" + trace_dir +
+                                "' LD_PRELOAD='" + paths->lib + "' '" +
+                                paths->smoke + "' '" + data_dir + "' 1 5 4096";
+    ASSERT_EQ(std::system(command.c_str()), 0);
+    const std::vector<std::string> files = trace_files(trace_dir);
+    if (excluded) {
+      EXPECT_TRUE(files.empty()) << files.size() << " trace file(s)";
+    } else {
+      ASSERT_EQ(files.size(), 1u);
+      auto records = trace::load_binary(files[0]);
+      ASSERT_TRUE(records.ok()) << records.error().to_string();
+      EXPECT_EQ(records->size(), 5u);
+    }
+    std::filesystem::remove_all(trace_dir);
+  }
   std::filesystem::remove_all(data_dir);
 }
 

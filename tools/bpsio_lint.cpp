@@ -435,13 +435,18 @@ void rule_record_copy_loop(const SourceFile& src, std::vector<Finding>& out) {
     while (vb > 0 && ident_char(header[vb - 1])) --vb;
     const std::string var = header.substr(vb, ve - vb);
     if (var.empty()) continue;
-    // The body must be exactly one statement, nothing after it but a
-    // closing brace: `{ sink.push_back(r); }` or the braceless form.
+    // The body must be exactly one statement: `{ sink.push_back(r); }`,
+    // where the closing brace follows the statement, or the braceless form,
+    // whose statement ends the loop — what follows it belongs to the
+    // enclosing block.
     std::string body = joined.substr(close + 1);
     const std::size_t semi = body.find(';');
     if (semi == std::string::npos) continue;
-    const std::size_t tail = body.find_first_not_of(" }", semi + 1);
-    if (tail != std::string::npos) continue;
+    const std::size_t first = body.find_first_not_of(' ');
+    if (first != std::string::npos && body[first] == '{') {
+      const std::size_t tail = body.find_first_not_of(' ', semi + 1);
+      if (tail == std::string::npos || body[tail] != '}') continue;
+    }
     std::string compact;
     for (char c : body.substr(0, semi + 1)) {
       if (c != ' ' && c != '{') compact += c;
@@ -653,6 +658,37 @@ const SelfCase kSelfCases[] = {
      "  for (const trace::IoRecord& r : frame) {\n"
      "    if (!r.valid()) link.forward(r);\n"
      "  }\n"
+     "}\n"},
+    {"record-copy-loop", "src/capture/record_shipper.cpp",
+     // A braceless body ends at its statement: the `if` after it belongs
+     // to the enclosing block and does not make the copy any less
+     // per-record.
+     "bool f(std::span<const trace::IoRecord> records) {\n"
+     "  for (const trace::IoRecord& record : records) writer_->append(record);\n"
+     "  if (!writer_->checkpoint().ok()) return false;\n"
+     "  return true;\n"
+     "}\n",
+     // A braced body with a second statement does more than copy.
+     "bool f(std::span<const trace::IoRecord> records) {\n"
+     "  writer_->append(records);\n"
+     "  for (const trace::IoRecord& record : records) {\n"
+     "    writer_->append(record);\n"
+     "    ++seen;\n"
+     "  }\n"
+     "  if (!writer_->checkpoint().ok()) return false;\n"
+     "  return true;\n"
+     "}\n"},
+    {"record-copy-loop", "src/agent/spool.cpp",
+     // Code after a braced loop's closing brace is not part of its body.
+     "void f(std::span<const trace::IoRecord> chunk, SpillWriter& out) {\n"
+     "  for (const trace::IoRecord& r : chunk) {\n"
+     "    out.append(r);\n"
+     "  }\n"
+     "  flushed = out.flush().ok();\n"
+     "}\n",
+     "void f(std::span<const trace::IoRecord> chunk, SpillWriter& out) {\n"
+     "  out.append(chunk);\n"
+     "  flushed = out.flush().ok();\n"
      "}\n"},
 };
 

@@ -2,16 +2,21 @@
 // exercising libbpsio_capture.so end to end.
 //
 //   capture_smoke <dir> [procs=4] [writes=200] [bytes=65536]
+//                 [--threads=N] [--parent-writes=N]
 //   capture_smoke --errno-probe <dir>
 //
-// Forks <procs> children; each opens <dir>/data.<i>, issues <writes>
-// write() calls of <bytes> bytes, fsync()s, and closes. Run it under the
-// preload and every number the analyzer should report is known in advance:
+// Forks <procs> children. In each, <threads> threads (default 1: the
+// child's main thread) each open <dir>/data.<i>.<t>, issue <writes> write()
+// calls of <bytes> bytes, fsync(), and close. With --parent-writes=N the
+// parent first writes N such calls to <dir>/data.parent, so its records are
+// still buffered when it forks, and prints "parent-pid <pid>" once every
+// child is reaped. Run it under the preload and every number the analyzer
+// should report is known in advance:
 //
-//   records = procs * writes
-//   B       = procs * writes * ceil(bytes / block_size)
-//   traces  = procs files (children are single-threaded; the parent does
-//             no captured I/O)
+//   records = procs * threads * writes + parent_writes
+//   B       = records * ceil(bytes / block_size)
+//   traces  = one file per writing thread: procs * threads, plus one for
+//             the parent when it wrote
 //
 // tests/test_capture_e2e.cpp and the CI capture-smoke job assert exactly
 // that. Deliberately no bpsio library dependencies — the traced program
@@ -27,14 +32,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli.hpp"
 
 namespace {
 
-int run_child(const std::string& dir, int index, long writes, long bytes) {
-  const std::string path = dir + "/data." + std::to_string(index);
+/// Open `path`, issue `writes` full writes of `bytes` bytes, fsync, close.
+int write_file(const std::string& path, long writes, long bytes) {
   const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (fd < 0) {
     std::fprintf(stderr, "capture_smoke: open %s: %s\n", path.c_str(),
@@ -64,6 +70,27 @@ int run_child(const std::string& dir, int index, long writes, long bytes) {
     return 1;
   }
   return ::close(fd) == 0 ? 0 : 1;
+}
+
+int run_child(const std::string& dir, int index, long threads, long writes,
+              long bytes) {
+  const auto path = [&](long thread) {
+    return dir + "/data." + std::to_string(index) + "." +
+           std::to_string(thread);
+  };
+  if (threads == 1) return write_file(path(0), writes, bytes);
+  std::vector<int> results(static_cast<std::size_t>(threads), 1);
+  std::vector<std::thread> workers;
+  for (long t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      results[static_cast<std::size_t>(t)] = write_file(path(t), writes, bytes);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const int rc : results) {
+    if (rc != 0) return 1;
+  }
+  return 0;
 }
 
 /// --errno-probe: regression check for the interposer's errno contract
@@ -175,13 +202,20 @@ int main(int argc, char** argv) {
   bpsio::cli::ArgParser parser(
       "capture_smoke",
       "Known-pattern POSIX writer for exercising libbpsio_capture.so:\n"
-      "forks <procs> children, each writing <writes> x <bytes> to "
-      "<dir>/data.<i>.");
+      "forks <procs> children, each writing <writes> x <bytes> from each of "
+      "<threads> threads to <dir>/data.<i>.<t>.");
   parser.positionals("<dir> [procs=4] [writes=200] [bytes=65536]");
   bool errno_probe = false;
   parser.add_flag("--errno-probe", &errno_probe,
                   "run the errno-preservation probe in <dir> instead of the "
                   "known-pattern writer");
+  long long threads = 1;
+  parser.add_int("--threads", &threads, 1, 64, "N",
+                 "writing threads per child, one file each (default 1)");
+  long long parent_writes = 0;
+  parser.add_int("--parent-writes", &parent_writes, 0, 1'000'000, "N",
+                 "writes the parent issues to <dir>/data.parent before "
+                 "forking (default 0)");
   std::vector<std::string> args;
   switch (parser.parse(argc, argv, args)) {
     case bpsio::cli::ArgParser::Outcome::ok:
@@ -211,6 +245,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (parent_writes > 0 &&
+      write_file(dir + "/data.parent", static_cast<long>(parent_writes),
+                 bytes) != 0) {
+    return 1;
+  }
+
   std::vector<pid_t> children;
   for (long i = 0; i < procs; ++i) {
     const pid_t pid = ::fork();
@@ -218,7 +258,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "capture_smoke: fork: %s\n", std::strerror(errno));
       return 1;
     }
-    if (pid == 0) std::exit(run_child(dir, static_cast<int>(i), writes, bytes));
+    if (pid == 0) {
+      std::exit(run_child(dir, static_cast<int>(i), static_cast<long>(threads),
+                          writes, bytes));
+    }
     children.push_back(pid);
   }
 
@@ -233,6 +276,9 @@ int main(int argc, char** argv) {
   if (failures > 0) {
     std::fprintf(stderr, "capture_smoke: %d child(ren) failed\n", failures);
     return 1;
+  }
+  if (parent_writes > 0) {
+    std::printf("parent-pid %ld\n", static_cast<long>(::getpid()));
   }
   return 0;
 }
