@@ -1,4 +1,4 @@
-// The real-application workload zoo (src/workload/zoo). Three properties:
+// The real-application workload zoo (src/workload/zoo). Four properties:
 //
 //   1. Every scenario's plan carries a stable I/O signature (process count,
 //      phase count, access count, B) — the golden numbers below pin them so
@@ -6,7 +6,9 @@
 //   2. A simulator run of the plan reports exactly the plan's B and
 //      process count — the same invariant the zoo-smoke CI job checks for
 //      the real-I/O path, asserted here for the simulator path.
-//   3. A closed-loop replay of a zoo run's trace reproduces B and process
+//   3. What the simulator computes from a plan — T and execution time on the
+//      SSD, HDD and PVFS testbeds — matches golden integer-ns pins.
+//   4. A closed-loop replay of a zoo run's trace reproduces B and process
 //      count exactly and T within tolerance (the differential-replay check
 //      of DESIGN.md §15).
 #include <gtest/gtest.h>
@@ -85,6 +87,73 @@ TEST_P(ZooScenario, SimulatorRunReportsThePlanB) {
 
 INSTANTIATE_TEST_SUITE_P(Catalog, ZooScenario,
                          ::testing::ValuesIn(kSignatures),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param.name);
+                         });
+
+struct SimTimes {
+  const char* name;
+  std::int64_t ssd_t_ns, ssd_exec_ns;
+  std::int64_t hdd_t_ns, hdd_exec_ns;
+  std::int64_t pvfs_t_ns, pvfs_exec_ns;
+};
+
+// Golden T (overlapped I/O time) and execution time, in integer ns, of one
+// simulator run per testbed at scale=0.25, seed 42, set up as `bpsio_zoo
+// sim` sets it up. Every layer of the simulated stack (event core, devices,
+// page cache, PFS, middleware) feeds these, so a change that must keep the
+// simulator bit-identical keeps them equal. Update deliberately when the
+// simulated stack is meant to change, never to quiet a failure.
+const SimTimes kSimTimes[] = {
+    {"bert", 61937316, 62137316, 387236719, 387436719, 261226874, 261426874},
+    {"resnet50", 24753773, 25053773, 556594975, 556894975, 225358133,
+     225458133},
+    {"maskrcnn", 90770418, 91370418, 493889875, 494489875, 306938870,
+     307538870},
+    {"dlrm", 19368434, 19408434, 1287091670, 1287131670, 505775859,
+     505775859},
+    {"lammps", 48433350, 48778266, 763633255, 763633255, 248385873,
+     248385873},
+    {"namd", 51378641, 51457358, 1162729659, 1162729659, 444949469,
+     444949469},
+    {"openfoam", 34628216, 41836448, 376434453, 376434453, 196586236,
+     196586236},
+    {"hacc", 69353922, 72956368, 510619611, 513619611, 395372260, 398372260},
+    {"montage", 32345188, 32345188, 262037156, 262037156, 175608283,
+     175608283},
+};
+
+class ZooSimTimes : public ::testing::TestWithParam<SimTimes> {};
+
+TEST_P(ZooSimTimes, SimulatorRunMatchesGoldenTAndExecTime) {
+  const SimTimes& golden = GetParam();
+  ZooParams params;
+  params.scale = 0.25;
+  const auto plan = build_plan(golden.name, params);
+  ASSERT_TRUE(plan.ok());
+  const std::pair<const char*, core::TestbedConfig> testbeds[] = {
+      {"ssd", core::local_ssd_testbed(42)},
+      {"hdd", core::local_hdd_testbed(42)},
+      {"pvfs", core::pvfs_testbed(4, pfs::DeviceKind::hdd,
+                                  plan->process_count(), 42)},
+  };
+  const std::pair<std::int64_t, std::int64_t> expected[] = {
+      {golden.ssd_t_ns, golden.ssd_exec_ns},
+      {golden.hdd_t_ns, golden.hdd_exec_ns},
+      {golden.pvfs_t_ns, golden.pvfs_exec_ns},
+  };
+  for (std::size_t i = 0; i < std::size(testbeds); ++i) {
+    core::Testbed testbed(testbeds[i].second);
+    testbed.drop_caches();
+    const RunResult run = make_workload(*plan)->run(testbed.env());
+    EXPECT_EQ(metrics::overlapped_io_time(run.collector).ns(),
+              expected[i].first)
+        << testbeds[i].first;
+    EXPECT_EQ(run.exec_time.ns(), expected[i].second) << testbeds[i].first;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalog, ZooSimTimes, ::testing::ValuesIn(kSimTimes),
                          [](const auto& param_info) {
                            return std::string(param_info.param.name);
                          });
