@@ -259,12 +259,12 @@ void LocalFileSystem::read(FileHandle h, Bytes offset, Bytes size,
         submit_segments(
             device::DevOp::read, map_range(*inode, run_off, run_len),
             [this, file_id, run, all_ok, one_done = std::move(one_done)](bool ok) {
-              if (ok) {
+              if (!ok) {
+                *all_ok = false;
+              } else if (inodes_[file_id]) {  // not removed while in flight
                 // Insertions may evict dirty pages; write those back.
                 writeback_runs(cache_->insert(file_id, run.first_page,
                                               run.page_count, false));
-              } else {
-                *all_ok = false;
               }
               one_done();
             });
@@ -329,7 +329,9 @@ void LocalFileSystem::write(FileHandle h, Bytes offset, Bytes size,
   write_out(*inode, offset, size,
             [this, file_id, first_page, last_page, size,
              done = std::move(done)](bool ok) {
-              if (ok && cache_) {
+              // A file removed while the write was in flight stays out of
+              // the cache.
+              if (ok && cache_ && inodes_[file_id]) {
                 writeback_runs(cache_->insert(file_id, first_page,
                                               last_page - first_page + 1,
                                               false));

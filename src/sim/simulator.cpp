@@ -36,11 +36,9 @@ SimTime Simulator::run() {
 
 SimTime Simulator::run_until(SimTime deadline) {
   while (!queue_.empty() && queue_.top().time <= deadline) step();
-  if (now_ < deadline && queue_.empty()) {
-    // Queue drained before the deadline; clock stays at the last event.
-    return now_;
-  }
-  now_ = max(now_, min(deadline, now_));
+  // Events remain past the deadline: the clock reaches it. A queue that
+  // drained first leaves the clock at the last event.
+  if (!queue_.empty()) now_ = max(now_, deadline);
   return now_;
 }
 

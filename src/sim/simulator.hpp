@@ -36,7 +36,8 @@ class Simulator {
   /// Run until the event queue drains. Returns the final simulation time.
   SimTime run();
   /// Run until simulated time reaches `deadline` (events at exactly
-  /// `deadline` still fire) or the queue drains, whichever is first.
+  /// `deadline` still fire, and the clock then reads `deadline`) or the
+  /// queue drains, whichever is first. Returns the final simulation time.
   SimTime run_until(SimTime deadline);
 
   bool empty() const { return queue_.empty(); }

@@ -245,6 +245,25 @@ TEST(LocalFs, RemoveWithDirtyCachedPagesIsSafe) {
   EXPECT_TRUE(f.fs->create("/next", 32 * kMiB).ok());
 }
 
+// remove() drops a file's pages; a read or write-through write already in
+// flight must not bring them back when it completes.
+TEST(LocalFs, InFlightIoOfRemovedFilesLeavesNoPages) {
+  Fixture f;
+  auto r = f.fs->create("/read", 1 * kMiB);
+  auto w = f.fs->create("/written", 0);
+  ASSERT_TRUE(r.ok() && w.ok());
+  int done = 0;
+  f.fs->read(*r, 0, 256 * kKiB, [&](IoOutcome) { ++done; });
+  f.fs->write(*w, 0, 256 * kKiB, [&](IoOutcome) { ++done; });
+  ASSERT_TRUE(f.fs->close(*r).ok());
+  ASSERT_TRUE(f.fs->close(*w).ok());
+  ASSERT_TRUE(f.fs->remove("/read").ok());
+  ASSERT_TRUE(f.fs->remove("/written").ok());
+  f.sim.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(f.fs->cache()->resident_pages(), 0u);
+}
+
 TEST(LocalFs, FragmentedExtentsStillMapCorrectly) {
   LocalFsParams params;
   params.max_extent = 8 * kKiB;  // force many extents per file

@@ -52,6 +52,22 @@ TEST(PageCache, DirtyEvictionsSurfaceToCaller) {
   EXPECT_EQ(cache.stats().dirty_evictions, 2u);
 }
 
+TEST(PageCache, OversizedInsertReportsEachEvictionOfARepeatedPage) {
+  PageCache cache(4 * 4096, 4096);
+  cache.insert(1, 5, 2, true);
+  // Pages 5 and 6 are evicted while 0-4 go in, inserted again, and evicted
+  // again by 9 and 10; each eviction is written back, so each repeat
+  // starts its own run.
+  const auto evicted = cache.insert(1, 0, 12, true);
+  ASSERT_EQ(evicted.size(), 3u);
+  EXPECT_EQ(evicted[0], (PageRun{1, 0, 6}));
+  EXPECT_EQ(evicted[1], (PageRun{1, 5, 2}));
+  EXPECT_EQ(evicted[2], (PageRun{1, 6, 2}));
+  EXPECT_EQ(cache.stats().evictions, 10u);
+  EXPECT_EQ(cache.stats().dirty_evictions, 10u);
+  EXPECT_EQ(cache.resident_pages(), 4u);
+}
+
 TEST(PageCache, CleanInsertOverDirtyKeepsDirty) {
   PageCache cache(8 * 4096, 4096);
   cache.insert(1, 0, 1, true);

@@ -13,7 +13,15 @@
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
 #include "fs/page_cache.hpp"
+#include "page_cache_oracle.hpp"
 #include "workload/registry.hpp"
+
+namespace bpsio::fs {
+// Readable page-run vectors in failure messages.
+void PrintTo(const PageRun& r, std::ostream* os) {
+  *os << "(" << r.file_id << ":" << r.first_page << "+" << r.page_count << ")";
+}
+}  // namespace bpsio::fs
 
 namespace bpsio {
 namespace {
@@ -114,41 +122,69 @@ INSTANTIATE_TEST_SUITE_P(RandomPatterns, SievingInvariance,
                          ::testing::Range<std::uint64_t>(0, 8));
 
 // ---------------------------------------------------------------------------
-// Page cache vs a simple reference LRU model.
+// Page cache vs the per-page LRU it replaced (page_cache_oracle.hpp), driven
+// in lockstep: every return value, every stat and the resident count agree
+// after every operation.
 // ---------------------------------------------------------------------------
+void expect_same_cache(const fs::PageCache& cache,
+                       const fs::testing::PerPageCacheOracle& oracle) {
+  const fs::CacheStats& got = cache.stats();
+  const fs::CacheStats& want = oracle.stats();
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.dirty_evictions, want.dirty_evictions);
+  EXPECT_EQ(cache.resident_pages(), oracle.resident_pages());
+}
+
 class CacheModel : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CacheModel, MatchesReferenceLru) {
   Rng rng(GetParam() * 31 + 7);
-  const std::size_t capacity = 1 + rng.uniform_u64(32);
+  const std::uint64_t capacity = 1 + rng.uniform_u64(64);
+  const auto files = static_cast<std::uint32_t>(1 + rng.uniform_u64(3));
   fs::PageCache cache(capacity * 4096, 4096);
+  fs::testing::PerPageCacheOracle oracle(capacity * 4096, 4096);
+  ASSERT_EQ(cache.capacity_pages(), oracle.capacity_pages());
 
-  // Reference: vector of keys, front = MRU.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> ref;
-  auto ref_touch = [&](std::uint32_t file, std::uint64_t page) -> bool {
-    const auto key = std::make_pair(file, page);
-    const auto it = std::find(ref.begin(), ref.end(), key);
-    const bool hit = it != ref.end();
-    if (hit) ref.erase(it);
-    ref.insert(ref.begin(), key);
-    while (ref.size() > capacity) ref.pop_back();
-    return hit;
-  };
-
-  for (int step = 0; step < 2000; ++step) {
-    const auto file = static_cast<std::uint32_t>(rng.uniform_u64(3));
-    const std::uint64_t page = rng.uniform_u64(64);
-    // Probe then insert-on-miss, like the read path.
-    const bool hit = cache.probe(file, page, 1).empty();
-    const bool ref_hit = ref_touch(file, page);
-    ASSERT_EQ(hit, ref_hit) << "step " << step;
-    if (!hit) cache.insert(file, page, 1, false);
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(step);
+    const auto file = static_cast<std::uint32_t>(rng.uniform_u64(files));
+    // Mostly short ranges, so pages stay resident across steps; one in four
+    // up to 3x the capacity, so one insert can evict its own pages.
+    const std::uint64_t count =
+        1 + rng.uniform_u64(rng.uniform_u64(4) == 0 ? 3 * capacity
+                                                    : capacity / 2 + 1);
+    const std::uint64_t first = rng.uniform_u64(4 * capacity);
+    const std::uint64_t op = rng.uniform_u64(100);
+    if (op < 35) {
+      ASSERT_EQ(cache.probe(file, first, count),
+                oracle.probe(file, first, count));
+    } else if (op < 80) {
+      const bool dirty = op < 58;
+      ASSERT_EQ(cache.insert(file, first, count, dirty),
+                oracle.insert(file, first, count, dirty));
+    } else if (op < 88) {
+      ASSERT_EQ(cache.contains(file, first, count),
+                oracle.contains(file, first, count));
+    } else if (op < 94) {
+      ASSERT_EQ(cache.collect_dirty(), oracle.collect_dirty());
+    } else if (op < 99) {
+      cache.invalidate_file(file);
+      oracle.invalidate_file(file);
+    } else {
+      cache.invalidate_all();
+      oracle.invalidate_all();
+    }
+    expect_same_cache(cache, oracle);
+    if (::testing::Test::HasFailure()) return;
   }
   EXPECT_LE(cache.resident_pages(), capacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, CacheModel,
-                         ::testing::Range<std::uint64_t>(0, 10));
+                         ::testing::Range<std::uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace bpsio

@@ -66,6 +66,28 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Simulator, RunUntilMovesTheClockToTheDeadline) {
+  Simulator sim;
+  std::vector<std::int64_t> fired_at;
+  const auto record = [&]() { fired_at.push_back(sim.now().ns()); };
+  sim.schedule_at(SimTime(10), record);
+  sim.schedule_at(SimTime(20), record);
+  sim.schedule_at(SimTime(30), record);
+  EXPECT_EQ(sim.run_until(SimTime(25)), SimTime(25));
+  EXPECT_EQ(sim.now(), SimTime(25));
+  // Relative scheduling counts from the deadline, not from the last event.
+  sim.schedule_after(SimDuration(1), record);
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{10, 20, 26, 30}));
+}
+
+TEST(Simulator, RunUntilPastADrainedQueueKeepsTheLastEventTime) {
+  Simulator sim;
+  sim.schedule_at(SimTime(10), []() {});
+  EXPECT_EQ(sim.run_until(SimTime(25)), SimTime(10));
+  EXPECT_EQ(sim.now(), SimTime(10));
+}
+
 TEST(Simulator, ResetClearsEverything) {
   Simulator sim;
   sim.schedule_at(SimTime(10), []() {});
