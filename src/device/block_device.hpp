@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 
 namespace bpsio::device {
 
@@ -24,7 +24,7 @@ struct DevResult {
   SimTime end;    ///< service end
 };
 
-using DevDoneFn = std::function<void(DevResult)>;
+using DevDoneFn = sim::Callback<void(DevResult)>;
 
 /// Cumulative device counters, exposed for bandwidth accounting and tests.
 struct DeviceStats {

@@ -1,6 +1,7 @@
 #include "device/raid.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.hpp"
 #include "sim/sync.hpp"
@@ -16,6 +17,17 @@ Bytes min_child_capacity(
   for (const auto& c : children) cap = std::min(cap, c->capacity());
   return cap;
 }
+
+/// Service interval covered by the pieces of one array request.
+struct ServiceSpan {
+  SimTime first_start = SimTime::max();
+  SimTime last_end{};
+
+  void add(const DevResult& r) {
+    first_start = min(first_start, r.start);
+    last_end = max(last_end, r.end);
+  }
+};
 
 }  // namespace
 
@@ -65,30 +77,21 @@ void Raid0Device::submit(DevOp op, Bytes offset, Bytes size, DevDoneFn done) {
     remaining -= take;
   }
 
-  struct State {
-    bool ok = true;
-    SimTime first_start = SimTime::max();
-    SimTime last_end{};
-  };
-  auto state = std::make_shared<State>();
-  const std::uint64_t count = pieces.size();
+  auto span = std::make_shared<ServiceSpan>();
   sim::fan_out(
-      sim_, count,
-      [this, op, pieces = std::move(pieces), state](std::uint64_t i,
-                                                    sim::EventFn one_done) {
+      sim_, pieces.size(),
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         const Piece piece = pieces[i];
         children_[piece.child]->submit(
             op, piece.child_offset, piece.length,
-            [state, one_done = std::move(one_done)](DevResult r) {
-              state->ok = state->ok && r.ok;
-              state->first_start = min(state->first_start, r.start);
-              state->last_end = max(state->last_end, r.end);
-              one_done();
+            [span, one_done = std::move(one_done)](DevResult r) {
+              span->add(r);
+              one_done(r.ok);
             });
       },
-      [this, op, size, state, done = std::move(done)]() {
-        account(op, size, state->ok, state->last_end - state->first_start);
-        done(DevResult{state->ok, state->first_start, state->last_end});
+      [this, op, size, span, done = std::move(done)](bool ok) {
+        account(op, size, ok, span->last_end - span->first_start);
+        done(DevResult{ok, span->first_start, span->last_end});
       });
 }
 
@@ -123,28 +126,20 @@ void Raid1Device::submit(DevOp op, Bytes offset, Bytes size, DevDoneFn done) {
   }
 
   // Writes go to every replica; completion when the slowest lands.
-  struct State {
-    bool ok = true;
-    SimTime first_start = SimTime::max();
-    SimTime last_end{};
-  };
-  auto state = std::make_shared<State>();
+  auto span = std::make_shared<ServiceSpan>();
   sim::fan_out(
       sim_, children_.size(),
-      [this, op, offset, size, state](std::uint64_t i, sim::EventFn one_done) {
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         children_[i]->submit(op, offset, size,
-                             [state, one_done = std::move(one_done)](
+                             [span, one_done = std::move(one_done)](
                                  DevResult r) {
-                               state->ok = state->ok && r.ok;
-                               state->first_start =
-                                   min(state->first_start, r.start);
-                               state->last_end = max(state->last_end, r.end);
-                               one_done();
+                               span->add(r);
+                               one_done(r.ok);
                              });
       },
-      [this, op, size, state, done = std::move(done)]() {
-        account(op, size, state->ok, state->last_end - state->first_start);
-        done(DevResult{state->ok, state->first_start, state->last_end});
+      [this, op, size, span, done = std::move(done)](bool ok) {
+        account(op, size, ok, span->last_end - span->first_start);
+        done(DevResult{ok, span->first_start, span->last_end});
       });
 }
 

@@ -4,12 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "sim/callback.hpp"
 
 namespace bpsio::fs {
 
@@ -25,8 +25,8 @@ struct IoOutcome {
   Bytes bytes = 0;
 };
 
-using IoDoneFn = std::function<void(IoOutcome)>;
-using FlushDoneFn = std::function<void()>;
+using IoDoneFn = sim::Callback<void(IoOutcome)>;
+using FlushDoneFn = sim::Callback<void()>;
 
 class FileApi {
  public:

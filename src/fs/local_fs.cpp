@@ -170,31 +170,20 @@ std::vector<LocalFileSystem::DevSegment> LocalFileSystem::map_range(
 }
 
 void LocalFileSystem::submit_segments(device::DevOp op,
-                                      std::vector<DevSegment> segments,
-                                      std::function<void(bool)> done) {
-  if (segments.empty()) {
-    sim_.schedule_now([done = std::move(done)]() { done(true); });
-    return;
-  }
-  auto all_ok = std::make_shared<bool>(true);
-  const std::uint64_t count = segments.size();  // before the capture moves it
+                                      const std::vector<DevSegment>& segments,
+                                      sim::JoinFn done) {
   sim::fan_out(
-      sim_, count,
-      [this, op, segments = std::move(segments), all_ok](std::uint64_t i,
-                                                         sim::EventFn one_done) {
+      sim_, segments.size(),
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         const DevSegment seg = segments[i];
         dev_.submit(op, seg.device_offset, seg.length,
-                    [this, seg, all_ok, one_done = std::move(one_done)](
+                    [this, seg, one_done = std::move(one_done)](
                         device::DevResult r) {
-                      if (r.ok) {
-                        moved_ += seg.length;
-                      } else {
-                        *all_ok = false;
-                      }
-                      one_done();
+                      if (r.ok) moved_ += seg.length;
+                      one_done(r.ok);
                     });
       },
-      [all_ok, done = std::move(done)]() { done(*all_ok); });
+      std::move(done));
 }
 
 void LocalFileSystem::read_uncached(const Inode& inode, Bytes offset,
@@ -247,35 +236,31 @@ void LocalFileSystem::read(FileHandle h, Bytes offset, Bytes size,
     return;
   }
 
-  auto all_ok = std::make_shared<bool>(true);
   sim::fan_out(
       sim_, misses.size(),
-      [this, inode, file_id, misses, all_ok](std::uint64_t i,
-                                             sim::EventFn one_done) {
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         const PageRun run = misses[i];
         const Bytes run_off = run.first_page * params_.page_size;
         const Bytes run_len = std::min(run.page_count * params_.page_size,
                                        inode->alloc_size - run_off);
         submit_segments(
             device::DevOp::read, map_range(*inode, run_off, run_len),
-            [this, file_id, run, all_ok, one_done = std::move(one_done)](bool ok) {
-              if (!ok) {
-                *all_ok = false;
-              } else if (inodes_[file_id]) {  // not removed while in flight
+            [this, file_id, run, one_done = std::move(one_done)](bool ok) {
+              if (ok && inodes_[file_id]) {  // not removed while in flight
                 // Insertions may evict dirty pages; write those back.
                 writeback_runs(cache_->insert(file_id, run.first_page,
                                               run.page_count, false));
               }
-              one_done();
+              one_done(ok);
             });
       },
-      [length, all_ok, done = std::move(done)]() {
-        done({*all_ok, *all_ok ? length : 0});
+      [length, done = std::move(done)](bool ok) {
+        done({ok, ok ? length : 0});
       });
 }
 
 void LocalFileSystem::write_out(const Inode& inode, Bytes offset, Bytes length,
-                                std::function<void(bool)> done) {
+                                sim::JoinFn done) {
   submit_segments(device::DevOp::write, map_range(inode, offset, length),
                   std::move(done));
 }
@@ -350,22 +335,23 @@ void LocalFileSystem::flush(FlushDoneFn done) {
     sim_.schedule_now(std::move(done));
     return;
   }
+  // Write-back failures are not reported: flush completes either way.
   sim::fan_out(
       sim_, dirty.size(),
-      [this, dirty](std::uint64_t i, sim::EventFn one_done) {
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         const PageRun& run = dirty[i];
         const auto& slot = inodes_[run.file_id];
         if (!slot) {
-          sim_.schedule_now(std::move(one_done));
+          sim_.schedule_now(
+              [one_done = std::move(one_done)]() { one_done(true); });
           return;
         }
         const Bytes off = run.first_page * params_.page_size;
         const Bytes len = std::min(run.page_count * params_.page_size,
                                    slot->alloc_size - off);
-        write_out(*slot, off, len,
-                  [one_done = std::move(one_done)](bool) { one_done(); });
+        write_out(*slot, off, len, std::move(one_done));
       },
-      std::move(done));
+      [done = std::move(done)](bool) { done(); });
 }
 
 void LocalFileSystem::drop_caches() {

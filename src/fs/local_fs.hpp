@@ -96,13 +96,14 @@ class LocalFileSystem final : public FileApi {
                                     Bytes length) const;
 
   /// Issue device ops for all segments; invoke done(all_ok) at the end.
-  void submit_segments(device::DevOp op, std::vector<DevSegment> segments,
-                       std::function<void(bool)> done);
+  void submit_segments(device::DevOp op,
+                       const std::vector<DevSegment>& segments,
+                       sim::JoinFn done);
 
   void read_uncached(const Inode& inode, Bytes offset, Bytes length,
                      IoDoneFn done);
   void write_out(const Inode& inode, Bytes offset, Bytes length,
-                 std::function<void(bool)> done);
+                 sim::JoinFn done);
   /// Fire-and-forget write-back of evicted dirty pages.
   void writeback_runs(const std::vector<PageRun>& runs);
 

@@ -398,57 +398,44 @@ void CollectiveGroup::run_round() {
   // cb_buffer_size (reads for a read round, direct writes for a write round
   // — the domains cover exactly the merged request space, so there are no
   // holes to read-modify-write).
-  auto io_phase = [this, round, domains, is_write](sim::EventFn all_done) {
+  auto io_phase = [this, round, domains, is_write](sim::JoinFn all_done) {
     sim::fan_out(
         sim_, domains.size(),
-        [this, round, domains, is_write](std::uint64_t a,
-                                         sim::EventFn one_done) {
+        [&](std::uint64_t a, sim::JoinFn one_done) {
           // Flatten this aggregator's domain into cb_buffer-sized chunks.
-          auto chunks = std::make_shared<std::vector<Region>>();
+          auto stream = std::make_shared<DomainStream>();
           for (const auto& piece : domains[a]) {
             for (Bytes pos = piece.offset; pos < piece.end();
                  pos += config_.cb_buffer_size) {
-              chunks->push_back(Region{
+              stream->chunks.push_back(Region{
                   pos, std::min(config_.cb_buffer_size, piece.end() - pos)});
             }
           }
-          if (chunks->empty()) {
-            sim_.schedule_now(std::move(one_done));
+          if (stream->chunks.empty()) {
+            sim_.schedule_now(
+                [one_done = std::move(one_done)]() { one_done(true); });
             return;
           }
-          auto next = std::make_shared<std::function<void(std::size_t)>>();
-          *next = [this, round, a, chunks, next, is_write,
-                   one_done = std::move(one_done)](std::size_t i) mutable {
-            if (i >= chunks->size()) {
-              one_done();
-              *next = nullptr;  // break the self-reference cycle
-              return;
-            }
-            Pending& me = (*round)[a];
-            const Region c = (*chunks)[i];
-            auto cont = [next, i](fs::IoOutcome) { (*next)(i + 1); };
-            if (is_write) {
-              me.io->client_.backend().write(me.handle, c.offset, c.length,
-                                             std::move(cont));
-            } else {
-              me.io->client_.backend_read_unrecorded(me.handle, c.offset,
-                                                     c.length, std::move(cont));
-            }
-          };
-          (*next)(0);
+          stream->round = round;
+          stream->aggregator = a;
+          stream->is_write = is_write;
+          stream->done = std::move(one_done);
+          stream_domain(std::move(stream), 0);
         },
         std::move(all_done));
   };
 
   // The exchange phase: every process pays the copy of its useful bytes
   // between its buffers and the aggregation buffers.
-  auto exchange_phase = [this, round](sim::EventFn all_done) {
-    auto join = std::make_shared<sim::JoinCounter>(sim_, round->size(),
-                                                   std::move(all_done));
-    for (auto& p : *round) {
-      auto& node = p.io->client_.node();
-      node.compute(node.copy_time(p.useful), [join]() { join->complete_one(); });
-    }
+  auto exchange_phase = [this, round](sim::JoinFn all_done) {
+    sim::fan_out(
+        sim_, round->size(),
+        [&](std::uint64_t i, sim::JoinFn one_done) {
+          auto& node = (*round)[i].io->client_.node();
+          node.compute(node.copy_time((*round)[i].useful),
+                       [one_done = std::move(one_done)]() { one_done(true); });
+        },
+        std::move(all_done));
   };
 
   auto complete_all = [round]() {
@@ -464,14 +451,35 @@ void CollectiveGroup::run_round() {
 
   if (is_write) {
     // write: exchange data to aggregators, then write the file domains.
-    exchange_phase([io_phase, complete_all]() mutable {
-      io_phase([complete_all]() mutable { complete_all(); });
+    exchange_phase([io_phase, complete_all](bool) mutable {
+      io_phase([complete_all](bool) mutable { complete_all(); });
     });
   } else {
     // read: read the file domains, then redistribute to the requesters.
-    io_phase([exchange_phase, complete_all]() mutable {
-      exchange_phase([complete_all]() mutable { complete_all(); });
+    io_phase([exchange_phase, complete_all](bool) mutable {
+      exchange_phase([complete_all](bool) mutable { complete_all(); });
     });
+  }
+}
+
+void CollectiveGroup::stream_domain(std::shared_ptr<DomainStream> stream,
+                                    std::size_t i) {
+  if (i >= stream->chunks.size()) {
+    const sim::JoinFn done = std::move(stream->done);
+    done(true);
+    return;
+  }
+  Pending& me = (*stream->round)[stream->aggregator];
+  const Region c = stream->chunks[i];
+  auto cont = [this, stream, i](fs::IoOutcome) mutable {
+    stream_domain(std::move(stream), i + 1);
+  };
+  if (stream->is_write) {
+    me.io->client_.backend().write(me.handle, c.offset, c.length,
+                                   std::move(cont));
+  } else {
+    me.io->client_.backend_read_unrecorded(me.handle, c.offset, c.length,
+                                           std::move(cont));
   }
 }
 

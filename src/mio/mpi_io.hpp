@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -117,8 +116,19 @@ class CollectiveGroup {
     fs::IoDoneFn done;
   };
 
+  /// One aggregator's I/O phase: its file domain in cb_buffer_size chunks,
+  /// one after another.
+  struct DomainStream {
+    std::shared_ptr<std::vector<Pending>> round;
+    std::size_t aggregator = 0;
+    std::vector<Region> chunks;
+    bool is_write = false;
+    sim::JoinFn done;
+  };
+
   void arrive(Pending pending);
   void run_round();
+  void stream_domain(std::shared_ptr<DomainStream> stream, std::size_t i);
 
   sim::Simulator& sim_;
   std::uint32_t parties_;

@@ -1,6 +1,7 @@
 #include "mio/prefetcher.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "mio/io_client.hpp"
 
@@ -24,7 +25,7 @@ void Prefetcher::maybe_prefetch(fs::FileHandle h, HandleState& st,
     const Bytes to = from + config_.window;
     st.frontier = to;
     st.windows.push_back(Window{from, to, false, {}});
-    while (st.windows.size() > config_.max_windows) st.windows.pop_front();
+    evict_windows(st);
     ++stats_.prefetches_issued;
     stats_.bytes_prefetched += config_.window;
     const std::uint32_t handle_id = h.id;
@@ -38,9 +39,11 @@ void Prefetcher::maybe_prefetch(fs::FileHandle h, HandleState& st,
           for (auto& w : hs.windows) {
             if (w.start == from && !w.done) {
               w.done = true;
-              for (auto& waiter : w.waiters) waiter();
+              // Waiters may read again, which can evict this window.
+              const std::vector<sim::EventFn> waiters = std::move(w.waiters);
               w.waiters.clear();
-              break;
+              for (const auto& waiter : waiters) waiter();
+              return;
             }
           }
         });
@@ -48,8 +51,15 @@ void Prefetcher::maybe_prefetch(fs::FileHandle h, HandleState& st,
   }
 }
 
+void Prefetcher::evict_windows(HandleState& st) const {
+  auto it = st.windows.begin();
+  while (st.windows.size() > config_.max_windows && it != st.windows.end()) {
+    it = it->done ? st.windows.erase(it) : std::next(it);
+  }
+}
+
 void Prefetcher::read(fs::FileHandle h, Bytes offset, Bytes size,
-                      const std::function<void(fs::IoOutcome)>& complete) {
+                      fs::IoDoneFn complete) {
   HandleState& st = state_[h.id];
   const bool sequential = offset == st.next_expected;
   st.streak = sequential ? st.streak + 1 : 0;
@@ -67,12 +77,13 @@ void Prefetcher::read(fs::FileHandle h, Bytes offset, Bytes size,
       complete(fs::IoOutcome{true, size});
     } else {
       ++stats_.wait_hits;
-      w->waiters.push_back(
-          [complete, size]() { complete(fs::IoOutcome{true, size}); });
+      w->waiters.push_back([complete = std::move(complete), size]() {
+        complete(fs::IoOutcome{true, size});
+      });
     }
   } else {
     ++stats_.misses;
-    client_.backend_read_unrecorded(h, offset, size, complete);
+    client_.backend_read_unrecorded(h, offset, size, std::move(complete));
   }
   maybe_prefetch(h, st, end);
 }

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -27,7 +26,9 @@ struct PrefetchConfig {
   Bytes window = 4 * kMiB;           ///< bytes fetched per prefetch request
   std::uint32_t trigger_streak = 2;  ///< sequential reads before prefetching
   std::uint32_t depth = 2;           ///< windows kept ahead of consumption
-  std::size_t max_windows = 8;       ///< retained windows per handle
+  /// Retained completed windows per handle; windows still in flight are
+  /// kept beyond it until they land.
+  std::size_t max_windows = 8;
 };
 
 struct PrefetchStats {
@@ -44,8 +45,7 @@ class Prefetcher {
       : client_(client), config_(config) {}
 
   /// Route an application read; `complete` fires when data is available.
-  void read(fs::FileHandle h, Bytes offset, Bytes size,
-            const std::function<void(fs::IoOutcome)>& complete);
+  void read(fs::FileHandle h, Bytes offset, Bytes size, fs::IoDoneFn complete);
 
   void invalidate(fs::FileHandle h);
   void invalidate_all();
@@ -57,7 +57,7 @@ class Prefetcher {
     Bytes start = 0;
     Bytes end = 0;
     bool done = false;
-    std::vector<std::function<void()>> waiters;
+    std::vector<sim::EventFn> waiters;
   };
   struct HandleState {
     Bytes next_expected = 0;
@@ -71,6 +71,9 @@ class Prefetcher {
   /// Top up the pipeline so `frontier` stays within depth*window of
   /// `consumed_end`.
   void maybe_prefetch(fs::FileHandle h, HandleState& st, Bytes consumed_end);
+  /// Drop the oldest completed windows beyond max_windows. In-flight
+  /// windows are never dropped: reads may be waiting on them.
+  void evict_windows(HandleState& st) const;
 
   IoClient& client_;
   PrefetchConfig config_;

@@ -25,10 +25,10 @@ Result<fs::FileHandle> IoServer::create_object(const std::string& name,
 }
 
 void IoServer::execute(device::DevOp op, fs::FileHandle object, Bytes offset,
-                       Bytes size, std::function<void(bool)> done) {
+                       Bytes size, sim::JoinFn done) {
   cpu_.submit(params_.request_overhead,
               [this, op, object, offset, size, done = std::move(done)](
-                  SimTime, SimTime) {
+                  SimTime, SimTime) mutable {
                 auto fs_done = [done = std::move(done)](fs::IoOutcome out) {
                   done(out.ok);
                 };

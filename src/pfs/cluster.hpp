@@ -23,6 +23,7 @@
 #include "pfs/network.hpp"
 #include "sim/service_center.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 
 namespace bpsio::pfs {
 
@@ -48,7 +49,7 @@ class IoServer {
 
   /// Serve one request against a local object: CPU stage then local FS I/O.
   void execute(device::DevOp op, fs::FileHandle object, Bytes offset,
-               Bytes size, std::function<void(bool)> done);
+               Bytes size, sim::JoinFn done);
 
   const sim::ServiceCenter& cpu() const { return cpu_; }
 

@@ -29,37 +29,49 @@ void Network::transfer(Nic& src, Nic& dst, Bytes bytes, sim::EventFn done) {
   src.add_sent(bytes);
   const Bytes chunk = std::max<Bytes>(1, params_.chunk_size);
   const std::uint64_t chunks = (bytes + chunk - 1) / chunk;
-  auto join = std::make_shared<sim::JoinCounter>(
-      sim_, chunks, [&dst, bytes, done = std::move(done)]() {
+  // Chunks enqueue on src.tx in order; each crosses the (possibly
+  // oversubscribed) fabric and hops to dst.rx after the propagation delay.
+  // Pipelining across chunks emerges from the queues.
+  sim::fan_out(
+      sim_, chunks,
+      [&](std::uint64_t i, sim::JoinFn chunk_done) {
+        const Bytes this_chunk = std::min<Bytes>(chunk, bytes - i * chunk);
+        src.tx().submit(
+            src.serialization_time(this_chunk),
+            [this, &dst, this_chunk, chunk_done = std::move(chunk_done)](
+                SimTime, SimTime) mutable {
+              if (!fabric_) {
+                deliver(dst, this_chunk, std::move(chunk_done));
+                return;
+              }
+              const SimDuration fabric_time = SimDuration::from_seconds(
+                  static_cast<double>(this_chunk) /
+                  (params_.fabric_rate_mbps * 1e6));
+              fabric_->submit(fabric_time,
+                              [this, &dst, this_chunk,
+                               chunk_done = std::move(chunk_done)](
+                                  SimTime, SimTime) mutable {
+                                deliver(dst, this_chunk,
+                                        std::move(chunk_done));
+                              });
+            });
+      },
+      [&dst, bytes, done = std::move(done)](bool) {
         dst.add_received(bytes);
         done();
       });
-  for (std::uint64_t i = 0; i < chunks; ++i) {
-    const Bytes this_chunk = std::min<Bytes>(chunk, bytes - i * chunk);
-    // Chunks enqueue on src.tx in order; each crosses the (possibly
-    // oversubscribed) fabric and hops to dst.rx after the propagation
-    // delay. Pipelining across chunks emerges from the queues.
-    auto deliver = [this, &dst, this_chunk, join]() {
-      sim_.schedule_after(params_.latency, [this, &dst, this_chunk, join]() {
-        dst.rx().submit(dst.serialization_time(this_chunk),
-                        [join](SimTime, SimTime) { join->complete_one(); });
+}
+
+void Network::deliver(Nic& dst, Bytes chunk, sim::JoinFn chunk_done) {
+  sim_.schedule_after(
+      params_.latency,
+      [&dst, chunk, chunk_done = std::move(chunk_done)]() mutable {
+        dst.rx().submit(dst.serialization_time(chunk),
+                        [chunk_done = std::move(chunk_done)](SimTime,
+                                                             SimTime) {
+                          chunk_done(true);
+                        });
       });
-    };
-    src.tx().submit(
-        src.serialization_time(this_chunk),
-        [this, this_chunk, deliver = std::move(deliver)](SimTime, SimTime) {
-          if (fabric_) {
-            const SimDuration fabric_time = SimDuration::from_seconds(
-                static_cast<double>(this_chunk) /
-                (params_.fabric_rate_mbps * 1e6));
-            fabric_->submit(fabric_time, [deliver](SimTime, SimTime) {
-              deliver();
-            });
-          } else {
-            deliver();
-          }
-        });
-  }
 }
 
 void Network::message(Nic& src, Nic& dst, sim::EventFn done) {

@@ -79,6 +79,9 @@ class Network {
   const sim::ServiceCenter* fabric() const { return fabric_.get(); }
 
  private:
+  /// Propagation delay, then `dst`'s rx stage, for one chunk.
+  void deliver(Nic& dst, Bytes chunk, sim::JoinFn chunk_done);
+
   sim::Simulator& sim_;
   NetworkParams params_;
   std::unique_ptr<sim::ServiceCenter> fabric_;

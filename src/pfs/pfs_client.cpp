@@ -1,7 +1,6 @@
 #include "pfs/pfs_client.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/sync.hpp"
 
@@ -85,58 +84,60 @@ Status PfsClient::remove(const std::string& path) {
 }
 
 void PfsClient::do_runs(device::DevOp op, PfsFileMeta& meta,
-                        std::vector<ServerRun> runs, Bytes total,
+                        const std::vector<ServerRun>& runs, Bytes total,
                         fs::IoDoneFn done) {
   auto& sim = cluster_.simulator();
   if (runs.empty()) {
     sim.schedule_now([done = std::move(done)]() { done({true, 0}); });
     return;
   }
-  auto all_ok = std::make_shared<bool>(true);
   sim::fan_out(
       sim, runs.size(),
-      [this, op, &meta, runs, all_ok](std::uint64_t i, sim::EventFn one_done) {
+      [&](std::uint64_t i, sim::JoinFn one_done) {
         const ServerRun run = runs[i];
         IoServer& server = cluster_.server(meta.layout.servers[run.server]);
         const fs::FileHandle object = meta.objects[run.server];
         if (op == device::DevOp::read) {
           // request -> server stage + local read -> data reply
-          cluster_.network().message(*nic_, server.nic(), [this, &server,
-                                                           object, run, all_ok,
-                                                           one_done]() mutable {
-            server.execute(
-                device::DevOp::read, object, run.local_offset, run.length,
-                [this, &server, run, all_ok, one_done](bool ok) mutable {
-                  if (ok) {
-                    moved_ += run.length;
-                  } else {
-                    *all_ok = false;
-                  }
-                  cluster_.network().transfer(server.nic(), *nic_, run.length,
-                                              std::move(one_done));
-                });
-          });
+          cluster_.network().message(
+              *nic_, server.nic(),
+              [this, &server, object, run,
+               one_done = std::move(one_done)]() mutable {
+                server.execute(
+                    device::DevOp::read, object, run.local_offset, run.length,
+                    [this, &server, run,
+                     one_done = std::move(one_done)](bool ok) mutable {
+                      if (ok) moved_ += run.length;
+                      cluster_.network().transfer(
+                          server.nic(), *nic_, run.length,
+                          [ok, one_done = std::move(one_done)]() {
+                            one_done(ok);
+                          });
+                    });
+              });
         } else {
           // data -> server stage + local write -> ack
           cluster_.network().transfer(
               *nic_, server.nic(), run.length,
-              [this, &server, object, run, all_ok, one_done]() mutable {
+              [this, &server, object, run,
+               one_done = std::move(one_done)]() mutable {
                 server.execute(
-                    device::DevOp::write, object, run.local_offset, run.length,
-                    [this, &server, run, all_ok, one_done](bool ok) mutable {
-                      if (ok) {
-                        moved_ += run.length;
-                      } else {
-                        *all_ok = false;
-                      }
-                      cluster_.network().message(server.nic(), *nic_,
-                                                 std::move(one_done));
+                    device::DevOp::write, object, run.local_offset,
+                    run.length,
+                    [this, &server, run,
+                     one_done = std::move(one_done)](bool ok) mutable {
+                      if (ok) moved_ += run.length;
+                      cluster_.network().message(
+                          server.nic(), *nic_,
+                          [ok, one_done = std::move(one_done)]() {
+                            one_done(ok);
+                          });
                     });
               });
         }
       },
-      [total, all_ok, done = std::move(done)]() {
-        done({*all_ok, *all_ok ? total : 0});
+      [total, done = std::move(done)](bool ok) {
+        done({ok, ok ? total : 0});
       });
 }
 
@@ -179,12 +180,12 @@ void PfsClient::flush(fs::FlushDoneFn done) {
   const std::uint32_t n = cluster_.server_count();
   sim::fan_out(
       sim, n,
-      [this](std::uint64_t i, sim::EventFn one_done) {
+      [this](std::uint64_t i, sim::JoinFn one_done) {
         cluster_.server(static_cast<std::uint32_t>(i))
             .filesystem()
-            .flush(std::move(one_done));
+            .flush([one_done = std::move(one_done)]() { one_done(true); });
       },
-      std::move(done));
+      [done = std::move(done)](bool) { done(); });
 }
 
 void PfsClient::drop_caches() {

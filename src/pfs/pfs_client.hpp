@@ -34,6 +34,9 @@ class PfsClient final : public fs::FileApi {
 
   /// Per-path layout override; when set it takes precedence over the static
   /// create layout (used e.g. to pin file k to server k, Set 3a).
+  // Configuration, not an event path: set once with the testbed and called
+  // once per create(), so it stays a copyable std::function.
+  // bpsio-lint: allow(std-function-event-path)
   using LayoutPolicy = std::function<StripeLayout(const std::string& path)>;
   void set_layout_policy(LayoutPolicy policy) { layout_policy_ = std::move(policy); }
 
@@ -62,7 +65,8 @@ class PfsClient final : public fs::FileApi {
  private:
   PfsFileMeta* meta_of(fs::FileHandle h) const;
   void do_runs(device::DevOp op, PfsFileMeta& meta,
-               std::vector<ServerRun> runs, Bytes total, fs::IoDoneFn done);
+               const std::vector<ServerRun>& runs, Bytes total,
+               fs::IoDoneFn done);
 
   PfsCluster& cluster_;
   std::string name_;

@@ -14,11 +14,7 @@ ServiceCenter::ServiceCenter(Simulator& sim, std::uint32_t slots,
 }
 
 void ServiceCenter::submit(SimDuration service_time, ServiceDoneFn done) {
-  submit([service_time]() { return service_time; }, std::move(done));
-}
-
-void ServiceCenter::submit(ServiceTimeFn service_fn, ServiceDoneFn done) {
-  queue_.push_back(Job{std::move(service_fn), std::move(done), sim_.now()});
+  queue_.push_back(Job{service_time, std::move(done), sim_.now()});
   try_dispatch();
 }
 
@@ -29,7 +25,7 @@ void ServiceCenter::try_dispatch() {
     ++busy_;
     const SimTime start = sim_.now();
     total_wait_ += start - job.submitted;
-    const SimDuration service = job.service_fn();
+    const SimDuration service = job.service;
     BPSIO_CHECK(service.ns() >= 0,
                 "negative service time %lldns at '%s'",
                 static_cast<long long>(service.ns()), name_.c_str());

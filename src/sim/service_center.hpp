@@ -2,34 +2,31 @@
 //
 // A ServiceCenter models `slots` identical servers in front of one FIFO
 // queue (an M/G/c station driven by the DES, not by analytic formulas).
-// Devices, NICs, and I/O-server request handlers are all ServiceCenters with
-// different service-time functions. Queueing delay — the mechanism behind
-// the paper's concurrency experiments — emerges from contention here.
+// Devices, NICs, and I/O-server request handlers are all ServiceCenters; each
+// computes a job's service time when it submits the job. Queueing delay — the
+// mechanism behind the paper's concurrency experiments — emerges from
+// contention here.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <string>
 
 #include "common/sim_time.hpp"
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace bpsio::sim {
 
 /// Completion callback: (service_start, service_end) in simulated time.
-using ServiceDoneFn = std::function<void(SimTime start, SimTime end)>;
-/// Deferred service-time computation, evaluated when the job reaches a slot
-/// (device state such as head position depends on dispatch order).
-using ServiceTimeFn = std::function<SimDuration()>;
+using ServiceDoneFn = Callback<void(SimTime start, SimTime end)>;
 
 class ServiceCenter {
  public:
   ServiceCenter(Simulator& sim, std::uint32_t slots, std::string name = {});
 
-  /// Enqueue a job with a fixed service time.
+  /// Enqueue a job that holds a slot for `service_time` once dispatched.
   void submit(SimDuration service_time, ServiceDoneFn done);
-  /// Enqueue a job whose service time is computed at dispatch.
-  void submit(ServiceTimeFn service_fn, ServiceDoneFn done);
 
   std::uint32_t slots() const { return slots_; }
   std::size_t queue_length() const { return queue_.size(); }
@@ -46,7 +43,7 @@ class ServiceCenter {
 
  private:
   struct Job {
-    ServiceTimeFn service_fn;
+    SimDuration service;
     ServiceDoneFn done;
     SimTime submitted;
   };

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -10,7 +11,8 @@ void Simulator::schedule_at(SimTime t, EventFn fn) {
   BPSIO_CHECK(t >= now_, "cannot schedule into the past (t=%lldns, now=%lldns)",
               static_cast<long long>(t.ns()),
               static_cast<long long>(now_.ns()));
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  heap_.push_back(Event{t, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void Simulator::schedule_after(SimDuration d, EventFn fn) {
@@ -20,30 +22,29 @@ void Simulator::schedule_after(SimDuration d, EventFn fn) {
 }
 
 void Simulator::step() {
-  // priority_queue::top() is const; move the callback out via const_cast.
-  // Safe: the element is popped immediately and never reused.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   now_ = ev.time;
   ++events_processed_;
   ev.fn();
 }
 
 SimTime Simulator::run() {
-  while (!queue_.empty()) step();
+  while (!heap_.empty()) step();
   return now_;
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().time <= deadline) step();
+  while (!heap_.empty() && heap_.front().time <= deadline) step();
   // Events remain past the deadline: the clock reaches it. A queue that
   // drained first leaves the clock at the last event.
-  if (!queue_.empty()) now_ = max(now_, deadline);
+  if (!heap_.empty()) now_ = max(now_, deadline);
   return now_;
 }
 
 void Simulator::reset() {
-  queue_ = {};
+  heap_.clear();
   now_ = SimTime::zero();
   next_seq_ = 0;
   events_processed_ = 0;

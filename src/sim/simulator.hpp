@@ -8,15 +8,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "sim/callback.hpp"
 
 namespace bpsio::sim {
 
-using EventFn = std::function<void()>;
+using EventFn = Callback<void()>;
 
 class Simulator {
  public:
@@ -31,7 +30,7 @@ class Simulator {
   /// Schedule `fn` after `d` from now.
   void schedule_after(SimDuration d, EventFn fn);
   /// Schedule `fn` at the current time, after already-queued same-time events.
-  void schedule_now(EventFn fn) { schedule_after(SimDuration::zero(), fn); }
+  void schedule_now(EventFn fn) { schedule_at(now_, std::move(fn)); }
 
   /// Run until the event queue drains. Returns the final simulation time.
   SimTime run();
@@ -40,13 +39,15 @@ class Simulator {
   /// queue drains, whichever is first. Returns the final simulation time.
   SimTime run_until(SimTime deadline);
 
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return heap_.empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// Drop all pending events and reset the clock to zero.
   void reset();
 
  private:
+  // A binary min-heap of {time, seq, callback}: three words per event, the
+  // callable itself lives in the block pool.
   struct Event {
     SimTime time;
     std::uint64_t seq;  // FIFO tiebreak for same-time events
@@ -61,7 +62,7 @@ class Simulator {
 
   void step();
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> heap_;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

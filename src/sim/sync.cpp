@@ -1,6 +1,6 @@
 #include "sim/sync.hpp"
 
-#include <memory>
+#include <utility>
 
 namespace bpsio::sim {
 
@@ -13,21 +13,6 @@ void Barrier::arrive(EventFn resume) {
     for (auto& fn : to_fire) {
       sim_.schedule_now(std::move(fn));
     }
-  }
-}
-
-void fan_out(Simulator& sim, std::uint64_t count,
-             const std::function<void(std::uint64_t, EventFn)>& spawn,
-             EventFn all_done) {
-  auto join = std::make_shared<std::unique_ptr<JoinCounter>>();
-  *join = std::make_unique<JoinCounter>(sim, count,
-                                        [join, done = std::move(all_done)]() {
-                                          done();
-                                          // release after firing
-                                          join->reset();
-                                        });
-  for (std::uint64_t i = 0; i < count; ++i) {
-    spawn(i, [join]() { (*join)->complete_one(); });
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "device/hdd_model.hpp"
 #include "device/ram_device.hpp"
 #include "fs/local_fs.hpp"
 #include "mio/io_client.hpp"
@@ -132,6 +135,45 @@ TEST(Prefetcher, HitsAreServedWithoutBackendTraffic) {
   // requested range (it was already counted).
   EXPECT_GE(f.fs.bytes_moved(), moved_before);
 }
+
+// Each read starts from the previous one's completion, so reads wait on
+// in-flight windows. A window with waiting reads must outlive max_windows
+// evictions: dropping it lost those reads and ended the run silently.
+class ChainedReads : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ChainedReads, EveryReadCompletesWhateverMaxWindows) {
+  sim::Simulator sim;
+  device::HddModel hdd(sim, device::HddParams{});
+  fs::LocalFileSystem fs(sim, hdd);
+  ClientNode node(sim);
+  IoClient client(node, fs, 1);
+  PrefetchConfig cfg = small_windows();
+  cfg.max_windows = GetParam();
+  client.enable_prefetch(cfg);
+  auto h = client.create("/f", 16 * kMiB);
+  ASSERT_TRUE(h.ok());
+
+  constexpr int kReads = 32;
+  constexpr Bytes kRead = 128 * kKiB;
+  int completed = 0;
+  std::function<void(int)> read_next = [&](int i) {
+    client.read(*h, static_cast<Bytes>(i) * kRead, kRead,
+                [&, i](fs::IoOutcome out) {
+                  EXPECT_TRUE(out.ok);
+                  EXPECT_EQ(out.bytes, kRead);
+                  ++completed;
+                  if (i + 1 < kReads) read_next(i + 1);
+                });
+  };
+  read_next(0);
+  sim.run();
+  EXPECT_EQ(completed, kReads);
+  EXPECT_EQ(client.trace().size(), static_cast<std::size_t>(kReads));
+  EXPECT_GT(client.prefetcher()->stats().wait_hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxWindows, ChainedReads,
+                         ::testing::Values(1, 2, 3, 8));
 
 }  // namespace
 }  // namespace bpsio::mio

@@ -44,24 +44,6 @@ TEST(ServiceCenter, MultiSlotRunsInParallel) {
   EXPECT_EQ(ends[3], 20);
 }
 
-TEST(ServiceCenter, DeferredServiceTimeSeesDispatchState) {
-  // The service-time functor must be evaluated at dispatch, not submit,
-  // so device models can inspect head position / arrival order.
-  Simulator sim;
-  ServiceCenter center(sim, 1);
-  std::vector<std::int64_t> dispatch_times;
-  for (int i = 0; i < 3; ++i) {
-    center.submit(
-        [&]() {
-          dispatch_times.push_back(sim.now().ns());
-          return SimDuration(7);
-        },
-        [](SimTime, SimTime) {});
-  }
-  sim.run();
-  EXPECT_EQ(dispatch_times, (std::vector<std::int64_t>{0, 7, 14}));
-}
-
 TEST(ServiceCenter, MeanWaitTracksQueueing) {
   Simulator sim;
   ServiceCenter center(sim, 1);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -190,14 +192,14 @@ TEST(FanOut, JoinsAllSpawnedWork) {
   bool all = false;
   fan_out(
       sim, 5,
-      [&](std::uint64_t i, EventFn one_done) {
+      [&](std::uint64_t i, JoinFn one_done) {
         sim.schedule_at(SimTime(static_cast<std::int64_t>(10 * (5 - i))),
-                        [&, one_done]() {
+                        [&, one_done = std::move(one_done)]() {
                           ++completed;
-                          one_done();
+                          one_done(true);
                         });
       },
-      [&]() { all = true; });
+      [&](bool ok) { all = ok; });
   sim.run();
   EXPECT_EQ(completed, 5);
   EXPECT_TRUE(all);
@@ -206,9 +208,85 @@ TEST(FanOut, JoinsAllSpawnedWork) {
 TEST(FanOut, ZeroCountStillFires) {
   Simulator sim;
   bool all = false;
-  fan_out(sim, 0, [](std::uint64_t, EventFn) { FAIL(); }, [&]() { all = true; });
+  fan_out(sim, 0, [](std::uint64_t, JoinFn) { FAIL(); },
+          [&](bool ok) { all = ok; });
+  EXPECT_FALSE(all);  // deferred to the event loop
   sim.run();
   EXPECT_TRUE(all);
+}
+
+TEST(FanOut, AllDoneIsTheAndOfTheBranches) {
+  Simulator sim;
+  int calls = 0;
+  bool all = true;
+  fan_out(
+      sim, 3,
+      [&](std::uint64_t i, JoinFn one_done) {
+        sim.schedule_at(SimTime(static_cast<std::int64_t>(i)),
+                        [i, one_done = std::move(one_done)]() {
+                          one_done(i != 1);
+                        });
+      },
+      [&](bool ok) {
+        ++calls;
+        all = ok;
+      });
+  sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(all);
+}
+
+TEST(FanOut, SingleBranchCompletesSynchronously) {
+  // Like a counting join with one expected completion: all_done runs inside
+  // the branch's own completion call, at the same simulated time.
+  Simulator sim;
+  JoinFn branch;
+  bool all = false;
+  fan_out(
+      sim, 1, [&](std::uint64_t, JoinFn one_done) { branch = std::move(one_done); },
+      [&](bool ok) { all = ok; });
+  EXPECT_FALSE(all);
+  branch(true);
+  EXPECT_TRUE(all);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(FanOut, AbandonedBranchesReleaseTheJoin) {
+  // Dropping unfinished branches (a simulation torn down mid-flight) frees
+  // the join and the never-called all_done.
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::vector<JoinFn> branches;
+  fan_out(
+      sim, 3,
+      [&](std::uint64_t, JoinFn one_done) {
+        branches.push_back(std::move(one_done));
+      },
+      [token](bool) {});
+  EXPECT_EQ(token.use_count(), 2);
+  branches[0](true);
+  branches.clear();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(FanOutDeathTest, BranchCompletingTwiceIsCaught) {
+  // A single branch, and the last of two.
+  for (const std::uint64_t count : {1u, 2u}) {
+    EXPECT_DEATH(
+        {
+          Simulator sim;
+          std::vector<JoinFn> branches;
+          fan_out(
+              sim, count,
+              [&](std::uint64_t, JoinFn one_done) {
+                branches.push_back(std::move(one_done));
+              },
+              [](bool) {});
+          for (const JoinFn& branch : branches) branch(true);
+          branches.back()(true);
+        },
+        "completed more than once");
+  }
 }
 
 }  // namespace

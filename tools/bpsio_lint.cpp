@@ -40,6 +40,11 @@
 //                   aggregators, the agent→collector forward link) has a
 //                   bulk span overload; copying one record at a time
 //                   forfeits it.
+//   std-function-event-path
+//                   std::function in src/sim, src/fs, src/device, src/pfs or
+//                   src/mio — the simulated stack's per-event paths pass
+//                   completions as the move-only, pool-backed sim::Callback;
+//                   configuration-time callables take the allow comment.
 //
 // Escape hatch: `// bpsio-lint: allow(rule)` on the offending line or on a
 // comment-only line directly above it. Every allow must carry a
@@ -477,6 +482,33 @@ void rule_record_copy_loop(const SourceFile& src, std::vector<Finding>& out) {
   }
 }
 
+// Allocation-free event core (DESIGN.md §17): the simulated stack passes
+// every completion as a move-only sim::Callback whose storage comes from the
+// simulator's block pool. A std::function on those paths copies its captures
+// and heap-allocates once they outgrow its small buffer, at every level of
+// the nested completion chain — the cost the event core was rebuilt to
+// remove. Callables set once at configuration time take the allow comment.
+void rule_std_function_event_path(const SourceFile& src,
+                                  std::vector<Finding>& out) {
+  bool event_path = false;
+  for (const char* dir :
+       {"src/sim/", "src/fs/", "src/device/", "src/pfs/", "src/mio/"}) {
+    event_path = event_path || path_contains(src.path, dir);
+  }
+  if (!event_path) return;
+  for (std::size_t i = 0; i < src.code.size(); ++i) {
+    const std::string& code = src.code[i];
+    for (std::size_t at : find_calls(code, "function", /*require_paren=*/false)) {
+      if (at < 5 || code.compare(at - 5, 5, "std::") != 0) continue;
+      add_finding(src, out, i, "std-function-event-path",
+                  "std::function on the simulated stack's event paths "
+                  "allocates per completion; use the move-only sim::Callback "
+                  "(sim/callback.hpp)");
+      break;
+    }
+  }
+}
+
 const std::map<std::string, RuleFn>& all_rules() {
   static const std::map<std::string, RuleFn> rules = {
       {"iorecord-sort", rule_iorecord_sort},
@@ -488,6 +520,7 @@ const std::map<std::string, RuleFn>& all_rules() {
       {"legacy-run-sweep", rule_legacy_run_sweep},
       {"unchecked-syscall", rule_unchecked_syscall},
       {"record-copy-loop", rule_record_copy_loop},
+      {"std-function-event-path", rule_std_function_event_path},
   };
   return rules;
 }
@@ -690,6 +723,14 @@ const SelfCase kSelfCases[] = {
      "  out.append(chunk);\n"
      "  flushed = out.flush().ok();\n"
      "}\n"},
+    {"std-function-event-path", "src/fs/local_fs.hpp",
+     "void write_out(Bytes offset, std::function<void(bool)> done);\n",
+     // The pooled callback, the header that merely shares the prefix, and a
+     // member or variable called `function` are all fine.
+     "#include <functional>\n"
+     "void write_out(Bytes offset, sim::JoinFn done);\n"
+     "using IoDoneFn = sim::Callback<void(IoOutcome)>;\n"
+     "const auto& f = spec.function;\n"},
 };
 
 int self_test() {
