@@ -1,39 +1,8 @@
 #include "agent/aggregator.hpp"
 
-#include <utility>
-
 #include "common/check.hpp"
-#include "common/format.hpp"
 
 namespace bpsio::agent {
-namespace {
-
-/// One pid's (or the global) windowed gauge block, labelled {pid="<label>"}.
-void window_gauges(std::string& out, const std::string& label,
-                   const metrics::SlidingWindowMetrics& w, Bytes block_size) {
-  const std::string tag = "{pid=\"" + label + "\"}";
-  out += "bpsio_window_records" + tag + " " + std::to_string(w.accesses()) + "\n";
-  out += "bpsio_window_blocks" + tag + " " + std::to_string(w.blocks()) + "\n";
-  out += "bpsio_window_io_seconds" + tag + " " +
-         fmt_double(w.io_time().seconds(), 9) + "\n";
-  out += "bpsio_window_bps" + tag + " " + fmt_double(w.bps(), 3) + "\n";
-  out += "bpsio_window_iops" + tag + " " + fmt_double(w.iops(), 3) + "\n";
-  out += "bpsio_window_bw_bytes_per_second" + tag + " " +
-         fmt_double(w.bandwidth_bps(block_size), 3) + "\n";
-  out += "bpsio_window_arpt_seconds" + tag + " " + fmt_double(w.arpt_s(), 9) +
-         "\n";
-}
-
-void csv_row(std::string& out, const std::string& label,
-             const metrics::SlidingWindowMetrics& w, Bytes block_size) {
-  out += label + "," + std::to_string(w.accesses()) + "," +
-         std::to_string(w.blocks()) + "," + fmt_double(w.io_time().seconds(), 9) +
-         "," + fmt_double(w.bps(), 3) + "," + fmt_double(w.iops(), 3) + "," +
-         fmt_double(w.bandwidth_bps(block_size), 3) + "," +
-         fmt_double(w.arpt_s(), 9) + "\n";
-}
-
-}  // namespace
 
 MetricAggregator::MetricAggregator(SimDuration window, Bytes block_size)
     : window_(window), block_size_(block_size), global_(window) {
@@ -41,22 +10,18 @@ MetricAggregator::MetricAggregator(SimDuration window, Bytes block_size)
               static_cast<unsigned long long>(block_size));
 }
 
-void MetricAggregator::add(const trace::IoRecord& record) {
-  if (!record.valid()) {
-    ++invalid_total_;
-    return;
-  }
-  ++records_total_;
-  blocks_total_ += record.blocks;
-  if (record.failed()) ++failed_total_;
-  if (record.sync()) ++sync_total_;
-  global_.add(record);
-  auto it = per_pid_.find(record.pid);
+metrics::SlidingWindowMetrics& MetricAggregator::pid_window(std::uint32_t pid) {
+  auto it = per_pid_.find(pid);
   if (it == per_pid_.end()) {
-    it = per_pid_.emplace(record.pid, metrics::SlidingWindowMetrics(window_))
-             .first;
+    it = per_pid_.emplace(pid, metrics::SlidingWindowMetrics(window_)).first;
   }
-  it->second.add(record);
+  return it->second;
+}
+
+void MetricAggregator::add(const trace::IoRecord& record) {
+  if (lifetime_.add({&record, 1}) == 0) return;
+  global_.add(record);
+  pid_window(record.pid).add(record);
 }
 
 void MetricAggregator::add(std::span<const trace::IoRecord> records) {
@@ -66,34 +31,17 @@ void MetricAggregator::add(std::span<const trace::IoRecord> records) {
     std::size_t j = i + 1;
     while (j < records.size() && records[j].pid == pid) ++j;
     const auto run = records.subspan(i, j - i);
-    bool any_valid = false;
-    for (const trace::IoRecord& r : run) {
-      if (!r.valid()) {
-        ++invalid_total_;
-        continue;
-      }
-      any_valid = true;
-      ++records_total_;
-      blocks_total_ += r.blocks;
-      if (r.failed()) ++failed_total_;
-      if (r.sync()) ++sync_total_;
-    }
-    if (any_valid) {
-      // A run of only invalid records must not conjure a per-pid window —
-      // the per-record path never sees such a pid either.
+    // A run of only invalid records must not conjure a per-pid window —
+    // the per-record path never sees such a pid either.
+    if (lifetime_.add(run) > 0) {
       global_.add(run);
-      auto it = per_pid_.find(pid);
-      if (it == per_pid_.end()) {
-        it = per_pid_.emplace(pid, metrics::SlidingWindowMetrics(window_))
-                 .first;
-      }
-      it->second.add(run);
+      pid_window(pid).add(run);
     }
     i = j;
   }
 }
 
-void MetricAggregator::advance(SimTime now) {
+void MetricAggregator::advance_windows(SimTime now) {
   global_.advance(now);
   for (auto& [pid, w] : per_pid_) w.advance(now);
 }
@@ -102,92 +50,42 @@ std::string MetricAggregator::prometheus_text(
     const TransportStats& transport) const {
   std::string out;
   out.reserve(2048 + per_pid_.size() * 512);
-
-  out += "# HELP bpsio_records_total I/O access records received.\n";
-  out += "# TYPE bpsio_records_total counter\n";
-  out += "bpsio_records_total " + std::to_string(records_total_) + "\n";
-  out += "# HELP bpsio_blocks_total Application-required blocks received (B).\n";
-  out += "# TYPE bpsio_blocks_total counter\n";
-  out += "bpsio_blocks_total " + std::to_string(blocks_total_) + "\n";
-  out += "# HELP bpsio_failed_records_total Records flagged as failed "
-         "accesses (still counted in B).\n";
-  out += "# TYPE bpsio_failed_records_total counter\n";
-  out += "bpsio_failed_records_total " + std::to_string(failed_total_) + "\n";
-  out += "# HELP bpsio_sync_records_total fsync/fdatasync records "
-         "(zero-block, time-only).\n";
-  out += "# TYPE bpsio_sync_records_total counter\n";
-  out += "bpsio_sync_records_total " + std::to_string(sync_total_) + "\n";
-  out += "# HELP bpsio_invalid_records_total Records rejected (end < start).\n";
-  out += "# TYPE bpsio_invalid_records_total counter\n";
-  out += "bpsio_invalid_records_total " + std::to_string(invalid_total_) + "\n";
-
-  out += "# HELP bpsio_clients_connected_total Capture connections accepted.\n";
-  out += "# TYPE bpsio_clients_connected_total counter\n";
-  out += "bpsio_clients_connected_total " +
-         std::to_string(transport.clients_connected_total) + "\n";
-  out += "# HELP bpsio_clients_active Capture connections currently open.\n";
-  out += "# TYPE bpsio_clients_active gauge\n";
-  out += "bpsio_clients_active " + std::to_string(transport.clients_active) +
-         "\n";
-  out += "# HELP bpsio_frames_total Complete record frames decoded.\n";
-  out += "# TYPE bpsio_frames_total counter\n";
-  out += "bpsio_frames_total " + std::to_string(transport.frames_total) + "\n";
-  out += "# HELP bpsio_bad_frames_total Connections dropped on a malformed "
-         "frame.\n";
-  out += "# TYPE bpsio_bad_frames_total counter\n";
-  out += "bpsio_bad_frames_total " + std::to_string(transport.bad_frames_total) +
-         "\n";
-
-  if (transport.forward.enabled) {
-    out += "# HELP bpsio_forward_frames_total Tagged frames shipped to the "
-           "upstream collector.\n";
-    out += "# TYPE bpsio_forward_frames_total counter\n";
-    out += "bpsio_forward_frames_total " +
-           std::to_string(transport.forward.frames_forwarded) + "\n";
-    out += "# HELP bpsio_forward_records_total Records shipped upstream.\n";
-    out += "# TYPE bpsio_forward_records_total counter\n";
-    out += "bpsio_forward_records_total " +
-           std::to_string(transport.forward.records_forwarded) + "\n";
-    out += "# HELP bpsio_forward_spilled_records_total Records diverted to "
-           "the forward spill fallback.\n";
-    out += "# TYPE bpsio_forward_spilled_records_total counter\n";
-    out += "bpsio_forward_spilled_records_total " +
-           std::to_string(transport.forward.records_spilled) + "\n";
-    out += "# HELP bpsio_forward_dropped_records_total Records dropped with "
-           "no upstream and no spill dir.\n";
-    out += "# TYPE bpsio_forward_dropped_records_total counter\n";
-    out += "bpsio_forward_dropped_records_total " +
-           std::to_string(transport.forward.records_dropped) + "\n";
-  }
-
-  out += "# HELP bpsio_pids_seen Distinct process ids observed.\n";
-  out += "# TYPE bpsio_pids_seen gauge\n";
-  out += "bpsio_pids_seen " + std::to_string(per_pid_.size()) + "\n";
-  out += "# HELP bpsio_window_seconds Sliding-window length.\n";
-  out += "# TYPE bpsio_window_seconds gauge\n";
-  out += "bpsio_window_seconds " + fmt_double(window_.seconds(), 3) + "\n";
-  out += "# HELP bpsio_block_size_bytes Block unit used for bandwidth.\n";
-  out += "# TYPE bpsio_block_size_bytes gauge\n";
-  out += "bpsio_block_size_bytes " +
-         std::to_string(static_cast<unsigned long long>(block_size_)) + "\n";
-
-  out += "# HELP bpsio_window_bps Windowed BPS (blocks per second of busy "
-         "time) per pid; pid=\"all\" is the global stream.\n";
-  out += "# TYPE bpsio_window_bps gauge\n";
-  window_gauges(out, "all", global_, block_size_);
+  ingest::family(out, "bpsio_records_total", "counter",
+                 "I/O access records received.", lifetime_.records);
+  ingest::family(out, "bpsio_blocks_total", "counter",
+                 "Application-required blocks received (B).",
+                 lifetime_.blocks);
+  ingest::family(out, "bpsio_failed_records_total", "counter",
+                 "Records flagged as failed accesses (still counted in B).",
+                 lifetime_.failed);
+  ingest::family(out, "bpsio_sync_records_total", "counter",
+                 "fsync/fdatasync records (zero-block, time-only).",
+                 lifetime_.sync);
+  ingest::family(out, "bpsio_invalid_records_total", "counter",
+                 "Records rejected (end < start).", lifetime_.invalid);
+  ingest::transport_families(out, transport, "clients", "Capture");
+  ingest::family(out, "bpsio_pids_seen", "gauge",
+                 "Distinct process ids observed.", per_pid_.size());
+  ingest::window_settings(out, window_, block_size_);
+  ingest::family(out, "bpsio_window_bps", "gauge",
+                 "Windowed BPS (blocks per second of busy time) per pid; "
+                 "pid=\"all\" is the global stream.");
+  ingest::window_gauges(out, "{pid=\"all\"}", global_.figures(), window_,
+                        block_size_);
   for (const auto& [pid, w] : per_pid_) {
-    window_gauges(out, std::to_string(pid), w, block_size_);
+    ingest::window_gauges(out, "{pid=\"" + std::to_string(pid) + "\"}",
+                          w.figures(), window_, block_size_);
   }
   return out;
 }
 
 std::string MetricAggregator::csv_snapshot() const {
-  std::string out =
-      "pid,window_records,window_blocks,window_io_s,window_bps,window_iops,"
-      "window_bw_Bps,window_arpt_s\n";
-  csv_row(out, "all", global_, block_size_);
+  std::string out = "pid," + std::string(ingest::kWindowColumns);
+  out += "all";
+  ingest::window_cells(out, global_.figures(), window_, block_size_);
   for (const auto& [pid, w] : per_pid_) {
-    csv_row(out, std::to_string(pid), w, block_size_);
+    out += std::to_string(pid);
+    ingest::window_cells(out, w.figures(), window_, block_size_);
   }
   return out;
 }

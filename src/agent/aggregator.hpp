@@ -12,11 +12,11 @@
 //
 // Timestamps are CLOCK_MONOTONIC ns (common/wallclock.hpp), shared by every
 // process on the machine, so records from different clients interleave on
-// one meaningful time axis and advance(monotonic_ns()) keeps the windows
-// sliding while traffic is idle.
+// one meaningful time axis and advance_windows(monotonic_ns()) keeps the
+// windows sliding while traffic is idle.
 //
-// The aggregator is deliberately single-threaded (the daemon's poll() loop
-// owns it); it does no I/O and never blocks.
+// The aggregator is deliberately single-threaded (an inline ingest server's
+// poll loop owns it); it does no I/O and never blocks.
 #pragma once
 
 #include <cstdint>
@@ -24,27 +24,18 @@
 #include <span>
 #include <string>
 
-#include "agent/forward.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "ingest/store.hpp"
 #include "metrics/online.hpp"
 #include "trace/io_record.hpp"
 
 namespace bpsio::agent {
 
-/// Transport-side counters the server owns but /metrics reports alongside
-/// the record metrics.
-struct TransportStats {
-  std::uint64_t clients_connected_total = 0;  ///< accepted connections ever
-  std::uint64_t clients_active = 0;           ///< currently-open connections
-  std::uint64_t frames_total = 0;             ///< complete frames decoded
-  std::uint64_t bad_frames_total = 0;         ///< connections killed on a bad frame
-  /// Upstream forwarding figures (agent/forward.hpp); only exported when
-  /// forward.enabled (the daemon was started with --forward).
-  ForwardStats forward;
-};
+/// The ingest server's transport counters (ingest/store.hpp).
+using TransportStats = ingest::Transport;
 
-class MetricAggregator {
+class MetricAggregator : public ingest::Store {
  public:
   MetricAggregator(SimDuration window, Bytes block_size);
 
@@ -61,39 +52,43 @@ class MetricAggregator {
   /// span-batch add().
   void add(std::span<const trace::IoRecord> records);
 
+  /// The store interface: windows are keyed by the records' pids, so a
+  /// connection needs no slot and ingest() is add().
+  Slot* slot(const std::string&) override { return nullptr; }
+  void ingest(Slot*, std::span<const trace::IoRecord> records) override {
+    add(records);
+  }
+
   /// Slide every window forward to `now` (monotonic ns). No-op for windows
   /// already past it.
-  void advance(SimTime now);
+  void advance_windows(SimTime now) override;
 
-  std::uint64_t records_total() const { return records_total_; }
-  std::uint64_t blocks_total() const { return blocks_total_; }
-  std::uint64_t failed_total() const { return failed_total_; }
-  std::uint64_t sync_total() const { return sync_total_; }
-  std::uint64_t invalid_total() const { return invalid_total_; }
+  std::uint64_t records_total() const { return lifetime_.records; }
+  std::uint64_t blocks_total() const { return lifetime_.blocks; }
+  std::uint64_t failed_total() const { return lifetime_.failed; }
+  std::uint64_t sync_total() const { return lifetime_.sync; }
+  std::uint64_t invalid_total() const { return lifetime_.invalid; }
   std::uint64_t pids_seen() const { return per_pid_.size(); }
   SimDuration window() const { return window_; }
 
   const metrics::SlidingWindowMetrics& global() const { return global_; }
 
-  /// Prometheus plaintext exposition (text/plain; version 0.0.4): lifetime
-  /// counters, transport stats, and per-window gauges labelled
-  /// pid="all" plus one label set per pid.
-  std::string prometheus_text(const TransportStats& transport) const;
+  /// Prometheus plaintext exposition: lifetime counters, transport stats,
+  /// and per-window gauges labelled pid="all" plus one label set per pid.
+  std::string prometheus_text(const TransportStats& transport) const override;
 
   /// CSV snapshot: one row per pid plus an "all" row, same windowed figures
   /// as /metrics. Written periodically by the daemon when --csv is given.
-  std::string csv_snapshot() const;
+  std::string csv_snapshot() const override;
 
  private:
+  metrics::SlidingWindowMetrics& pid_window(std::uint32_t pid);
+
   SimDuration window_;
   Bytes block_size_;
   metrics::SlidingWindowMetrics global_;
   std::map<std::uint32_t, metrics::SlidingWindowMetrics> per_pid_;
-  std::uint64_t records_total_ = 0;
-  std::uint64_t blocks_total_ = 0;
-  std::uint64_t failed_total_ = 0;
-  std::uint64_t sync_total_ = 0;
-  std::uint64_t invalid_total_ = 0;
+  ingest::Lifetime lifetime_;
 };
 
 }  // namespace bpsio::agent

@@ -35,29 +35,22 @@
 #include "common/mutex.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "ingest/store.hpp"
 #include "metrics/online.hpp"
 #include "trace/io_record.hpp"
 
 namespace bpsio::collector {
 
-/// Transport-side counters the collector server owns (atomically updated by
-/// the accept loop and the I/O workers) but /metrics reports alongside the
-/// record metrics.
-struct CollectorTransport {
-  std::uint64_t agents_connected_total = 0;  ///< accepted connections ever
-  std::uint64_t agents_active = 0;           ///< currently-open connections
-  std::uint64_t frames_total = 0;            ///< complete data frames decoded
-  std::uint64_t bad_frames_total = 0;        ///< connections killed on a bad frame
-  std::uint64_t streams_total = 0;           ///< distinct (connection, stream id) spools
-};
+/// The ingest server's transport counters (ingest/store.hpp).
+using CollectorTransport = ingest::Transport;
 
-class TenantShards {
+class TenantShards : public ingest::Store {
  public:
   /// One tenant's slot: stable address for the lifetime of the TenantShards
   /// (connections cache the handle after their hello instead of re-hashing
   /// the tenant name on every frame). All mutable fields are guarded by the
   /// owning shard's mutex.
-  struct Tenant {
+  struct Tenant : Slot {
     explicit Tenant(std::string tenant_name, std::size_t shard_index,
                     SimDuration window_length)
         : name(std::move(tenant_name)),
@@ -67,11 +60,7 @@ class TenantShards {
     const std::string name;
     const std::size_t shard;
     metrics::SlidingWindowMetrics window;
-    std::uint64_t records_total = 0;
-    std::uint64_t blocks_total = 0;
-    std::uint64_t failed_total = 0;
-    std::uint64_t sync_total = 0;
-    std::uint64_t invalid_total = 0;
+    ingest::Lifetime lifetime;
   };
 
   TenantShards(std::size_t shard_count, SimDuration window, Bytes block_size);
@@ -87,8 +76,14 @@ class TenantShards {
   /// malformed producer.
   void ingest(Tenant* tenant, std::span<const trace::IoRecord> records);
 
+  /// The store interface: a connection's slot is its tenant.
+  Slot* slot(const std::string& tenant) override { return handle(tenant); }
+  void ingest(Slot* slot, std::span<const trace::IoRecord> records) override {
+    ingest(static_cast<Tenant*>(slot), records);
+  }
+
   /// Slide every window (tenants + fleet) forward to `now` (monotonic ns).
-  void advance_windows(SimTime now);
+  void advance_windows(SimTime now) override;
 
   /// Fleet-wide lifetime sums (each one shard walk).
   std::uint64_t records_total() const;
@@ -102,11 +97,12 @@ class TenantShards {
   /// Prometheus plaintext exposition: fleet lifetime counters, transport
   /// stats, and windowed gauges labelled tenant="all" plus one label set
   /// per tenant (sorted by name).
-  std::string prometheus_text(const CollectorTransport& transport) const;
+  std::string prometheus_text(
+      const CollectorTransport& transport) const override;
 
   /// CSV snapshot: one row per tenant plus an "all" row, same windowed
   /// figures as /metrics prefixed with the lifetime record/block counters.
-  std::string csv_snapshot() const;
+  std::string csv_snapshot() const override;
 
  private:
   struct Shard {
@@ -114,41 +110,24 @@ class TenantShards {
     std::map<std::string, std::unique_ptr<Tenant>> tenants;
   };
 
-  /// One tenant's figures, copied out under the shard lock so formatting
-  /// runs lock-free.
+  /// One tenant's counters and window figures, copied out under the shard
+  /// lock so formatting runs lock-free.
   struct TenantSnapshot {
     std::string name;
-    std::uint64_t records_total;
-    std::uint64_t blocks_total;
-    std::uint64_t failed_total;
-    std::uint64_t sync_total;
-    std::uint64_t invalid_total;
-    std::uint64_t window_records;
-    std::uint64_t window_blocks;
-    double window_io_s;
-    double bps;
-    double iops;
-    double bw_bps;
-    double arpt_s;
+    ingest::Lifetime lifetime;
+    metrics::WindowFigures figures;
   };
 
   Shard& shard_for(const std::string& name);
   std::vector<TenantSnapshot> snapshot() const;
   TenantSnapshot snapshot_global() const;
-  static void fill_window_figures(TenantSnapshot& snap,
-                                  const metrics::WindowFigures& w,
-                                  SimDuration window, Bytes block_size);
 
   SimDuration window_;
   Bytes block_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable Mutex global_mu_;
   metrics::SlidingWindowMetrics global_ BPSIO_GUARDED_BY(global_mu_);
-  std::uint64_t global_records_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_blocks_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_failed_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_sync_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_invalid_ BPSIO_GUARDED_BY(global_mu_) = 0;
+  ingest::Lifetime global_lifetime_ BPSIO_GUARDED_BY(global_mu_);
 };
 
 }  // namespace bpsio::collector

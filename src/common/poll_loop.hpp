@@ -1,7 +1,8 @@
-// Shared poll()-round bookkeeping for the socket daemons (bpsio_agentd's
-// AgentServer, bpsio_collectord's I/O workers).
+// Shared poll()-round bookkeeping for the ingest server (ingest/server.hpp)
+// behind bpsio_agentd and bpsio_collectord: its poll loop and its I/O
+// workers.
 //
-// Both daemons run the same loop shape: a few listener fds whose readiness
+// Both run the same loop shape: a few listener fds whose readiness
 // means "accept / answer now", plus a growing-and-shrinking set of
 // connection fds serviced by index. The fiddly part — and the part that has
 // already bitten once — is that servicing mutates the fd set mid-round:

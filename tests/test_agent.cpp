@@ -1,21 +1,17 @@
-// Agent subsystem tests: MetricAggregator accounting and exposition, plus an
-// in-process AgentServer round trip (Unix socket frames in, /metrics HTTP
-// out, drain file on shutdown). The multi-process path — LD_PRELOAD clients
+// Agent subsystem tests: MetricAggregator accounting and exposition, plus
+// the bpsio_agentd preset of the ingest server in process — an inline
+// server over a MetricAggregator (Unix socket frames in, /metrics HTTP out,
+// drain file on shutdown). The multi-process path — LD_PRELOAD clients
 // shipping to a real daemon binary — lives in test_agent_e2e.cpp; this file
 // exercises the same machinery without fork/exec so it runs everywhere,
 // sanitizers included.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -25,13 +21,18 @@
 
 #include "agent/aggregator.hpp"
 #include "common/rng.hpp"
-#include "agent/server.hpp"
+#include "ingest/server.hpp"
+#include "socket_util.hpp"
 #include "trace/frame.hpp"
 #include "trace/serialize.hpp"
 
 namespace bpsio::agent {
 namespace {
 
+using testutil::connect_unix;
+using testutil::http_get;
+using testutil::make_temp_dir;
+using testutil::send_all;
 using trace::IoRecord;
 using trace::make_record;
 
@@ -80,7 +81,7 @@ TEST(Aggregator, PerPidWindowsPartitionTheGlobalStream) {
 TEST(Aggregator, AdvanceExpiresWindowsButKeepsTotals) {
   MetricAggregator agg = make_aggregator();
   agg.add(make_record(1, 8, SimTime(0), SimTime(1000)));
-  agg.advance(SimTime::from_seconds(10));
+  agg.advance_windows(SimTime::from_seconds(10));
   EXPECT_EQ(agg.global().accesses(), 0u);
   EXPECT_EQ(agg.global().io_time().ns(), 0);
   EXPECT_EQ(agg.records_total(), 1u);
@@ -93,8 +94,8 @@ TEST(Aggregator, PrometheusTextCarriesCountersAndLabels) {
   agg.add(make_record(7, 8, SimTime(1000), SimTime(2000)));
 
   TransportStats transport;
-  transport.clients_connected_total = 3;
-  transport.clients_active = 1;
+  transport.connected_total = 3;
+  transport.active = 1;
   transport.frames_total = 5;
   const std::string text = agg.prometheus_text(transport);
 
@@ -239,7 +240,7 @@ void feed_golden(MetricAggregator& agg, bool frames) {
     }
     rest = rest.subspan(take);
   }
-  agg.advance(SimTime(last_end + 60'000'000));
+  agg.advance_windows(SimTime(last_end + 60'000'000));
 }
 
 constexpr const char* kGoldenAgentMetrics = R"golden(# HELP bpsio_records_total I/O access records received.
@@ -347,8 +348,8 @@ all,91,4294970489,0.039905223,107629281735.877,910.000,21990248903680.000,0.0670
 
 TEST(Aggregator, GoldenExposition) {
   TransportStats transport;
-  transport.clients_connected_total = 6;
-  transport.clients_active = 2;
+  transport.connected_total = 6;
+  transport.active = 2;
   transport.frames_total = 41;
   transport.bad_frames_total = 1;
   transport.forward = ForwardStats{true, 40, 318, 4, 0};
@@ -362,84 +363,22 @@ TEST(Aggregator, GoldenExposition) {
 }
 
 // ---------------------------------------------------------------------------
-// In-process server round trip.
+// The agent preset of the ingest server, in process.
 
-std::filesystem::path make_temp_dir() {
-  std::string tmpl = (std::filesystem::temp_directory_path() /
-                      "bpsio_agent_test.XXXXXX")
-                         .string();
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return std::filesystem::path(made != nullptr ? made : "");
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_all(int fd, const std::vector<char>& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One blocking HTTP/1.0 GET against the daemon's loopback port; returns the
-/// full response (headers + body), or "" on connection failure.
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!send_all(fd, std::vector<char>(request.begin(), request.end()))) {
-    ::close(fd);
-    return "";
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(AgentServer, SocketToMetricsToDrain) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(AgentPreset, SocketToMetricsToDrain) {
+  const std::filesystem::path dir = make_temp_dir("agent_test");
   ASSERT_FALSE(dir.empty());
 
-  AgentOptions options;
+  ingest::ServerOptions options;
   options.socket_path = (dir / "agent.sock").string();
   options.http_port = 0;  // ephemeral
   options.port_file = (dir / "port").string();
   options.drain_path = (dir / "drain.bpstrace").string();
   options.spool_dir = (dir / "spool.d").string();
-  options.window = SimDuration::from_seconds(10);
-  options.block_size = kBlock;
   options.expect_clients = 1;
 
-  AgentServer server(options);
+  MetricAggregator store(SimDuration::from_seconds(10), kBlock);
+  ingest::Server server(options, store);
   ASSERT_TRUE(server.start().ok());
   ASSERT_GT(server.http_port(), 0);
 
@@ -495,10 +434,10 @@ TEST(AgentServer, SocketToMetricsToDrain) {
   ASSERT_TRUE(run_status.ok()) << run_status.to_string();
 
   // run() is over; the aggregator is safe to read directly now.
-  EXPECT_EQ(server.aggregator().records_total(), 3u);
-  EXPECT_EQ(server.aggregator().blocks_total(), 32u);
-  EXPECT_EQ(server.transport().clients_connected_total, 1u);
-  EXPECT_EQ(server.transport().clients_active, 0u);
+  EXPECT_EQ(store.records_total(), 3u);
+  EXPECT_EQ(store.blocks_total(), 32u);
+  EXPECT_EQ(server.transport().connected_total, 1u);
+  EXPECT_EQ(server.transport().active, 0u);
   EXPECT_EQ(server.transport().bad_frames_total, 0u);
 
   // The drain is a normal v2 trace holding exactly the shipped records in
@@ -513,17 +452,18 @@ TEST(AgentServer, SocketToMetricsToDrain) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(AgentServer, StopFlagShutsDownWithoutClients) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(AgentPreset, StopFlagShutsDownWithoutClients) {
+  const std::filesystem::path dir = make_temp_dir("agent_test");
   ASSERT_FALSE(dir.empty());
 
   std::atomic<bool> stop{false};
-  AgentOptions options;
+  ingest::ServerOptions options;
   options.socket_path = (dir / "agent.sock").string();
   options.http_port = -1;  // HTTP off entirely
   options.stop = &stop;
 
-  AgentServer server(options);
+  MetricAggregator store = make_aggregator();
+  ingest::Server server(options, store);
   ASSERT_TRUE(server.start().ok());
   EXPECT_LT(server.http_port(), 0);
 
@@ -532,21 +472,22 @@ TEST(AgentServer, StopFlagShutsDownWithoutClients) {
   stop.store(true);
   serving.join();
   EXPECT_TRUE(run_status.ok()) << run_status.to_string();
-  EXPECT_EQ(server.aggregator().records_total(), 0u);
+  EXPECT_EQ(store.records_total(), 0u);
 
   std::filesystem::remove_all(dir);
 }
 
-TEST(AgentServer, BadFrameDropsTheConnectionNotTheDaemon) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(AgentPreset, BadFrameDropsTheConnectionNotTheDaemon) {
+  const std::filesystem::path dir = make_temp_dir("agent_test");
   ASSERT_FALSE(dir.empty());
 
-  AgentOptions options;
+  ingest::ServerOptions options;
   options.socket_path = (dir / "agent.sock").string();
   options.http_port = -1;
   options.expect_clients = 2;
 
-  AgentServer server(options);
+  MetricAggregator store = make_aggregator();
+  ingest::Server server(options, store);
   ASSERT_TRUE(server.start().ok());
   Status run_status;
   std::thread serving([&] { run_status = server.run(); });
@@ -571,8 +512,8 @@ TEST(AgentServer, BadFrameDropsTheConnectionNotTheDaemon) {
   serving.join();
   EXPECT_TRUE(run_status.ok()) << run_status.to_string();
   EXPECT_EQ(server.transport().bad_frames_total, 1u);
-  EXPECT_EQ(server.aggregator().records_total(), 1u);
-  EXPECT_EQ(server.aggregator().blocks_total(), 4u);
+  EXPECT_EQ(store.records_total(), 1u);
+  EXPECT_EQ(store.blocks_total(), 4u);
 
   std::filesystem::remove_all(dir);
 }

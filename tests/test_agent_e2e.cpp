@@ -9,16 +9,13 @@
 // BPSIO_AGENTD_BIN); absent any of them the tests skip rather than fail.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -27,11 +24,16 @@
 #include <thread>
 #include <vector>
 
+#include "socket_util.hpp"
 #include "trace/frame.hpp"
 #include "trace/serialize.hpp"
 
 namespace bpsio {
 namespace {
+
+using testutil::connect_unix;
+using testutil::make_temp_dir;
+using testutil::send_all;
 
 constexpr int kProcs = 4;
 constexpr int kWrites = 200;
@@ -56,13 +58,6 @@ std::optional<Paths> binaries() {
     return std::nullopt;
   }
   return Paths{lib, smoke, report, agentd};
-}
-
-std::string make_temp_dir(const char* tag) {
-  std::string templ = std::string("/tmp/bpsio_agent_e2e_") + tag + "_XXXXXX";
-  const char* made = ::mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
 }
 
 std::vector<std::string> trace_files(const std::string& dir) {
@@ -132,29 +127,6 @@ int finish_agentd(FILE* daemon, std::string* output) {
     *output += buf;
   }
   return daemon != nullptr ? ::pclose(daemon) : -1;
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_all(int fd, const std::vector<char>& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 TEST(AgentE2E, DrainIsBitIdenticalToDirectSpill) {

@@ -1,22 +1,18 @@
-// Collector subsystem tests: TenantShards accounting, and in-process
-// CollectorServer end-to-end runs — many simulated agent connections across
-// several tenants, /metrics exposition, agent churn (mid-frame death,
-// reconnect, poisoned decoders), the shutdown k-way drain checked against a
-// direct file spill of the same records, and the two-tier composition where
-// an in-process AgentServer forwards into the collector. The multi-process
-// path lives in the CI collector-smoke job; everything here is fork-free so
-// it runs under sanitizers too.
+// Collector subsystem tests: TenantShards accounting, and the
+// bpsio_collectord preset of the ingest server in process — a TenantShards
+// store behind I/O worker threads — end to end: many simulated agent
+// connections across several tenants, /metrics exposition, agent churn
+// (mid-frame death, reconnect, poisoned decoders), the shutdown k-way drain
+// checked against a direct file spill of the same records, and the two-tier
+// composition where an agent-preset server forwards into the collector. The
+// multi-process path lives in the CI collector-smoke job; everything here
+// is fork-free so it runs under sanitizers too.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <span>
@@ -25,11 +21,12 @@
 #include <utility>
 #include <vector>
 
-#include "agent/server.hpp"
-#include "collector/server.hpp"
+#include "agent/aggregator.hpp"
 #include "collector/tenant_shards.hpp"
 #include "common/rng.hpp"
 #include "common/wallclock.hpp"
+#include "ingest/server.hpp"
+#include "socket_util.hpp"
 #include "trace/frame.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
@@ -38,73 +35,16 @@
 namespace bpsio::collector {
 namespace {
 
+using ingest::kDefaultTenant;
+using testutil::connect_unix;
+using testutil::http_get;
+using testutil::make_temp_dir;
+using testutil::send_all;
+using testutil::send_bytes;
 using trace::IoRecord;
 using trace::make_record;
 
 constexpr Bytes kBlock = 512;
-
-std::filesystem::path make_temp_dir() {
-  std::string tmpl = (std::filesystem::temp_directory_path() /
-                      "bpsio_collector_test.XXXXXX")
-                         .string();
-  char* made = ::mkdtemp(tmpl.data());
-  EXPECT_NE(made, nullptr);
-  return std::filesystem::path(made != nullptr ? made : "");
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_bytes(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t sent = ::write(fd, data + off, n - off);
-    if (sent <= 0) return false;
-    off += static_cast<std::size_t>(sent);
-  }
-  return true;
-}
-
-bool send_all(int fd, const std::vector<char>& bytes) {
-  return send_bytes(fd, bytes.data(), bytes.size());
-}
-
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!send_bytes(fd, request.data(), request.size())) {
-    ::close(fd);
-    return "";
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
 
 /// Value of the exposition line starting with `prefix` (metric name plus
 /// label set plus the separating space), or -1 when absent.
@@ -179,7 +119,7 @@ TEST(TenantShards, PerTenantAndFleetAccounting) {
   EXPECT_EQ(shards.tenants_seen(), 2u);
 
   CollectorTransport transport;
-  transport.agents_active = 2;
+  transport.active = 2;
   const std::string text = shards.prometheus_text(transport);
   EXPECT_NE(text.find("bpsio_records_total{tenant=\"all\"} 3\n"),
             std::string::npos);
@@ -361,8 +301,8 @@ TEST(TenantShards, GoldenExposition) {
   shards.advance_windows(SimTime(last_end + 60'000'000));
 
   CollectorTransport transport;
-  transport.agents_connected_total = 5;
-  transport.agents_active = 2;
+  transport.connected_total = 5;
+  transport.active = 2;
   transport.frames_total = 37;
   transport.bad_frames_total = 1;
   transport.streams_total = 4;
@@ -373,26 +313,24 @@ TEST(TenantShards, GoldenExposition) {
 // ---------------------------------------------------------------------------
 // In-process end-to-end runs.
 
-TEST(CollectorServer, DrainMatchesDirectSpillAcrossTenantsAndAgents) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(CollectorPreset, DrainMatchesDirectSpillAcrossTenantsAndAgents) {
+  const std::filesystem::path dir = make_temp_dir("collector_test");
   ASSERT_FALSE(dir.empty());
 
-  CollectorOptions options;
+  ingest::ServerOptions options;
   options.socket_path = (dir / "collector.sock").string();
   options.http_port = 0;  // ephemeral
   options.drain_path = (dir / "drain.bpstrace").string();
   options.drain_tenant_dir = (dir / "tenants").string();
   options.spool_dir = (dir / "spool.d").string();
+  options.io_threads = 2;
+  options.expect_clients = 4;
+
   // Live-window assertions need "now"-anchored timestamps (the server
   // advances windows to monotonic_ns() on every scrape); a huge window
   // keeps every record inside it for the whole test.
-  options.window = SimDuration::from_seconds(3600);
-  options.block_size = kBlock;
-  options.io_threads = 2;
-  options.shards = 4;
-  options.expect_agents = 4;
-
-  CollectorServer server(options);
+  TenantShards store(4, SimDuration::from_seconds(3600), kBlock);
+  ingest::Server server(options, store);
   ASSERT_TRUE(server.start().ok());
   ASSERT_GT(server.http_port(), 0);
   Status run_status;
@@ -494,8 +432,8 @@ TEST(CollectorServer, DrainMatchesDirectSpillAcrossTenantsAndAgents) {
   for (const int fd : agent_fds) ::close(fd);
   serving.join();
   ASSERT_TRUE(run_status.ok()) << run_status.to_string();
-  EXPECT_EQ(server.transport().agents_connected_total, 4u);
-  EXPECT_EQ(server.transport().agents_active, 0u);
+  EXPECT_EQ(server.transport().connected_total, 4u);
+  EXPECT_EQ(server.transport().active, 0u);
   EXPECT_EQ(server.transport().bad_frames_total, 0u);
   EXPECT_EQ(server.transport().streams_total, 7u);
 
@@ -544,19 +482,20 @@ TEST(CollectorServer, DrainMatchesDirectSpillAcrossTenantsAndAgents) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CollectorServer, SurvivesChurnAndIsolatesPoisonedConnections) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(CollectorPreset, SurvivesChurnAndIsolatesPoisonedConnections) {
+  const std::filesystem::path dir = make_temp_dir("collector_test");
   ASSERT_FALSE(dir.empty());
 
-  CollectorOptions options;
+  ingest::ServerOptions options;
   options.socket_path = (dir / "collector.sock").string();
   options.http_port = -1;
   options.drain_path = (dir / "drain.bpstrace").string();
   options.spool_dir = (dir / "spool.d").string();
   options.io_threads = 2;
-  options.expect_agents = 4;
+  options.expect_clients = 4;
 
-  CollectorServer server(options);
+  TenantShards store(8, SimDuration::from_seconds(10), kBlock);
+  ingest::Server server(options, store);
   ASSERT_TRUE(server.start().ok());
   Status run_status;
   std::thread serving([&] { run_status = server.run(); });
@@ -635,8 +574,8 @@ TEST(CollectorServer, SurvivesChurnAndIsolatesPoisonedConnections) {
   // No loss, no duplication for completed frames; the poisoned connection
   // is counted and contributed nothing.
   EXPECT_EQ(server.transport().bad_frames_total, 1u);
-  EXPECT_EQ(server.shards().records_total(), expected.size());
-  EXPECT_EQ(server.shards().tenants_seen(), 2u);
+  EXPECT_EQ(store.records_total(), expected.size());
+  EXPECT_EQ(store.tenants_seen(), 2u);
 
   const auto drained = trace::load_binary(options.drain_path);
   ASSERT_TRUE(drained.ok()) << drained.error().to_string();
@@ -645,28 +584,28 @@ TEST(CollectorServer, SurvivesChurnAndIsolatesPoisonedConnections) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CollectorServer, AgentForwardComposesIntoTenantMetrics) {
-  const std::filesystem::path dir = make_temp_dir();
+TEST(CollectorPreset, AgentForwardComposesIntoTenantMetrics) {
+  const std::filesystem::path dir = make_temp_dir("collector_test");
   ASSERT_FALSE(dir.empty());
 
-  CollectorOptions copt;
+  ingest::ServerOptions copt;
   copt.socket_path = (dir / "collector.sock").string();
   copt.http_port = -1;
   copt.io_threads = 1;
-  copt.expect_agents = 1;
-  CollectorServer upstream(copt);
+  copt.expect_clients = 1;
+  TenantShards shards(8, SimDuration::from_seconds(10), kBlock);
+  ingest::Server upstream(copt, shards);
   ASSERT_TRUE(upstream.start().ok());
   Status upstream_status;
   std::thread upstream_thread([&] { upstream_status = upstream.run(); });
 
-  agent::AgentOptions aopt;
+  ingest::ServerOptions aopt;
   aopt.socket_path = (dir / "agent.sock").string();
   aopt.http_port = -1;
-  aopt.forward_target = copt.socket_path;
-  aopt.forward_tenant = "web";
-  aopt.forward_batch = 4;
+  aopt.forward = agent::ForwardOptions{copt.socket_path, "web", "", 4};
   aopt.expect_clients = 1;
-  agent::AgentServer agent(aopt);
+  agent::MetricAggregator aggregator(SimDuration::from_seconds(10), kBlock);
+  ingest::Server agent(aopt, aggregator);
   ASSERT_TRUE(agent.start().ok());
   Status agent_status;
   std::thread agent_thread([&] { agent_status = agent.run(); });
@@ -698,7 +637,7 @@ TEST(CollectorServer, AgentForwardComposesIntoTenantMetrics) {
 
   // The agent saw everything locally and shipped everything upstream over
   // the socket — nothing spilled, nothing dropped.
-  EXPECT_EQ(agent.aggregator().records_total(), sent.size());
+  EXPECT_EQ(aggregator.records_total(), sent.size());
   EXPECT_TRUE(agent.transport().forward.enabled);
   EXPECT_EQ(agent.transport().forward.records_forwarded, sent.size());
   EXPECT_GE(agent.transport().forward.frames_forwarded, 1u);
@@ -706,11 +645,10 @@ TEST(CollectorServer, AgentForwardComposesIntoTenantMetrics) {
   EXPECT_EQ(agent.transport().forward.records_dropped, 0u);
 
   // The collector filed the forwarded stream under the agent's tenant.
-  EXPECT_EQ(upstream.shards().records_total(), sent.size());
-  EXPECT_EQ(upstream.shards().tenants_seen(), 1u);
-  EXPECT_EQ(upstream.transport().agents_connected_total, 1u);
-  const std::string text =
-      upstream.shards().prometheus_text(upstream.transport());
+  EXPECT_EQ(shards.records_total(), sent.size());
+  EXPECT_EQ(shards.tenants_seen(), 1u);
+  EXPECT_EQ(upstream.transport().connected_total, 1u);
+  const std::string text = shards.prometheus_text(upstream.transport());
   EXPECT_NE(text.find("bpsio_records_total{tenant=\"web\"} 6\n"),
             std::string::npos);
 

@@ -7,7 +7,8 @@
 // plaintext on GET /metrics (127.0.0.1), optionally rewrites a CSV snapshot
 // every interval, and on shutdown can drain everything it received into a
 // single merged v2 .bpstrace that bpsio_report analyzes exactly like a
-// direct file spill.
+// direct file spill. With --forward it also ships every frame upstream to
+// a bpsio_collectord, or to another bpsio_agentd acting as a relay.
 //
 //   bpsio_agentd --socket=/tmp/bpsio.sock [options]
 //
@@ -18,149 +19,10 @@
 //     LD_PRELOAD=$PWD/libbpsio_capture.so ./your_app
 //   curl -s localhost:9123/metrics | grep bpsio_window_bps
 //
-// SIGINT/SIGTERM stop the daemon cleanly (drain included).
-#include <csignal>
-#include <cstdio>
-#include <string>
-#include <vector>
+// The agent preset of ingest_daemon.hpp. SIGINT/SIGTERM stop the daemon
+// cleanly (drain included).
+#include "ingest_daemon.hpp"
 
-#include "agent/server.hpp"
-#include "cli.hpp"
-#include "common/config.hpp"
-
-namespace bpsio {
-namespace {
-
-std::atomic<bool> g_stop{false};
-
-void handle_stop(int) { g_stop.store(true); }
-
-int run_agentd(int argc, char** argv) {
-  agent::AgentOptions opt;
-  opt.stop = &g_stop;
-  double window_ms = 10'000.0;
-  double csv_interval_s = 1.0;
-  long long http_port = 0;
-  long long expect_clients = 0;
-  std::string block_size_text;
-
-  cli::ArgParser parser(
-      "bpsio_agentd",
-      "Live BPS aggregation daemon: receives capture frames over a Unix "
-      "socket,\nserves windowed metrics on /metrics, and can drain all "
-      "records to a .bpstrace.");
-  parser.add_string("--socket", &opt.socket_path, "PATH",
-                    "Unix-domain socket to listen on (required)");
-  parser.add_int("--http-port", &http_port, -1, 65535, "PORT",
-                 "loopback /metrics port; 0 = ephemeral, -1 = no HTTP "
-                 "(default 0)");
-  parser.add_string("--port-file", &opt.port_file, "PATH",
-                    "write the bound HTTP port here (for ephemeral ports)");
-  parser.add_string("--csv", &opt.csv_path, "PATH",
-                    "rewrite a per-pid CSV snapshot here every interval");
-  parser.add_positive_double("--csv-interval", &csv_interval_s, "SECS",
-                             "snapshot cadence (default 1)");
-  parser.add_string("--drain", &opt.drain_path, "PATH",
-                    "on shutdown, write every received record as one "
-                    "merged .bpstrace");
-  parser.add_string("--spool-dir", &opt.spool_dir, "DIR",
-                    "per-connection spool directory backing --drain "
-                    "(default: <drain path>.spool.d)");
-  parser.add_string("--forward", &opt.forward_target, "TARGET",
-                    "ship every received frame upstream to a "
-                    "bpsio_collectord (host:port = loopback TCP, otherwise "
-                    "a Unix socket path)");
-  parser.add_string("--forward-tenant", &opt.forward_tenant, "ID",
-                    "tenant id announced to the collector (default "
-                    "\"default\")");
-  parser.add_string("--forward-spill-dir", &opt.forward_spill_dir, "DIR",
-                    "fallback spill directory when the upstream link fails "
-                    "(default: drop and count)");
-  long long forward_batch = 4096;
-  parser.add_int("--forward-batch", &forward_batch, 1, 1'048'576, "N",
-                 "records per upstream frame (default 4096)");
-  parser.add_positive_double("--window", &window_ms, "MS",
-                             "sliding-window length for live metrics "
-                             "(default 10000)");
-  parser.add_value("--block-size", "BYTES",
-                   "block unit for byte figures (default 512; accepts 4K "
-                   "suffixes)",
-                   [&block_size_text](const std::string& v) {
-                     block_size_text = v;
-                     return !v.empty();
-                   });
-  parser.add_int("--expect-clients", &expect_clients, 1, 1'000'000, "N",
-                 "exit once N capture connections have come and gone "
-                 "(deterministic shutdown for tests/CI)");
-
-  std::vector<std::string> positionals;
-  switch (parser.parse(argc, argv, positionals)) {
-    case cli::ArgParser::Outcome::ok:
-      break;
-    case cli::ArgParser::Outcome::help:
-      return 0;
-    case cli::ArgParser::Outcome::error:
-      return 2;
-  }
-  if (!positionals.empty()) {
-    std::fprintf(stderr, "bpsio_agentd: unexpected operand '%s'\n%s",
-                 positionals.front().c_str(), parser.usage().c_str());
-    return 2;
-  }
-  if (opt.socket_path.empty()) {
-    std::fprintf(stderr, "bpsio_agentd: --socket is required\n%s",
-                 parser.usage().c_str());
-    return 2;
-  }
-  if (!block_size_text.empty()) {
-    const auto parsed = Config::parse_bytes(block_size_text);
-    if (!parsed || *parsed == 0) {
-      std::fprintf(stderr, "bpsio_agentd: bad --block-size '%s'\n",
-                   block_size_text.c_str());
-      return 2;
-    }
-    opt.block_size = *parsed;
-  }
-  opt.http_port = static_cast<int>(http_port);
-  opt.expect_clients = static_cast<std::uint64_t>(expect_clients);
-  opt.forward_batch = static_cast<std::size_t>(forward_batch);
-  opt.window = SimDuration(static_cast<std::int64_t>(window_ms * 1'000'000.0));
-  opt.csv_interval =
-      SimDuration(static_cast<std::int64_t>(csv_interval_s * 1'000'000'000.0));
-  if (!opt.drain_path.empty() && opt.spool_dir.empty()) {
-    opt.spool_dir = opt.drain_path + ".spool.d";
-  }
-
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  std::signal(SIGPIPE, SIG_IGN);
-
-  agent::AgentServer server(std::move(opt));
-  if (const Status started = server.start(); !started.ok()) {
-    std::fprintf(stderr, "bpsio_agentd: %s\n", started.to_string().c_str());
-    return 1;
-  }
-  if (server.http_port() >= 0) {
-    std::fprintf(stderr, "bpsio_agentd: listening (metrics on 127.0.0.1:%d)\n",
-                 server.http_port());
-  }
-  if (const Status ran = server.run(); !ran.ok()) {
-    std::fprintf(stderr, "bpsio_agentd: %s\n", ran.to_string().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "bpsio_agentd: done (%llu records, %llu blocks, %llu "
-               "client(s))\n",
-               static_cast<unsigned long long>(
-                   server.aggregator().records_total()),
-               static_cast<unsigned long long>(
-                   server.aggregator().blocks_total()),
-               static_cast<unsigned long long>(
-                   server.transport().clients_connected_total));
-  return 0;
+int main(int argc, char** argv) {
+  return bpsio::ingestd::run_daemon(argc, argv, bpsio::ingestd::Preset::agent);
 }
-
-}  // namespace
-}  // namespace bpsio
-
-int main(int argc, char** argv) { return bpsio::run_agentd(argc, argv); }

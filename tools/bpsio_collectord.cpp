@@ -21,157 +21,11 @@
 //     LD_PRELOAD=$PWD/libbpsio_capture.so ./your_app
 //   curl -s localhost:9124/metrics | grep 'tenant="web"'
 //
-// SIGINT/SIGTERM stop the daemon cleanly (drain included).
-#include <csignal>
-#include <cstdio>
-#include <string>
-#include <vector>
+// The collector preset of ingest_daemon.hpp. SIGINT/SIGTERM stop the
+// daemon cleanly (drain included).
+#include "ingest_daemon.hpp"
 
-#include "cli.hpp"
-#include "collector/server.hpp"
-#include "common/config.hpp"
-
-namespace bpsio {
-namespace {
-
-std::atomic<bool> g_stop{false};
-
-void handle_stop(int) { g_stop.store(true); }
-
-int run_collectord(int argc, char** argv) {
-  collector::CollectorOptions opt;
-  opt.stop = &g_stop;
-  double window_ms = 10'000.0;
-  double csv_interval_s = 1.0;
-  long long tcp_port = -1;
-  long long http_port = 0;
-  long long io_threads = 2;
-  long long shards = 8;
-  long long expect_agents = 0;
-  std::string block_size_text;
-
-  cli::ArgParser parser(
-      "bpsio_collectord",
-      "Fleet-scale BPS collector: aggregates frame streams from many agents "
-      "into\nper-tenant windowed metrics on /metrics, with an optional "
-      "merged drain trace.");
-  parser.add_string("--socket", &opt.socket_path, "PATH",
-                    "Unix-domain socket to listen on (required)");
-  parser.add_int("--tcp-port", &tcp_port, -1, 65535, "PORT",
-                 "loopback TCP ingest port; 0 = ephemeral, -1 = no TCP "
-                 "(default -1)");
-  parser.add_string("--tcp-port-file", &opt.tcp_port_file, "PATH",
-                    "write the bound TCP ingest port here");
-  parser.add_int("--http-port", &http_port, -1, 65535, "PORT",
-                 "loopback /metrics port; 0 = ephemeral, -1 = no HTTP "
-                 "(default 0)");
-  parser.add_string("--port-file", &opt.port_file, "PATH",
-                    "write the bound HTTP port here (for ephemeral ports)");
-  parser.add_string("--csv", &opt.csv_path, "PATH",
-                    "rewrite a per-tenant CSV snapshot here every interval");
-  parser.add_positive_double("--csv-interval", &csv_interval_s, "SECS",
-                             "snapshot cadence (default 1)");
-  parser.add_string("--drain", &opt.drain_path, "PATH",
-                    "on shutdown, write every received record as one "
-                    "merged .bpstrace");
-  parser.add_string("--drain-tenant-dir", &opt.drain_tenant_dir, "DIR",
-                    "on shutdown, also write tenant-<name>.bpstrace per "
-                    "tenant here");
-  parser.add_string("--spool-dir", &opt.spool_dir, "DIR",
-                    "per-stream spool directory backing the drains "
-                    "(default: <drain path>.spool.d)");
-  parser.add_positive_double("--window", &window_ms, "MS",
-                             "sliding-window length for live metrics "
-                             "(default 10000)");
-  parser.add_value("--block-size", "BYTES",
-                   "block unit for byte figures (default 512; accepts 4K "
-                   "suffixes)",
-                   [&block_size_text](const std::string& v) {
-                     block_size_text = v;
-                     return !v.empty();
-                   });
-  parser.add_int("--io-threads", &io_threads, 1, 256, "N",
-                 "I/O worker threads servicing agent connections "
-                 "(default 2)");
-  parser.add_int("--shards", &shards, 1, 4096, "N",
-                 "tenant shard count for the metric state (default 8)");
-  parser.add_int("--expect-agents", &expect_agents, 1, 1'000'000, "N",
-                 "exit once N agent connections have come and gone "
-                 "(deterministic shutdown for tests/CI)");
-
-  std::vector<std::string> positionals;
-  switch (parser.parse(argc, argv, positionals)) {
-    case cli::ArgParser::Outcome::ok:
-      break;
-    case cli::ArgParser::Outcome::help:
-      return 0;
-    case cli::ArgParser::Outcome::error:
-      return 2;
-  }
-  if (!positionals.empty()) {
-    std::fprintf(stderr, "bpsio_collectord: unexpected operand '%s'\n%s",
-                 positionals.front().c_str(), parser.usage().c_str());
-    return 2;
-  }
-  if (opt.socket_path.empty()) {
-    std::fprintf(stderr, "bpsio_collectord: --socket is required\n%s",
-                 parser.usage().c_str());
-    return 2;
-  }
-  if (!block_size_text.empty()) {
-    const auto parsed = Config::parse_bytes(block_size_text);
-    if (!parsed || *parsed == 0) {
-      std::fprintf(stderr, "bpsio_collectord: bad --block-size '%s'\n",
-                   block_size_text.c_str());
-      return 2;
-    }
-    opt.block_size = *parsed;
-  }
-  opt.tcp_port = static_cast<int>(tcp_port);
-  opt.http_port = static_cast<int>(http_port);
-  opt.io_threads = static_cast<std::size_t>(io_threads);
-  opt.shards = static_cast<std::size_t>(shards);
-  opt.expect_agents = static_cast<std::uint64_t>(expect_agents);
-  opt.window = SimDuration(static_cast<std::int64_t>(window_ms * 1'000'000.0));
-  opt.csv_interval =
-      SimDuration(static_cast<std::int64_t>(csv_interval_s * 1'000'000'000.0));
-  if ((!opt.drain_path.empty() || !opt.drain_tenant_dir.empty()) &&
-      opt.spool_dir.empty()) {
-    opt.spool_dir = (opt.drain_path.empty() ? opt.drain_tenant_dir + "/all"
-                                            : opt.drain_path) +
-                    ".spool.d";
-  }
-
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  std::signal(SIGPIPE, SIG_IGN);
-
-  collector::CollectorServer server(std::move(opt));
-  if (const Status started = server.start(); !started.ok()) {
-    std::fprintf(stderr, "bpsio_collectord: %s\n", started.to_string().c_str());
-    return 1;
-  }
-  if (server.http_port() >= 0) {
-    std::fprintf(stderr,
-                 "bpsio_collectord: listening (metrics on 127.0.0.1:%d)\n",
-                 server.http_port());
-  }
-  if (const Status ran = server.run(); !ran.ok()) {
-    std::fprintf(stderr, "bpsio_collectord: %s\n", ran.to_string().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "bpsio_collectord: done (%llu records, %llu blocks, %llu "
-               "tenant(s), %llu agent(s))\n",
-               static_cast<unsigned long long>(server.shards().records_total()),
-               static_cast<unsigned long long>(server.shards().blocks_total()),
-               static_cast<unsigned long long>(server.shards().tenants_seen()),
-               static_cast<unsigned long long>(
-                   server.transport().agents_connected_total));
-  return 0;
+int main(int argc, char** argv) {
+  return bpsio::ingestd::run_daemon(argc, argv,
+                                    bpsio::ingestd::Preset::collector);
 }
-
-}  // namespace
-}  // namespace bpsio
-
-int main(int argc, char** argv) { return bpsio::run_collectord(argc, argv); }
