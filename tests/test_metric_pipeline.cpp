@@ -4,11 +4,14 @@
 // whichever OverlapAlgorithm the batch side uses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/bps_meter.hpp"
 #include "metrics/calculators.hpp"
 #include "metrics/overlap.hpp"
@@ -18,6 +21,7 @@
 #include "trace/record_source.hpp"
 #include "trace/spill_writer.hpp"
 #include "trace/trace_collector.hpp"
+#include "interval_shapes.hpp"
 
 namespace bpsio {
 namespace {
@@ -292,6 +296,117 @@ TEST(MetricPipeline, ConcurrencyProfileMatchesStreamedSweep) {
   ASSERT_EQ(consumer.profile().size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_DOUBLE_EQ(consumer.profile()[i], batch[i]) << "level " << i + 1;
+  }
+}
+
+// Serves ordered records in chunks of seeded random size (1 to 37), so
+// chunk boundaries fall everywhere, runs of equal keys included.
+class RandomChunkSource final : public trace::RecordSource {
+ public:
+  RandomChunkSource(std::vector<IoRecord> records, std::uint64_t seed)
+      : records_(std::move(records)), rng_(seed) {}
+
+  std::span<const IoRecord> next_chunk() override {
+    if (pos_ >= records_.size()) return {};
+    const std::size_t n = std::min<std::size_t>(1 + rng_.next() % 37,
+                                                records_.size() - pos_);
+    const std::span<const IoRecord> chunk(records_.data() + pos_, n);
+    pos_ += n;
+    return chunk;
+  }
+
+ private:
+  std::vector<IoRecord> records_;
+  Rng rng_;
+  std::size_t pos_ = 0;
+};
+
+/// The records `filter` selects, in canonical (start, end) order.
+std::vector<IoRecord> ordered_records(const trace::TraceCollector& c,
+                                      const trace::RecordFilter& filter) {
+  std::vector<IoRecord> out;
+  auto source = trace::collector_source(c, filter);
+  for (auto chunk = source.next_chunk(); !chunk.empty();
+       chunk = source.next_chunk()) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
+/// A window's overlapped I/O time by the O(n^2) reference: every interval
+/// clipped to [window_start, window_end).
+SimDuration window_union_bruteforce(
+    const std::vector<trace::TimeInterval>& col_time,
+    std::int64_t window_start, std::int64_t window_end) {
+  std::vector<trace::TimeInterval> clipped;
+  for (const auto& iv : col_time) {
+    const std::int64_t s = std::max(iv.start_ns, window_start);
+    const std::int64_t e = std::min(iv.end_ns, window_end);
+    if (s < e) clipped.push_back({s, e});
+  }
+  return metrics::overlap_time_bruteforce(clipped);
+}
+
+TEST(MetricPipelineProperty, StreamingConsumersMatchBatchOracles) {
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    trace::TraceCollector c;
+    c.gather(shaped_records(seed, 20 + (seed * 37) % 180, {1, 2, 3, 4}));
+    const auto all = c.col_time();
+    std::int64_t lo = all.front().start_ns;
+    std::int64_t hi = all.front().end_ns;
+    for (const auto& iv : all) {
+      lo = std::min(lo, iv.start_ns);
+      hi = std::max(hi, iv.end_ns);
+    }
+    // A window cut inside the span; odd seeds also drop failed accesses.
+    trace::RecordFilter windowed;
+    windowed.window_start_ns = lo + (hi - lo) / 5;
+    windowed.window_end_ns = hi - (hi - lo) / 4;
+    windowed.include_failed = seed % 2 == 0;
+    const SimDuration window(50 + static_cast<std::int64_t>(seed % 7) * 97);
+
+    for (const trace::RecordFilter& f : {trace::RecordFilter{}, windowed}) {
+      SCOPED_TRACE(f.window_start_ns ? "windowed" : "unfiltered");
+      const auto col_time = c.col_time(f);
+      RandomChunkSource source(ordered_records(c, f), seed * 31 + 1);
+      metrics::OverlapConsumer overlap(f);
+      metrics::TimelineConsumer timeline(window, f.window_start_ns,
+                                         f.window_end_ns);
+      metrics::ConcurrencyProfileConsumer profile(f);
+      metrics::MetricPipeline pipeline;
+      pipeline.attach(overlap).attach(timeline).attach(profile);
+      ASSERT_TRUE(pipeline.run(source).ok());
+
+      EXPECT_EQ(overlap.io_time().ns(),
+                metrics::overlap_time_bruteforce(col_time).ns());
+      EXPECT_EQ(overlap.peak_concurrency(),
+                metrics::peak_concurrency(col_time));
+      EXPECT_EQ(overlap.idle_time().ns(), metrics::idle_time(col_time).ns());
+      EXPECT_EQ(overlap.avg_concurrency(),
+                metrics::average_concurrency(col_time));
+
+      const auto streamed = timeline.take();
+      const auto batch = metrics::build_timeline(c, window, f);
+      ASSERT_EQ(streamed.windows.size(), batch.windows.size());
+      for (std::size_t i = 0; i < batch.windows.size(); ++i) {
+        SCOPED_TRACE("window " + std::to_string(i));
+        const auto& a = batch.windows[i];
+        const auto& b = streamed.windows[i];
+        EXPECT_EQ(a.start_ns, b.start_ns);
+        EXPECT_EQ(a.end_ns, b.end_ns);
+        EXPECT_EQ(a.blocks, b.blocks);
+        EXPECT_EQ(a.accesses_active, b.accesses_active);
+        EXPECT_EQ(a.io_time_s, b.io_time_s);
+        EXPECT_EQ(a.busy_fraction, b.busy_fraction);
+        EXPECT_EQ(a.bps, b.bps);
+        EXPECT_EQ(a.avg_concurrency, b.avg_concurrency);
+        EXPECT_EQ(b.io_time_s,
+                  window_union_bruteforce(col_time, b.start_ns, b.end_ns)
+                      .seconds());
+      }
+      EXPECT_EQ(profile.profile(), metrics::concurrency_profile(c, f));
+    }
   }
 }
 
