@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "metrics/interval_union.hpp"
+
 namespace bpsio::metrics {
 
 namespace {
@@ -74,19 +76,12 @@ SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
     return best;
   };
 
-  const TimeInterval* first = next_min();
-  std::int64_t T = 0;
-  TimeInterval cur = *first;  // n >= cutoff, so never null here
+  IntervalUnion busy;
   while (const TimeInterval* next = next_min()) {
-    if (next->start_ns <= cur.end_ns) {
-      cur.end_ns = std::max(cur.end_ns, next->end_ns);
-    } else {
-      T += cur.end_ns - cur.start_ns;
-      cur = *next;
-    }
+    busy.add(next->start_ns, next->end_ns);
   }
-  T += cur.end_ns - cur.start_ns;
-  return SimDuration(T);
+  busy.finish();
+  return SimDuration(busy.busy_ns());
 }
 
 SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,

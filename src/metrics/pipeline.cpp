@@ -37,10 +37,6 @@ void HistogramConsumer::consume(std::span<const trace::IoRecord> chunk) {
   for (const auto& r : chunk) hist_->add(r.response_time().seconds());
 }
 
-void ForEachConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  for (const auto& r : chunk) fn_(r);
-}
-
 void FilteredConsumer::consume(std::span<const trace::IoRecord> chunk) {
   buf_.clear();
   for (const auto& r : chunk) {
@@ -50,63 +46,14 @@ void FilteredConsumer::consume(std::span<const trace::IoRecord> chunk) {
 }
 
 // ---------------------------------------------------------------------------
-// IntervalSweep
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-void IntervalSweep::step(std::int64_t t, int delta) {
-  // Same event handling as the batch sweeps (peak_concurrency,
-  // concurrency_profile): emit the segment since the previous event while
-  // at the old level, then apply the level change.
-  if (active_ > 0 && t > prev_ && on_segment) on_segment(prev_, t, active_);
-  prev_ = t;
-  if (delta > 0) {
-    ++active_;
-    peak_ = std::max(peak_, active_);
-  } else {
-    --active_;
-  }
-}
-
-void IntervalSweep::add(std::int64_t start_ns, std::int64_t end_ns) {
-  // Retire every pending end <= this start first: the min-heap pops them in
-  // increasing time order, and an end equal to the start retires before the
-  // start — the batch comparator's "-1 before +1 at the same time" rule.
-  while (!ends_.empty() && ends_.top() <= start_ns) {
-    const std::int64_t t = ends_.top();
-    ends_.pop();
-    step(t, -1);
-  }
-  step(start_ns, +1);
-  ends_.push(end_ns);
-}
-
-void IntervalSweep::finish() {
-  while (!ends_.empty()) {
-    const std::int64_t t = ends_.top();
-    ends_.pop();
-    step(t, -1);
-  }
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // OverlapConsumer
 // ---------------------------------------------------------------------------
 
 void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  if (!sweep_bound_) {
-    sweep_bound_ = true;
-    sweep_.on_segment = [this](std::int64_t t0, std::int64_t t1, std::size_t) {
-      busy_ns_ += t1 - t0;  // any level >= 1 is busy: T is the union measure
-    };
-  }
   for (const auto& r : chunk) {
     // col_time()'s window clamp: time inside the window only. Clamping a
     // nondecreasing start sequence with max() keeps it nondecreasing, so
-    // the sweep's ordering requirement survives.
+    // the union and the sweep see ordered starts.
     std::int64_t s = r.start_ns;
     std::int64_t e = r.end_ns;
     if (window_start_) s = std::max(s, *window_start_);
@@ -114,24 +61,29 @@ void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
     if (e < s) continue;  // entirely outside the window
     if (!any_interval_) {
       any_interval_ = true;
-      lo_ns_ = s;
+      lo_ns_ = s;  // ordered starts: the first is the lowest
       hi_ns_ = e;
-    } else {
-      lo_ns_ = std::min(lo_ns_, s);
-      hi_ns_ = std::max(hi_ns_, e);
     }
+    hi_ns_ = std::max(hi_ns_, e);
     if (e > s) {
       sum_len_ns_ += e - s;
-      sweep_.add(s, e);
+      union_.add(s, e);
+      // Peak concurrency: retire every pending end <= this start first (an
+      // end equal to the start retires before it — the batch sweep's "-1
+      // before +1 at the same time" rule), then count this interval.
+      while (!ends_.empty() && ends_.top() <= s) ends_.pop();
+      ends_.push(e);
+      peak_ = std::max(peak_, ends_.size());
     }
   }
 }
 
-void OverlapConsumer::finish() { sweep_.finish(); }
+void OverlapConsumer::finish() { union_.finish(); }
 
 double OverlapConsumer::avg_concurrency() const {
-  if (busy_ns_ <= 0) return 0.0;
-  return static_cast<double>(sum_len_ns_) / static_cast<double>(busy_ns_);
+  const std::int64_t busy_ns = union_.busy_ns();
+  if (busy_ns <= 0) return 0.0;
+  return static_cast<double>(sum_len_ns_) / static_cast<double>(busy_ns);
 }
 
 SimDuration OverlapConsumer::idle_time() const {
@@ -143,29 +95,39 @@ SimDuration OverlapConsumer::idle_time() const {
 // ConcurrencyProfileConsumer
 // ---------------------------------------------------------------------------
 
-void ConcurrencyProfileConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  if (!sweep_bound_) {
-    sweep_bound_ = true;
-    sweep_.on_segment = [this](std::int64_t t0, std::int64_t t1,
-                               std::size_t level) {
-      if (at_level_.size() < level) at_level_.resize(level, 0.0);
-      const double span = static_cast<double>(t1 - t0) * 1e-9;
-      at_level_[level - 1] += span;
-      busy_total_ += span;
-    };
+void ConcurrencyProfileConsumer::advance(std::int64_t t) {
+  const std::size_t level = ends_.size();
+  if (level > 0 && t > prev_ns_) {
+    if (at_level_.size() < level) at_level_.resize(level, 0.0);
+    const double span = static_cast<double>(t - prev_ns_) * 1e-9;
+    at_level_[level - 1] += span;
+    busy_total_ += span;
   }
+  prev_ns_ = t;
+}
+
+void ConcurrencyProfileConsumer::consume(std::span<const trace::IoRecord> chunk) {
   for (const auto& r : chunk) {
     std::int64_t s = r.start_ns;
     std::int64_t e = r.end_ns;
     if (window_start_) s = std::max(s, *window_start_);
     if (window_end_) e = std::min(e, *window_end_);
     if (e <= s) continue;  // zero measure contributes no time at any level
-    sweep_.add(s, e);
+    // Ends at or before this start retire first, in time order.
+    while (!ends_.empty() && ends_.top() <= s) {
+      advance(ends_.top());
+      ends_.pop();
+    }
+    advance(s);
+    ends_.push(e);
   }
 }
 
 void ConcurrencyProfileConsumer::finish() {
-  sweep_.finish();
+  while (!ends_.empty()) {
+    advance(ends_.top());
+    ends_.pop();
+  }
   if (busy_total_ > 0) {
     for (double& v : at_level_) v /= busy_total_;
   }
@@ -187,7 +149,7 @@ TimelineConsumer::TimelineConsumer(SimDuration window,
 void TimelineConsumer::ensure_windows(std::size_t count) {
   if (timeline_.windows.size() < count) {
     timeline_.windows.resize(count);
-    merges_.resize(count);
+    unions_.resize(count);
   }
 }
 
@@ -234,22 +196,11 @@ void TimelineConsumer::consume(std::span<const trace::IoRecord> chunk) {
       win.blocks += static_cast<double>(r.blocks) * share;
       ++win.accesses_active;
       if (inside > 0) {
-        // Streaming union merge: per-window clipped starts arrive in
-        // nondecreasing order, so one open interval suffices (the same
-        // extend-or-emit rule as merge_intervals()).
-        WindowMerge& m = merges_[i];
-        if (!m.open) {
-          m.open = true;
-          m.cur_start_ns = s;
-          m.cur_end_ns = e;
-        } else if (s <= m.cur_end_ns) {
-          m.cur_end_ns = std::max(m.cur_end_ns, e);
-        } else {
-          m.busy_ns += m.cur_end_ns - m.cur_start_ns;
-          m.cur_start_ns = s;
-          m.cur_end_ns = e;
-        }
-        m.sum_len_ns += e - s;
+        // Per-window clipped starts arrive in nondecreasing order, so each
+        // window is one streaming union.
+        WindowUnion& u = unions_[i];
+        u.busy.add(s, e);
+        u.sum_len_ns += e - s;
       }
     }
   }
@@ -260,7 +211,7 @@ void TimelineConsumer::finish() {
   const std::int64_t hi = hi_override_ ? *hi_override_ : max_end_;
   if (hi <= lo_) {
     timeline_.windows.clear();
-    merges_.clear();
+    unions_.clear();
     return;
   }
   // The batch builder sizes the window array from the span up front and
@@ -271,25 +222,23 @@ void TimelineConsumer::finish() {
       static_cast<std::size_t>((hi - lo_ + window_ns_ - 1) / window_ns_);
   if (timeline_.windows.size() > n_windows) {
     timeline_.windows.resize(n_windows);
-    merges_.resize(n_windows);
+    unions_.resize(n_windows);
   }
   for (std::size_t i = 0; i < timeline_.windows.size(); ++i) {
     TimelineWindow& win = timeline_.windows[i];
     win.start_ns = lo_ + static_cast<std::int64_t>(i) * window_ns_;
     win.end_ns = std::min<std::int64_t>(win.start_ns + window_ns_, hi);
-    WindowMerge& m = merges_[i];
-    if (m.open) {
-      m.busy_ns += m.cur_end_ns - m.cur_start_ns;
-      m.open = false;
-    }
-    win.io_time_s = SimDuration(m.busy_ns).seconds();
+    WindowUnion& u = unions_[i];
+    u.busy.finish();
+    const std::int64_t busy_ns = u.busy.busy_ns();
+    win.io_time_s = SimDuration(busy_ns).seconds();
     const double len = static_cast<double>(win.end_ns - win.start_ns) * 1e-9;
     win.busy_fraction = len > 0 ? win.io_time_s / len : 0.0;
     win.bps = win.io_time_s > 0 ? win.blocks / win.io_time_s : 0.0;
     win.avg_concurrency =
-        m.busy_ns > 0
-            ? static_cast<double>(m.sum_len_ns) / static_cast<double>(m.busy_ns)
-            : 0.0;
+        busy_ns > 0 ? static_cast<double>(u.sum_len_ns) /
+                          static_cast<double>(busy_ns)
+                    : 0.0;
   }
 }
 

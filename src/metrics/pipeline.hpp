@@ -3,13 +3,14 @@
 // A MetricPipeline pulls ordered record chunks from a trace::RecordSource
 // and pushes them through attached MetricConsumers, computing a full
 // MetricSample in one pass and O(chunk + concurrency) memory. The overlap
-// consumer generalizes the OnlineBpsCounter transition logic (active count,
-// open-interval start, busy accumulation) with a pending-ends min-heap, so T
-// is the exact integer union measure the batch algorithms compute; B, ARPT
-// and peak concurrency accumulate in integers. Every accumulator is either
-// order-independent (integer sums) or consumes the canonical (start, end)
-// order, which is why the streaming path is bit-identical to the batch path
-// — the differential tests in tests/test_metric_pipeline.cpp assert it.
+// consumer merges the ordered stream into one open interval (Figure 3's
+// rule, metrics/interval_union.hpp), so T is the exact integer union
+// measure the batch algorithms compute; a pending-ends min-heap gives the
+// peak concurrency; B and ARPT accumulate in integers. Every accumulator is
+// either order-independent (integer sums) or consumes the canonical
+// (start, end) order, which is why the streaming path is bit-identical to the
+// batch path — the differential tests in tests/test_metric_pipeline.cpp
+// assert it.
 //
 //   sources (trace/record_source.hpp)        consumers (this header)
 //   ---------------------------------        -----------------------------
@@ -37,6 +38,7 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "metrics/calculators.hpp"
+#include "metrics/interval_union.hpp"
 #include "metrics/timeline.hpp"
 #include "stats/histogram.hpp"
 #include "trace/record_source.hpp"
@@ -96,43 +98,11 @@ class ArptConsumer final : public MetricConsumer {
   TotalNs total_ns_ = 0;
 };
 
-namespace detail {
-
-/// Streaming interval sweep — the OnlineBpsCounter transition logic with a
-/// pending-ends min-heap. Feed [s, e) intervals with nondecreasing s; emits
-/// every maximal constant-concurrency segment in chronological order (ends
-/// retire before a start at the same timestamp, matching the batch event
-/// sweep's "-1 before +1" tie rule). Zero-length intervals must be skipped
-/// by the caller, as the batch sweeps do.
-class IntervalSweep {
- public:
-  /// Called for each segment [t0, t1) spent at `level` >= 1 active
-  /// intervals, chronologically. Set before the first add().
-  std::function<void(std::int64_t t0, std::int64_t t1, std::size_t level)>
-      on_segment;
-
-  void add(std::int64_t start_ns, std::int64_t end_ns);
-  void finish();
-
-  std::size_t peak() const { return peak_; }
-
- private:
-  void step(std::int64_t t, int delta);
-
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>,
-                      std::greater<>> ends_;
-  std::size_t active_ = 0;
-  std::size_t peak_ = 0;
-  std::int64_t prev_ = 0;
-};
-
-}  // namespace detail
-
 /// T accumulator: exact integer union measure of the access intervals, plus
-/// the span statistics derived from the same sweep (peak and average
-/// concurrency, idle time). When a filter window is given, intervals are
-/// clamped to it exactly as TraceCollector::col_time() clamps — blocks are
-/// never clamped, only time is.
+/// the span statistics of the same stream (peak and average concurrency,
+/// idle time). When a filter window is given, intervals are clamped to it
+/// exactly as TraceCollector::col_time() clamps — blocks are never clamped,
+/// only time is.
 class OverlapConsumer final : public MetricConsumer {
  public:
   OverlapConsumer() = default;
@@ -146,8 +116,8 @@ class OverlapConsumer final : public MetricConsumer {
   void finish() override;
 
   /// T — only valid after finish().
-  SimDuration io_time() const { return SimDuration(busy_ns_); }
-  std::size_t peak_concurrency() const { return sweep_.peak(); }
+  SimDuration io_time() const { return SimDuration(union_.busy_ns()); }
+  std::size_t peak_concurrency() const { return peak_; }
   /// sum(interval lengths) / T; 0 when T is 0.
   double avg_concurrency() const;
   /// Span of the (clamped) intervals minus T; 0 for an empty stream.
@@ -156,10 +126,11 @@ class OverlapConsumer final : public MetricConsumer {
  private:
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
-  detail::IntervalSweep sweep_;
-  bool sweep_bound_ = false;
+  IntervalUnion union_;
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>>
+      ends_;  ///< ends of the intervals still open, earliest on top
+  std::size_t peak_ = 0;
   bool any_interval_ = false;
-  std::int64_t busy_ns_ = 0;
   std::int64_t sum_len_ns_ = 0;
   std::int64_t lo_ns_ = 0;
   std::int64_t hi_ns_ = 0;
@@ -185,9 +156,10 @@ class HistogramConsumer final : public MetricConsumer {
   stats::LogHistogram* hist_;
 };
 
-/// Time-at-concurrency-level profile (metrics::concurrency_profile), driven
-/// by the same chronological sweep as the batch event sort — the double
-/// accumulation happens in the identical order, hence identical results.
+/// Time-at-concurrency-level profile (metrics::concurrency_profile): a
+/// chronological sweep over the pending ends, visiting the constant-level
+/// segments in the order the batch event sort did (ends retire before a
+/// start at the same time), so the double accumulation is identical.
 class ConcurrencyProfileConsumer final : public MetricConsumer {
  public:
   ConcurrencyProfileConsumer() = default;
@@ -202,16 +174,20 @@ class ConcurrencyProfileConsumer final : public MetricConsumer {
   const std::vector<double>& profile() const { return at_level_; }
 
  private:
+  /// Books [prev_ns_, t) at the current level, then moves to t.
+  void advance(std::int64_t t);
+
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
-  detail::IntervalSweep sweep_;
-  bool sweep_bound_ = false;
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>>
+      ends_;  ///< ends of the intervals still open, earliest on top
+  std::int64_t prev_ns_ = 0;
   std::vector<double> at_level_;
   double busy_total_ = 0;
 };
 
 /// Windowed timeline builder (metrics::build_timeline) with O(windows)
-/// state: per-window streaming interval merge instead of per-window interval
+/// state: one streaming union per window instead of per-window interval
 /// lists. Window bounds default to the stream's span; explicit bounds come
 /// from the analysis filter.
 class TimelineConsumer final : public MetricConsumer {
@@ -227,11 +203,8 @@ class TimelineConsumer final : public MetricConsumer {
   Timeline take() { return std::move(timeline_); }
 
  private:
-  struct WindowMerge {
-    std::int64_t cur_start_ns = 0;
-    std::int64_t cur_end_ns = 0;
-    bool open = false;
-    std::int64_t busy_ns = 0;
+  struct WindowUnion {
+    IntervalUnion busy;
     std::int64_t sum_len_ns = 0;
   };
 
@@ -244,19 +217,21 @@ class TimelineConsumer final : public MetricConsumer {
   std::int64_t max_end_ = 0;
   bool any_ = false;
   Timeline timeline_;
-  std::vector<WindowMerge> merges_;
+  std::vector<WindowUnion> unions_;
 };
 
-/// Applies an arbitrary callback per record — the escape hatch for analyses
-/// that genuinely need every record (e.g. exact percentiles).
+/// Applies a callable per record — the escape hatch for analyses that
+/// genuinely need every record (e.g. exact percentiles).
+template <typename Fn>
 class ForEachConsumer final : public MetricConsumer {
  public:
-  explicit ForEachConsumer(std::function<void(const trace::IoRecord&)> fn)
-      : fn_(std::move(fn)) {}
-  void consume(std::span<const trace::IoRecord> chunk) override;
+  explicit ForEachConsumer(Fn fn) : fn_(std::move(fn)) {}
+  void consume(std::span<const trace::IoRecord> chunk) override {
+    for (const auto& r : chunk) fn_(r);
+  }
 
  private:
-  std::function<void(const trace::IoRecord&)> fn_;
+  Fn fn_;
 };
 
 /// Forwards only the records matching a RecordFilter to an inner consumer —

@@ -4,6 +4,7 @@
 // contract of the whole tools/ directory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -157,6 +158,60 @@ TEST(Cli, PositiveDoubleRejectsZeroAndJunk) {
   std::vector<std::string> pos;
   EXPECT_EQ(parser.parse(ok.argc(), ok.argv(), pos), ArgParser::Outcome::ok);
   EXPECT_DOUBLE_EQ(x, 0.25);
+}
+
+TEST(Cli, PositiveDoubleRejectsNonFinite) {
+  ArgParser parser("tool", "test");
+  double x = 2.0;
+  parser.add_positive_double("--x", &x, "F", "a factor");
+  for (const char* bad : {"inf", "nan", "infinity", "1e999"}) {
+    Args args({std::string("--x=") + bad});
+    std::vector<std::string> pos;
+    EXPECT_EQ(parser.parse(args.argc(), args.argv(), pos),
+              ArgParser::Outcome::error)
+        << "value '" << bad << "' should have been rejected";
+  }
+  EXPECT_DOUBLE_EQ(x, 2.0);
+}
+
+TEST(Cli, DurationTruncatesToIntegerNanoseconds) {
+  EXPECT_EQ(parse_duration_ns("100", kNsPerMs), 100'000'000);
+  EXPECT_EQ(parse_duration_ns("2.5", kNsPerSec), 2'500'000'000);
+  EXPECT_EQ(parse_duration_ns("0.0000019", kNsPerMs), 1);  // 1.9 ns
+  EXPECT_EQ(parse_duration_ns("1e-9", kNsPerSec), 1);
+  EXPECT_EQ(parse_duration_ns("9e9", kNsPerSec), 9'000'000'000'000'000'000);
+
+  ArgParser parser("tool", "test");
+  std::int64_t window_ns = 0;
+  parser.add_duration("--window", &window_ns, kNsPerMs, "MS", "window");
+  Args args({"--window", "0.25"});
+  std::vector<std::string> pos;
+  EXPECT_EQ(parser.parse(args.argc(), args.argv(), pos),
+            ArgParser::Outcome::ok);
+  EXPECT_EQ(window_ns, 250'000);
+}
+
+TEST(Cli, DurationRejectsValuesItCannotRepresent) {
+  // Non-finite, below 1 ns once converted (0.1 ns, zero, negative), past
+  // INT64_MAX ns (1e300 s, 9.3e9 s), and malformed.
+  for (const char* bad : {"inf", "-inf", "nan", "1e-10", "0", "-1", "1e300",
+                          "9.3e9", "", "5ms", "x"}) {
+    EXPECT_FALSE(parse_duration_ns(bad, kNsPerSec).has_value())
+        << "value '" << bad << "' should have been rejected";
+  }
+  EXPECT_FALSE(parse_duration_ns("0.0000001", kNsPerMs).has_value());
+
+  ArgParser parser("tool", "test");
+  std::int64_t window_ns = 7;
+  parser.add_duration("--window", &window_ns, kNsPerMs, "MS", "window");
+  for (const char* bad : {"inf", "nan", "0.0000001"}) {
+    Args args({std::string("--window=") + bad});
+    std::vector<std::string> pos;
+    EXPECT_EQ(parser.parse(args.argc(), args.argv(), pos),
+              ArgParser::Outcome::error)
+        << "value '" << bad << "' should have been rejected";
+  }
+  EXPECT_EQ(window_ns, 7);
 }
 
 TEST(Cli, CustomSetterCanReject) {

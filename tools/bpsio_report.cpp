@@ -38,17 +38,21 @@
 // Mapped pages count in RSS once touched, so MappedTraceSource releases
 // (MADV_DONTNEED) the pages behind each file's current chunk as the merge
 // advances; each file keeps about one chunk resident, not its whole size.
+//
+// The per-pid table is a vector of small rows (records, blocks, response
+// time, a streaming union for the pid's T) found through one hash map from
+// pid to row: one lookup per record. The map's size is the process count;
+// the rows are sorted by pid only when printed.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "cli.hpp"
@@ -57,6 +61,7 @@
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "metrics/interval_union.hpp"
 #include "metrics/pipeline.hpp"
 #include "metrics/timeline.hpp"
 #include "trace/mapped_source.hpp"
@@ -68,11 +73,11 @@ namespace {
 struct Options {
   std::vector<std::string> inputs;
   Bytes block_size = kDefaultBlockSize;
-  std::optional<double> exec_time_s;
+  std::int64_t exec_time_ns = 0;  ///< 0: the trace span
   bool align = false;
   std::uint32_t pid_stride = 0;
   bool per_pid = false;
-  std::optional<double> timeline_ms;
+  std::int64_t window_ns = 0;  ///< 0: no timeline
   bool csv = false;
 };
 
@@ -90,17 +95,8 @@ cli::ArgParser make_parser(Options& opt) {
                      opt.block_size = *parsed;
                      return true;
                    });
-  parser.add_value("--exec-time", "SECS",
-                   "period for IOPS/BW (default: the trace span)",
-                   [&opt](const std::string& v) {
-                     char* end = nullptr;
-                     const double secs = std::strtod(v.c_str(), &end);
-                     if (end == nullptr || *end != '\0' || secs <= 0) {
-                       return false;
-                     }
-                     opt.exec_time_s = secs;
-                     return true;
-                   });
+  parser.add_duration("--exec-time", &opt.exec_time_ns, cli::kNsPerSec, "SECS",
+                      "period for IOPS/BW (default: the trace span)");
   parser.add_value("--pid-stride", "N",
                    "remap pids per source file (default 0: keep real pids)",
                    [&opt](const std::string& v) {
@@ -112,18 +108,10 @@ cli::ArgParser make_parser(Options& opt) {
                      opt.pid_stride = static_cast<std::uint32_t>(stride);
                      return true;
                    });
-  const auto set_window = [&opt](const std::string& v) {
-    char* end = nullptr;
-    const double ms = std::strtod(v.c_str(), &end);
-    if (end == nullptr || *end != '\0' || ms <= 0) return false;
-    opt.timeline_ms = ms;
-    return true;
-  };
-  parser.add_value("--window", "MS",
-                   "windowed BPS timeline with MS-millisecond windows",
-                   set_window);
-  parser.add_value("--timeline", "MS", "alias of --window (older spelling)",
-                   set_window);
+  parser.add_duration("--window", &opt.window_ns, cli::kNsPerMs, "MS",
+                      "windowed BPS timeline with MS-millisecond windows");
+  parser.add_duration("--timeline", &opt.window_ns, cli::kNsPerMs, "MS",
+                      "alias of --window (older spelling)");
   parser.add_flag("--align", &opt.align,
                   "align each trace's start to t=0 (different clocks)");
   parser.add_flag("--per-pid", &opt.per_pid, "per-process table");
@@ -164,6 +152,18 @@ Result<std::vector<std::string>> expand_inputs(
   return paths;
 }
 
+/// The most timeline windows a run may need: 2^20, about 100 MiB of window
+/// state. A record whose last window lies past it stops the run.
+constexpr std::uint64_t kMaxTimelineWindows = std::uint64_t{1} << 20;
+
+/// `ns` as a decimal count of milliseconds, without trailing zeros.
+std::string ms_text(std::int64_t ns) {
+  std::string text = fmt_double(static_cast<double>(ns) / 1e6, 6);
+  text.erase(text.find_last_not_of('0') + 1);
+  if (text.back() == '.') text.pop_back();
+  return text;
+}
+
 /// Everything the single pass observes beyond measure_stream's sample: the
 /// stream span, per-pid aggregates, and the optional timeline. Implemented
 /// as a RecordSource shim so one pull over the merged stream feeds
@@ -171,27 +171,30 @@ Result<std::vector<std::string>> expand_inputs(
 class ObservingSource final : public trace::RecordSource {
  public:
   struct PidStats {
+    std::uint32_t pid = 0;
     std::uint64_t records = 0;
     std::uint64_t blocks = 0;
     std::int64_t response_ns = 0;
-    std::int64_t busy_ns = 0;  ///< per-pid overlapped I/O time
-    metrics::detail::IntervalSweep sweep;
-
-    PidStats() {
-      sweep.on_segment = [this](std::int64_t t0, std::int64_t t1,
-                                std::size_t) { busy_ns += t1 - t0; };
-    }
-    PidStats(const PidStats&) = delete;
-    PidStats& operator=(const PidStats&) = delete;
+    metrics::IntervalUnion busy;  ///< per-pid overlapped I/O time
   };
 
-  ObservingSource(trace::RecordSource& inner, bool want_per_pid,
-                  metrics::TimelineConsumer* timeline)
-      : inner_(&inner), want_per_pid_(want_per_pid), timeline_(timeline) {}
+  ObservingSource(trace::RecordSource& inner,
+                  metrics::TimelineConsumer* timeline, std::int64_t window_ns)
+      : inner_(&inner),
+        timeline_(timeline),
+        window_ns_(window_ns),
+        // A record fits while its last window index, reach / window, stays
+        // below the limit: while reach < limit * window. At most 2^63, so
+        // the timeline's int64 window arithmetic cannot overflow.
+        reach_limit_(timeline == nullptr
+                         ? ~std::uint64_t{0}
+                         : std::min(static_cast<std::uint64_t>(window_ns),
+                                    std::uint64_t{1} << 43) *
+                               kMaxTimelineWindows) {}
 
   std::span<const trace::IoRecord> next_chunk() override {
+    if (!status_.ok()) return {};
     const std::span<const trace::IoRecord> chunk = inner_->next_chunk();
-    if (timeline_ != nullptr && !chunk.empty()) timeline_->consume(chunk);
     for (const trace::IoRecord& r : chunk) {
       if (!any_) {
         lo_ns_ = r.start_ns;
@@ -199,47 +202,81 @@ class ObservingSource final : public trace::RecordSource {
         any_ = true;
       }
       hi_ns_ = std::max(hi_ns_, r.end_ns);
-      seen_pids_.insert(r.pid);
-      if (want_per_pid_) {
-        // The global stream is (start, end)-ordered, so each pid's
-        // subsequence is too — the per-pid sweeps see ordered input.
-        PidStats& stats = pids_[r.pid];
-        ++stats.records;
-        stats.blocks += r.blocks;
-        stats.response_ns += r.end_ns - r.start_ns;
-        if (r.end_ns > r.start_ns) stats.sweep.add(r.start_ns, r.end_ns);
-      }
+      // The timeline's last window for r is (end - 1 - lo) / window, or
+      // (start - lo) / window for a zero-length r; lo is the first start.
+      const std::int64_t last_ns =
+          r.end_ns > r.start_ns ? r.end_ns - 1 : r.start_ns;
+      const std::uint64_t reach = static_cast<std::uint64_t>(last_ns) -
+                                  static_cast<std::uint64_t>(lo_ns_);
+      if (reach >= reach_limit_) return fail_timeline(reach);
+      const auto [slot, added] = slots_.try_emplace(r.pid, pids_.size());
+      if (added) pids_.emplace_back().pid = r.pid;
+      PidStats& stats = pids_[slot->second];
+      ++stats.records;
+      stats.blocks += r.blocks;
+      stats.response_ns += r.end_ns - r.start_ns;
+      // The global stream is (start, end)-ordered, so each pid's
+      // subsequence is too — the per-pid unions see ordered input.
+      if (r.end_ns > r.start_ns) stats.busy.add(r.start_ns, r.end_ns);
     }
+    if (timeline_ != nullptr) timeline_->consume(chunk);
     return chunk;
   }
 
   std::optional<std::uint64_t> size_hint() const override {
     return inner_->size_hint();
   }
-  Status status() const override { return inner_->status(); }
+  Status status() const override {
+    return status_.ok() ? inner_->status() : status_;
+  }
 
-  bool any() const { return any_; }
-  std::int64_t lo_ns() const { return lo_ns_; }
-  std::int64_t hi_ns() const { return hi_ns_; }
-  std::size_t process_count() const { return seen_pids_.size(); }
+  std::size_t process_count() const { return pids_.size(); }
   SimDuration span() const {
     return SimDuration(any_ ? hi_ns_ - lo_ns_ : 0);
   }
-  /// Ordered by pid for stable output (finishes the sweeps).
-  std::map<std::uint32_t, PidStats>& pids() {
-    for (auto& [pid, stats] : pids_) stats.sweep.finish();
+  /// The rows ordered by pid, their unions closed; call once, after the
+  /// stream is exhausted.
+  const std::vector<PidStats>& pids() {
+    for (PidStats& stats : pids_) stats.busy.finish();
+    std::sort(pids_.begin(), pids_.end(),
+              [](const PidStats& a, const PidStats& b) {
+                return a.pid < b.pid;
+              });
     return pids_;
   }
 
  private:
+  /// Stops the stream at a record `reach` ns past the first start.
+  std::span<const trace::IoRecord> fail_timeline(std::uint64_t reach) {
+    // Windows of reach / limit ns or less do not fit. Spell the next one up
+    // so that --window's truncating conversion gives more than that.
+    const auto too_small_ns =
+        static_cast<std::int64_t>(reach / kMaxTimelineWindows);
+    std::int64_t spelled_ns = too_small_ns + 1;
+    while (cli::parse_duration_ns(ms_text(spelled_ns), cli::kNsPerMs) <=
+           too_small_ns) {
+      ++spelled_ns;
+    }
+    status_ = Status{
+        Errc::out_of_range,
+        "the timeline needs " +
+            std::to_string(reach / static_cast<std::uint64_t>(window_ns_) + 1) +
+            " windows of " + ms_text(window_ns_) + " ms, over the limit of " +
+            std::to_string(kMaxTimelineWindows) + "; use --window=" +
+            ms_text(spelled_ns) + " or larger"};
+    return {};
+  }
+
   trace::RecordSource* inner_;
-  bool want_per_pid_;
   metrics::TimelineConsumer* timeline_;
+  std::int64_t window_ns_;
+  std::uint64_t reach_limit_;  ///< reach at which the timeline is too large
+  Status status_;
   bool any_ = false;
   std::int64_t lo_ns_ = 0;
   std::int64_t hi_ns_ = 0;
-  std::unordered_set<std::uint32_t> seen_pids_;
-  std::map<std::uint32_t, PidStats> pids_;
+  std::unordered_map<std::uint32_t, std::size_t> slots_;  ///< pid -> row
+  std::vector<PidStats> pids_;
 };
 
 int run_report(const Options& opt) {
@@ -269,17 +306,11 @@ int run_report(const Options& opt) {
   trace::MergedSource merged(std::move(children), merge);
 
   std::optional<metrics::TimelineConsumer> timeline;
-  if (opt.timeline_ms) {
-    timeline.emplace(SimDuration(
-        static_cast<std::int64_t>(*opt.timeline_ms * 1'000'000.0)));
-  }
-  ObservingSource observed(merged, opt.per_pid,
-                           timeline ? &*timeline : nullptr);
+  if (opt.window_ns > 0) timeline.emplace(SimDuration(opt.window_ns));
+  ObservingSource observed(merged, timeline ? &*timeline : nullptr,
+                           opt.window_ns);
 
-  const SimDuration exec_time =
-      opt.exec_time_s ? SimDuration(static_cast<std::int64_t>(
-                            *opt.exec_time_s * 1'000'000'000.0))
-                      : SimDuration(0);
+  const SimDuration exec_time(opt.exec_time_ns);
   // Records already store blocks in the capture unit; leave measure_stream
   // at the default block size so it does not rescale. Byte figures are
   // derived below from the actual capture block size.
@@ -296,7 +327,8 @@ int run_report(const Options& opt) {
   // Derived figures the sample cannot know: the period (span unless
   // overridden) and byte values in the capture block unit.
   const double span_s = observed.span().seconds();
-  const double period_s = opt.exec_time_s.value_or(span_s);
+  const double period_s =
+      opt.exec_time_ns > 0 ? exec_time.seconds() : span_s;
   const Bytes app_bytes = blocks_to_bytes(sample.app_blocks, opt.block_size);
   sample.exec_time_s = period_s;
   sample.app_bytes = app_bytes;
@@ -325,7 +357,8 @@ int run_report(const Options& opt) {
                 static_cast<unsigned long long>(sample.access_count),
                 observed.process_count());
     std::printf("  span   %s s%s\n", fmt_double(span_s, 6).c_str(),
-                opt.exec_time_s ? "  (period overridden by --exec-time)" : "");
+                opt.exec_time_ns > 0 ? "  (period overridden by --exec-time)"
+                                     : "");
     std::printf("  B      %llu blocks (%s @ %llu B/block)\n",
                 static_cast<unsigned long long>(sample.app_blocks),
                 human_bytes(app_bytes).c_str(),
@@ -342,10 +375,10 @@ int run_report(const Options& opt) {
 
   if (opt.per_pid) {
     TextTable table({"pid", "records", "blocks", "T_s", "bps", "arpt_s"});
-    for (auto& [pid, stats] : observed.pids()) {
-      const double t_s = static_cast<double>(stats.busy_ns) / 1e9;
+    for (const auto& stats : observed.pids()) {
+      const double t_s = static_cast<double>(stats.busy.busy_ns()) / 1e9;
       table.add_row(
-          {std::to_string(pid), std::to_string(stats.records),
+          {std::to_string(stats.pid), std::to_string(stats.records),
            std::to_string(stats.blocks), fmt_double(t_s, 6),
            fmt_double(t_s > 0 ? static_cast<double>(stats.blocks) / t_s : 0.0,
                       3),

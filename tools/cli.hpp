@@ -12,13 +12,34 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace bpsio::cli {
+
+/// Nanoseconds per unit, for duration options.
+inline constexpr double kNsPerMs = 1e6;
+inline constexpr double kNsPerSec = 1e9;
+
+/// A finite decimal count of units of `ns_per_unit` ns each, converted to
+/// integer ns by truncation; nullopt for junk, a non-finite value, or a
+/// result below 1 ns or above INT64_MAX.
+inline std::optional<std::int64_t> parse_duration_ns(const std::string& text,
+                                                     double ns_per_unit) {
+  char* end = nullptr;
+  const double units = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0') return std::nullopt;
+  const double ns = units * ns_per_unit;
+  // 2^63 is the first double past INT64_MAX; NaN and infinities fail too.
+  if (!(ns >= 1.0 && ns < 9223372036854775808.0)) return std::nullopt;
+  return static_cast<std::int64_t>(ns);
+}
 
 /// Declarative option table + parser. Register flags, then parse(); the
 /// parser handles --help, both value spellings, `--` end-of-options, and
@@ -88,8 +109,22 @@ class ArgParser {
                 char* end = nullptr;
                 const double parsed = std::strtod(v.c_str(), &end);
                 if (end == nullptr || *end != '\0' || v.empty()) return false;
-                if (!(parsed > 0)) return false;
+                if (!(parsed > 0) || !std::isfinite(parsed)) return false;
                 *target = parsed;
+                return true;
+              });
+  }
+
+  /// Duration given in units of `ns_per_unit` ns (kNsPerMs, kNsPerSec),
+  /// stored as integer ns; see parse_duration_ns() for what it rejects.
+  void add_duration(const std::string& name, std::int64_t* target_ns,
+                    double ns_per_unit, std::string value_name,
+                    std::string help) {
+    add_value(name, std::move(value_name), std::move(help),
+              [target_ns, ns_per_unit](const std::string& v) {
+                const auto ns = parse_duration_ns(v, ns_per_unit);
+                if (!ns) return false;
+                *target_ns = *ns;
                 return true;
               });
   }

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -73,8 +74,8 @@ inline int run_daemon(int argc, char** argv, Preset preset) {
   const char* name = is_agent ? "bpsio_agentd" : "bpsio_collectord";
   ingest::ServerOptions opt;
   opt.stop = &g_stop;
-  double window_ms = 10'000.0;
-  double csv_interval_s = 1.0;
+  std::int64_t window_ns = 10'000'000'000;
+  std::int64_t csv_interval_ns = 1'000'000'000;
   long long tcp_port = -1;
   long long http_port = 0;
   long long io_threads = 2;
@@ -111,8 +112,8 @@ inline int run_daemon(int argc, char** argv, Preset preset) {
                                "interval"
                              : "rewrite a per-tenant CSV snapshot here every "
                                "interval");
-  parser.add_positive_double("--csv-interval", &csv_interval_s, "SECS",
-                             "snapshot cadence (default 1)");
+  parser.add_duration("--csv-interval", &csv_interval_ns, cli::kNsPerSec,
+                      "SECS", "snapshot cadence (default 1)");
   parser.add_string("--drain", &opt.drain_path, "PATH",
                     "on shutdown, write every received record as one "
                     "merged .bpstrace");
@@ -137,9 +138,9 @@ inline int run_daemon(int argc, char** argv, Preset preset) {
     parser.add_int("--forward-batch", &forward_batch, 1, 1'048'576, "N",
                    "records per upstream frame (default 4096)");
   }
-  parser.add_positive_double("--window", &window_ms, "MS",
-                             "sliding-window length for live metrics "
-                             "(default 10000)");
+  parser.add_duration("--window", &window_ns, cli::kNsPerMs, "MS",
+                      "sliding-window length for live metrics "
+                      "(default 10000)");
   parser.add_value("--block-size", "BYTES",
                    "block unit for byte figures (default 512; accepts 4K "
                    "suffixes)",
@@ -190,11 +191,10 @@ inline int run_daemon(int argc, char** argv, Preset preset) {
     }
     block_size = *parsed;
   }
-  const SimDuration window(static_cast<std::int64_t>(window_ms * 1'000'000.0));
+  const SimDuration window(window_ns);
   opt.tcp_port = static_cast<int>(tcp_port);
   opt.http_port = static_cast<int>(http_port);
-  opt.csv_interval =
-      SimDuration(static_cast<std::int64_t>(csv_interval_s * 1'000'000'000.0));
+  opt.csv_interval = SimDuration(csv_interval_ns);
   opt.expect_clients = static_cast<std::uint64_t>(expect);
   if ((!opt.drain_path.empty() || !opt.drain_tenant_dir.empty()) &&
       opt.spool_dir.empty()) {
