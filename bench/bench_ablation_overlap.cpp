@@ -1,7 +1,8 @@
-// Ablation: BPS computed with the paper's Figure-3 algorithm vs the clean
-// sort-and-merge (DESIGN.md decision 1). Both must agree on real traces;
-// this bench runs real workloads and compares, and also demonstrates
-// windowed BPS (RecordFilter time windows) on a concurrent trace.
+// Ablation: BPS computed with the paper's Figure-3 algorithm vs the
+// library's T (DESIGN.md decision 1). The paper column transcribes Figure 3
+// (overlap_time_paper over col_time); the merged column is what every tool
+// reports, OverlapConsumer's sort-and-merge union. Both must agree on real
+// traces; this bench runs real workloads and compares.
 #include "figure_bench.hpp"
 #include "core/presets.hpp"
 #include "metrics/overlap.hpp"
@@ -35,14 +36,13 @@ int main(int argc, char** argv) {
     auto workload = spec.workload();
     const auto run = workload->run(testbed.env());
 
-    const auto t_paper = metrics::overlapped_io_time(
-        run.collector, metrics::OverlapAlgorithm::paper);
-    const auto t_merged = metrics::overlapped_io_time(
-        run.collector, metrics::OverlapAlgorithm::merged);
-    const double bps_paper = metrics::bps(run.collector, kDefaultBlockSize,
-                                          metrics::OverlapAlgorithm::paper);
-    const double bps_merged = metrics::bps(run.collector, kDefaultBlockSize,
-                                           metrics::OverlapAlgorithm::merged);
+    const auto t_paper = metrics::overlap_time_paper(run.collector.col_time());
+    const auto t_merged = metrics::overlapped_io_time(run.collector);
+    const double bps_paper =
+        t_paper.ns() > 0 ? static_cast<double>(run.collector.total_blocks()) /
+                               t_paper.seconds()
+                         : 0.0;
+    const double bps_merged = metrics::bps(run.collector);
     t.add_row({spec.label, fmt_double(t_paper.seconds(), 6),
                fmt_double(t_merged.seconds(), 6), fmt_double(bps_paper, 1),
                fmt_double(bps_merged, 1),

@@ -1,11 +1,10 @@
 // Microbenchmark of the Step-3 overlapped-time algorithms (Figure 3).
 //
-// Compares the paper's verbatim algorithm against the clean sort-and-merge,
-// the O(n^2) brute-force reference, and the sharded parallel engine across
-// record counts (serial vs parallel at 10^4..10^7 intervals, 1/2/4/8
-// threads), and validates the paper's overhead claim: "The complexity of
-// the algorithm is O(nlog2n)" and "even for 65535 I/O operations, all the
-// records need about 3 megabytes".
+// Compares the paper's verbatim algorithm against the clean sort-and-merge
+// and the sharded parallel engine across record counts (serial vs parallel
+// at 10^4..10^7 intervals, 1/2/4/8 threads), and validates the paper's
+// overhead claim: "The complexity of the algorithm is O(nlog2n)" and "even
+// for 65535 I/O operations, all the records need about 3 megabytes".
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -52,15 +51,6 @@ void BM_OverlapMerged(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
-void BM_OverlapBruteForce(benchmark::State& state) {
-  const auto intervals =
-      random_intervals(static_cast<std::size_t>(state.range(0)), 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(metrics::overlap_time_bruteforce(intervals));
-  }
-  state.SetComplexityN(state.range(0));
-}
-
 void BM_OverlapParallel(benchmark::State& state) {
   const auto intervals =
       random_intervals(static_cast<std::size_t>(state.range(0)), 42);
@@ -91,7 +81,6 @@ BENCHMARK(BM_OverlapMerged)->Range(1 << 10, 1 << 20)->Complexity();
 // The serial baselines the parallel engine is judged against (same sizes).
 BENCHMARK(BM_OverlapMerged)
     ->Arg(10'000)->Arg(100'000)->Arg(1'000'000)->Arg(10'000'000);
-BENCHMARK(BM_OverlapBruteForce)->Range(1 << 7, 1 << 11)->Complexity();
 // Sharded engine: {interval count} x {thread count}. threads=1 routes
 // through the serial path (sanity anchor); the ≥2x target is the 10^7 row
 // at 4 and 8 threads vs BM_OverlapMerged/10000000.

@@ -78,15 +78,14 @@ double store_accepted_share(std::span<const trace::IoRecord> records,
 
 int main(int argc, char** argv) {
   bench::CommonBenchArgs args;
-  double window_ms = 10.0;
+  std::int64_t window_ns = 10'000'000;
   cli::ArgParser parser("bench_window_ingest",
                         "SlidingWindowMetrics ingest throughput over a "
                         "shuffled per-record and an ordered frame-batched "
                         "record stream, with a statistical harness.");
   bench::register_common_flags(parser, &args, /*with_threads=*/false);
-  parser.add_positive_double("--window", &window_ms, "MS",
-                             "sliding window length in milliseconds "
-                             "(default 10)");
+  parser.add_duration("--window", &window_ns, cli::kNsPerMs, "MS",
+                      "sliding window length in milliseconds (default 10)");
   std::vector<std::string> positionals;
   switch (parser.parse(argc, argv, positionals)) {
     case cli::ArgParser::Outcome::help: return 0;
@@ -99,7 +98,8 @@ int main(int argc, char** argv) {
   const std::vector<trace::IoRecord> ordered = ordered_stream(n, rng);
   std::vector<trace::IoRecord> shuffled = ordered;
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
-  const SimDuration window = SimDuration::from_ms(window_ms);
+  const SimDuration window(window_ns);
+  const double window_ms = static_cast<double>(window_ns) / 1e6;
   const double shuffled_share = store_accepted_share(shuffled, 1, window);
   const double ordered_share = store_accepted_share(ordered, kFrame, window);
   std::printf("=== window ingest: %llu records, window=%.1f ms, seed=%llu ===\n",

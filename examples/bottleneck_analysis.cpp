@@ -7,18 +7,23 @@
 //   build/examples/bottleneck_analysis [--total=256M]
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/presets.hpp"
 #include "core/resources.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "workload/registry.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const Bytes total = cfg.get_bytes("total", 256 * kMiB);
+  Bytes total = 256 * kMiB;
+  cli::ArgParser parser("bottleneck_analysis",
+                        "The Figure-9 concurrency sweep with the busiest "
+                        "resource named at each point.");
+  examples::add_bytes(parser, "--total", &total,
+                      "bytes read over all processes (default 256M)");
+  examples::parse_args(parser, argc, argv);
 
   std::printf("IOzone throughput mode on 8-server PVFS (one file per "
               "server), %s total\n\n",

@@ -6,22 +6,35 @@
 //                                  [--file=128M] [--transfer=64k]
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
+#include "example_cli.hpp"
 #include "metrics/cc_study.hpp"
 #include "workload/registry.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const auto servers = static_cast<std::uint32_t>(cfg.get_int("servers", 8));
-  const auto max_procs =
-      static_cast<std::uint32_t>(cfg.get_int("max-procs", 16));
-  const Bytes file = cfg.get_bytes("file", 128 * kMiB);
-  const Bytes transfer = cfg.get_bytes("transfer", 64 * kKiB);
+  long long servers_arg = 8;
+  long long max_procs_arg = 16;
+  Bytes file = 128 * kMiB;
+  Bytes transfer = 64 * kKiB;
+  cli::ArgParser parser("cluster_scaling",
+                        "The four metrics of an IOR-like shared-file read "
+                        "as it scales from 1 to N processes.");
+  parser.add_int("--servers", &servers_arg, 1, examples::kMaxCount, "N",
+                 "HDD-backed I/O servers (default 8)");
+  parser.add_int("--max-procs", &max_procs_arg, 1, examples::kMaxCount, "N",
+                 "largest process count; the sweep doubles from 1 "
+                 "(default 16)");
+  examples::add_bytes(parser, "--file", &file,
+                      "shared file size (default 128M)");
+  examples::add_bytes(parser, "--transfer", &transfer,
+                      "bytes per transfer (default 64k)");
+  examples::parse_args(parser, argc, argv);
+  const auto servers = static_cast<std::uint32_t>(servers_arg);
+  const auto max_procs = static_cast<std::uint32_t>(max_procs_arg);
 
   std::printf("IOR-like shared-file read: %s over %u HDD servers, %s "
               "transfers, 1..%u processes\n\n",

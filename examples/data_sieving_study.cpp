@@ -6,20 +6,34 @@
 //                                     [--servers=4] [--size=256]
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/experiment.hpp"
 #include "core/presets.hpp"
+#include "example_cli.hpp"
 #include "workload/registry.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const auto regions = static_cast<std::uint64_t>(cfg.get_int("regions", 16384));
-  const auto procs = static_cast<std::uint32_t>(cfg.get_int("procs", 4));
-  const auto servers = static_cast<std::uint32_t>(cfg.get_int("servers", 4));
-  const Bytes region_size = cfg.get_bytes("size", 256);
+  long long regions_arg = 16384;
+  long long procs_arg = 4;
+  long long servers_arg = 4;
+  Bytes region_size = 256;
+  cli::ArgParser parser("data_sieving_study",
+                        "Hpio-style noncontiguous reads with data sieving "
+                        "on and off over a sweep of region spacings.");
+  parser.add_int("--regions", &regions_arg, 1, INT32_MAX, "N",
+                 "regions read in total (default 16384)");
+  parser.add_int("--procs", &procs_arg, 1, examples::kMaxCount, "N",
+                 "reader processes (default 4)");
+  parser.add_int("--servers", &servers_arg, 1, examples::kMaxCount, "N",
+                 "HDD-backed I/O servers (default 4)");
+  examples::add_bytes(parser, "--size", &region_size,
+                      "bytes per region (default 256)");
+  examples::parse_args(parser, argc, argv);
+  const auto regions = static_cast<std::uint64_t>(regions_arg);
+  const auto procs = static_cast<std::uint32_t>(procs_arg);
+  const auto servers = static_cast<std::uint32_t>(servers_arg);
 
   std::printf("Hpio-style noncontiguous read: %llu regions x %s, %u procs, "
               "%u HDD servers\n\n",

@@ -8,11 +8,11 @@
 //   build/examples/interference [--servers=4] [--file=64M]
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/bps_meter.hpp"
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "metrics/timeline.hpp"
 #include "workload/iozone.hpp"
 #include "workload/process.hpp"
@@ -89,9 +89,17 @@ RunStats run_case(bool with_antagonist, std::uint32_t servers, Bytes file,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const auto servers = static_cast<std::uint32_t>(cfg.get_int("servers", 4));
-  const Bytes file = cfg.get_bytes("file", 64 * kMiB);
+  long long servers_arg = 4;
+  Bytes file = 64 * kMiB;
+  cli::ArgParser parser("interference",
+                        "A streaming reader alone and beside a random-read "
+                        "antagonist, told apart by per-pid BPS.");
+  parser.add_int("--servers", &servers_arg, 1, examples::kMaxCount, "N",
+                 "HDD-backed I/O servers (default 4)");
+  examples::add_bytes(parser, "--file", &file,
+                      "each application's file size (default 64M)");
+  examples::parse_args(parser, argc, argv);
+  const auto servers = static_cast<std::uint32_t>(servers_arg);
 
   const auto alone = run_case(false, servers, file, 42);
   const auto contended = run_case(true, servers, file, 42);

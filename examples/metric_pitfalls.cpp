@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/bps_meter.hpp"
+#include "example_cli.hpp"
 #include "metrics/overlap.hpp"
 #include "trace/trace_collector.hpp"
 
@@ -28,7 +29,13 @@ void timeline(const char* label, std::int64_t start_ms, std::int64_t end_ms) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::ArgParser parser("metric_pitfalls",
+                        "Walkthrough of the paper's Figures 1 and 2: where "
+                        "IOPS, bandwidth and ARPT mislead, and how BPS "
+                        "measures T.");
+  examples::parse_args(parser, argc, argv);
+
   std::printf(
       "BPS = B / T\n"
       "  B: blocks the APPLICATION required (512-byte units), all processes,\n"

@@ -6,21 +6,26 @@
 // timeline shows the per-phase delivery rate and the concurrency profile
 // shows how much of the busy time ran at each overlap level.
 //
-//   build/examples/phase_analysis [--window=250ms-as-seconds e.g 0.25]
+//   build/examples/phase_analysis [--window=0.25]   (seconds)
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "core/bps_meter.hpp"
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "metrics/timeline.hpp"
 #include "workload/registry.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const double window_s = cfg.get_double("window", 0.25);
+  std::int64_t window_ns = 250'000'000;
+  cli::ArgParser parser("phase_analysis",
+                        "Windowed BPS and the concurrency profile of a "
+                        "bursty application.");
+  parser.add_duration("--window", &window_ns, cli::kNsPerSec, "SECS",
+                      "timeline window in seconds (default 0.25)");
+  examples::parse_args(parser, argc, argv);
 
   core::Testbed testbed(core::pvfs_testbed(4, pfs::DeviceKind::hdd, 1, 42));
 
@@ -50,10 +55,9 @@ int main(int argc, char** argv) {
   const auto whole = meter.measure();
   std::printf("whole-run view: %s\n\n", whole.to_string().c_str());
 
-  const auto tl = metrics::build_timeline(
-      all, SimDuration::from_seconds(window_s));
-  std::printf("timeline (%.0f ms windows):\n%s\n", window_s * 1e3,
-              tl.to_string().c_str());
+  const auto tl = metrics::build_timeline(all, SimDuration(window_ns));
+  std::printf("timeline (%.0f ms windows):\n%s\n",
+              static_cast<double>(window_ns) / 1e6, tl.to_string().c_str());
   std::printf("peak windowed BPS: %.0f (%.1fx the whole-run average)\n",
               tl.peak_bps(), whole.bps > 0 ? tl.peak_bps() / whole.bps : 0.0);
   std::printf("idle windows: %.0f%%\n\n", tl.idle_window_fraction() * 100.0);

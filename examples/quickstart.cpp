@@ -8,33 +8,50 @@
 // workload, feed the gathered trace to BpsMeter, print the reading.
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/bps_meter.hpp"
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "workload/registry.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
+  long long servers = 4;
+  long long procs = 4;
+  long long seed = 42;
+  Bytes file = 256 * kMiB;
+  Bytes record = 64 * kKiB;
+  cli::ArgParser parser("quickstart",
+                        "BPS and the conventional metrics of IOzone-style "
+                        "readers on a simulated PVFS cluster.");
+  parser.add_int("--servers", &servers, 1, examples::kMaxCount, "N",
+                 "HDD-backed I/O servers (default 4)");
+  parser.add_int("--procs", &procs, 1, examples::kMaxCount, "N",
+                 "reader processes, one client node each (default 4)");
+  examples::add_bytes(parser, "--file", &file,
+                      "bytes read, split over the processes (default 256M)");
+  examples::add_bytes(parser, "--record", &record,
+                      "bytes per read call (default 64k)");
+  parser.add_int("--seed", &seed, 0, INT64_MAX, "S",
+                 "testbed seed (default 42)");
+  examples::parse_args(parser, argc, argv);
 
   // 1. A testbed: PVFS2-like cluster with N HDD-backed I/O servers.
   auto testbed_cfg = core::pvfs_testbed(
-      static_cast<std::uint32_t>(cfg.get_int("servers", 4)),
-      pfs::DeviceKind::hdd,
-      /*clients=*/static_cast<std::uint32_t>(cfg.get_int("procs", 4)),
-      cfg.get_int("seed", 42));
+      static_cast<std::uint32_t>(servers), pfs::DeviceKind::hdd,
+      /*clients=*/static_cast<std::uint32_t>(procs),
+      static_cast<std::uint64_t>(seed));
   core::Testbed testbed(testbed_cfg);
   testbed.drop_caches();  // paper discipline: cold caches
 
   // 2. A workload: IOzone-style concurrent sequential readers.
   workload::IozoneConfig wl;
   wl.mode = workload::IozoneConfig::Mode::read;
-  wl.file_size = cfg.get_bytes("file", 256 * kMiB);
-  wl.record_size = cfg.get_bytes("record", 64 * kKiB);
-  wl.processes = static_cast<std::uint32_t>(cfg.get_int("procs", 4));
+  wl.file_size = file;
+  wl.record_size = record;
+  wl.processes = static_cast<std::uint32_t>(procs);
   const workload::WorkloadPtr wkl = workload::make_workload(wl);
   const workload::RunResult run = wkl->run(testbed.env());
 

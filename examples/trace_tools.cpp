@@ -7,16 +7,17 @@
 //   build/examples/trace_tools record <out.bpstrace> [--procs=4]
 //   build/examples/trace_tools analyze <in.bpstrace>
 //   build/examples/trace_tools csv <in.bpstrace> <out.csv>
+//   build/examples/trace_tools --help      (every command and its options)
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/bps_meter.hpp"
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "metrics/overlap.hpp"
 #include "metrics/timeline.hpp"
 #include "trace/merge.hpp"
@@ -28,13 +29,30 @@ using namespace bpsio;
 
 namespace {
 
-int record_trace(const std::string& path, const Config& cfg) {
-  const auto procs = static_cast<std::uint32_t>(cfg.get_int("procs", 4));
+const char* const kSummary =
+    "Offline .bpstrace analysis.\n"
+    "commands:\n"
+    "  record <out.bpstrace> [--procs=N] [--file=SIZE] [--record=SIZE]\n"
+    "  analyze <in.bpstrace>\n"
+    "  timeline <in.bpstrace> [--window=SECS]\n"
+    "  csv <in.bpstrace> <out.csv>\n"
+    "  merge <in1> <in2> [...] <out> [--align]";
+
+struct Args {
+  long long procs = 4;
+  Bytes file = 64 * kMiB;
+  Bytes record = 64 * kKiB;
+  std::int64_t window_ns = 250'000'000;
+  bool align = false;
+};
+
+int record_trace(const std::string& path, const Args& args) {
+  const auto procs = static_cast<std::uint32_t>(args.procs);
   core::Testbed testbed(
       core::pvfs_testbed(4, pfs::DeviceKind::hdd, procs, 42));
   workload::IozoneConfig wl;
-  wl.file_size = cfg.get_bytes("file", 64 * kMiB);
-  wl.record_size = cfg.get_bytes("record", 64 * kKiB);
+  wl.file_size = args.file;
+  wl.record_size = args.record;
   wl.processes = procs;
   const workload::WorkloadPtr wkl = workload::make_workload(wl);
   const auto run = wkl->run(testbed.env());
@@ -101,7 +119,7 @@ int analyze_trace(const std::string& path) {
   return 0;
 }
 
-int show_timeline(const std::string& path, const Config& cfg) {
+int show_timeline(const std::string& path, const Args& args) {
   auto records = trace::load_binary(path);
   if (!records.ok()) {
     std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
@@ -110,32 +128,30 @@ int show_timeline(const std::string& path, const Config& cfg) {
   }
   trace::TraceCollector collector;
   collector.gather(*records);
-  const double window_s = cfg.get_double("window", 0.25);
-  const auto tl = metrics::build_timeline(
-      collector, SimDuration::from_seconds(window_s));
-  std::printf("%zu windows of %.0f ms:\n%s", tl.windows.size(), window_s * 1e3,
+  const auto tl =
+      metrics::build_timeline(collector, SimDuration(args.window_ns));
+  std::printf("%zu windows of %.0f ms:\n%s", tl.windows.size(),
+              static_cast<double>(args.window_ns) / 1e6,
               tl.to_string().c_str());
   std::printf("peak windowed BPS %.0f, idle windows %.0f%%\n", tl.peak_bps(),
               tl.idle_window_fraction() * 100.0);
   return 0;
 }
 
-int merge_traces_cmd(int count, char** paths, const std::string& out,
-                     const Config& cfg) {
+int merge_traces_cmd(const std::vector<std::string>& paths,
+                     const std::string& out, const Args& args) {
   std::vector<std::vector<trace::IoRecord>> traces;
-  for (int i = 0; i < count; ++i) {
-    auto records = trace::load_binary(paths[i]);
+  for (const std::string& path : paths) {
+    auto records = trace::load_binary(path);
     if (!records.ok()) {
-      std::fprintf(stderr, "cannot read %s: %s\n", paths[i],
+      std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
                    records.error().to_string().c_str());
       return 1;
     }
     traces.push_back(std::move(*records));
   }
   trace::MergeOptions opts;
-  if (cfg.get_bool("align", false)) {
-    opts.alignment = trace::TimeAlignment::align_starts;
-  }
+  if (args.align) opts.alignment = trace::TimeAlignment::align_starts;
   const auto merged = trace::merge_traces(traces, opts);
   const auto written = trace::save_binary(out, merged);
   if (!written.ok()) {
@@ -143,8 +159,8 @@ int merge_traces_cmd(int count, char** paths, const std::string& out,
                  written.error().to_string().c_str());
     return 1;
   }
-  std::printf("merged %d traces (%zu records) into %s\n", count, merged.size(),
-              out.c_str());
+  std::printf("merged %zu traces (%zu records) into %s\n", paths.size(),
+              merged.size(), out.c_str());
   return 0;
 }
 
@@ -168,29 +184,54 @@ int export_csv(const std::string& in, const std::string& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage:\n"
-                 "  %s record <out.bpstrace> [--procs=N] [--file=SZ]\n"
-                 "  %s analyze <in.bpstrace>\n"
-                 "  %s timeline <in.bpstrace> [--window=seconds]\n"
-                 "  %s csv <in.bpstrace> <out.csv>\n"
-                 "  %s merge <in1> <in2> [...] <out> [--align]\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0]);
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  Args args;
+  std::size_t min_operands = 1;
+  std::size_t max_operands = 1;
+  cli::ArgParser parser("trace_tools " + cmd,
+                        "Offline .bpstrace analysis; see trace_tools --help.");
+  if (cmd == "record") {
+    parser.positionals("<out.bpstrace>");
+    parser.add_int("--procs", &args.procs, 1, examples::kMaxCount, "N",
+                   "reader processes (default 4)");
+    examples::add_bytes(parser, "--file", &args.file,
+                        "bytes read over all processes (default 64M)");
+    examples::add_bytes(parser, "--record", &args.record,
+                        "bytes per read call (default 64k)");
+  } else if (cmd == "analyze") {
+    parser.positionals("<in.bpstrace>");
+  } else if (cmd == "timeline") {
+    parser.positionals("<in.bpstrace>");
+    parser.add_duration("--window", &args.window_ns, cli::kNsPerSec, "SECS",
+                        "window length in seconds (default 0.25)");
+  } else if (cmd == "csv") {
+    parser.positionals("<in.bpstrace> <out.csv>");
+    min_operands = max_operands = 2;
+  } else if (cmd == "merge") {
+    parser.positionals("<in1> <in2> [...] <out>");
+    parser.add_flag("--align", &args.align,
+                    "shift each trace so its earliest start is t=0");
+    min_operands = 3;
+    max_operands = std::numeric_limits<std::size_t>::max();
+  } else {
+    // Not a command: --help lists them, anything else is bad usage.
+    cli::ArgParser top("trace_tools", kSummary);
+    top.positionals("<command> <operands>...");
+    const auto operands = examples::parse_args(top, argc, argv, 0, 1);
+    const std::string why = operands.empty()
+                                ? "no command"
+                                : "unknown command '" + operands[0] + "'";
+    std::fprintf(stderr, "trace_tools: %s\n%s", why.c_str(),
+                 top.usage().c_str());
     return 2;
   }
-  const std::string cmd = argv[1];
-  const Config cfg = Config::from_args(argc - 2, argv + 2);
-  if (cmd == "record") return record_trace(argv[2], cfg);
-  if (cmd == "analyze") return analyze_trace(argv[2]);
-  if (cmd == "timeline") return show_timeline(argv[2], cfg);
-  if (cmd == "csv" && argc >= 4) return export_csv(argv[2], argv[3]);
-  if (cmd == "merge" && argc >= 5) {
-    // trace_tools merge <in1> <in2> [...] <out> [--align]
-    int last = argc - 1;
-    while (last > 2 && argv[last][0] == '-') --last;
-    return merge_traces_cmd(last - 2, argv + 2, argv[last], cfg);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return 2;
+  auto operands = examples::parse_args(parser, argc - 1, argv + 1,
+                                       min_operands, max_operands);
+  if (cmd == "record") return record_trace(operands[0], args);
+  if (cmd == "analyze") return analyze_trace(operands[0]);
+  if (cmd == "timeline") return show_timeline(operands[0], args);
+  if (cmd == "csv") return export_csv(operands[0], operands[1]);
+  const std::string out = operands.back();
+  operands.pop_back();
+  return merge_traces_cmd(operands, out, args);
 }

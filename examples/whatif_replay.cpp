@@ -7,11 +7,11 @@
 //   build/examples/whatif_replay [--file=64M] [--record=64k] [--procs=2]
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/format.hpp"
 #include "core/bps_meter.hpp"
 #include "core/presets.hpp"
 #include "core/testbed.hpp"
+#include "example_cli.hpp"
 #include "metrics/calculators.hpp"
 #include "workload/registry.hpp"
 
@@ -27,13 +27,25 @@ struct Candidate {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Config cfg = Config::from_args(argc - 1, argv + 1);
-  const auto procs = static_cast<std::uint32_t>(cfg.get_int("procs", 2));
+  long long procs_arg = 2;
+  Bytes file = 64 * kMiB;
+  Bytes record = 64 * kKiB;
+  cli::ArgParser parser("whatif_replay",
+                        "Record an application on one HDD, then replay its "
+                        "trace against candidate storage systems.");
+  examples::add_bytes(parser, "--file", &file,
+                      "bytes the application reads (default 64M)");
+  examples::add_bytes(parser, "--record", &record,
+                      "bytes per read call (default 64k)");
+  parser.add_int("--procs", &procs_arg, 1, examples::kMaxCount, "N",
+                 "reader processes (default 2)");
+  examples::parse_args(parser, argc, argv);
+  const auto procs = static_cast<std::uint32_t>(procs_arg);
 
   // Step 1: capture the application on the current system (a single HDD).
   workload::IozoneConfig app;
-  app.file_size = cfg.get_bytes("file", 64 * kMiB);
-  app.record_size = cfg.get_bytes("record", 64 * kKiB);
+  app.file_size = file;
+  app.record_size = record;
   app.processes = procs;
   app.think = SimDuration::from_ms(2.0);  // it computes between reads
 

@@ -4,8 +4,9 @@
 //   * metrics::measure_stream / MetricPipeline / MetricSample — one pass
 //     over a trace::RecordSource computing B, T, BPS, IOPS, BW, ARPT
 //                                          (metrics/pipeline.hpp)
-//   * metrics::overlap_time_paper / overlap_time_windowed — the Figure-3
-//     interval-union T                     (metrics/overlap.hpp)
+//   * metrics::overlap_time_paper — the Figure-3 interval-union T, the
+//     reference OverlapConsumer's T is tested against
+//                                          (metrics/overlap.hpp)
 //   * metrics::OnlineBpsCounter / SlidingWindowMetrics — O(state) live
 //     counters                             (metrics/online.hpp)
 //   * metrics::TimelineConsumer / Timeline — windowed BPS timelines

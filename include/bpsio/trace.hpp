@@ -11,7 +11,7 @@
 //     spans returned by next_chunk() are valid until the next call
 //   * trace::SpillWriter                   (trace/spill_writer.hpp)
 //   * trace::read_binary / write_binary    (trace/serialize.hpp)
-//   * trace::merge_traces* / MergeOptions  (trace/merge.hpp)
+//   * trace::merge_traces / MergeOptions   (trace/merge.hpp)
 //   * trace::encode_frame / FrameDecoder   (trace/frame.hpp)
 //
 // See docs/API.md for the stability policy. Internal headers under src/ may

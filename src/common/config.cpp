@@ -6,25 +6,6 @@
 
 namespace bpsio {
 
-Config Config::from_args(int argc, const char* const* argv) {
-  Config cfg;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      arg = arg.substr(2);
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        cfg.set(arg, "true");
-      } else {
-        cfg.set(arg.substr(0, eq), arg.substr(eq + 1));
-      }
-    } else {
-      cfg.positional_.push_back(std::move(arg));
-    }
-  }
-  return cfg;
-}
-
 Config Config::from_string(const std::string& text) {
   Config cfg;
   std::istringstream in(text);

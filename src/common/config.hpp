@@ -1,16 +1,17 @@
 // Flat key=value configuration store.
 //
-// Bench harnesses and examples take "--key=value" arguments (e.g.
-// --scale=0.1 --seed=7). Config parses argv-style inputs, supports typed
-// lookups with defaults, and understands byte suffixes (4k, 64K, 8M, 2G)
-// so record sizes can be written the way the paper writes them.
+// The workload registry's parameters (workload::Params): string-keyed
+// "k=v" pairs with typed lookups and defaults. Byte sizes understand
+// suffixes (4k, 64K, 8M, 2G) so record sizes can be written the way the
+// paper writes them; parse_bytes() is the same parser for command-line
+// options. Command lines themselves go through tools/cli.hpp's ArgParser,
+// which rejects unknown flags.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -20,9 +21,6 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse ["--k=v", "--flag", "positional"] style arguments. "--flag" is
-  /// stored as flag=true. Positional arguments are collected separately.
-  static Config from_args(int argc, const char* const* argv);
   /// Parse newline- or whitespace-separated "k=v" pairs.
   static Config from_string(const std::string& text);
 
@@ -36,7 +34,6 @@ class Config {
   /// Accepts 512, 4k, 4K, 4KiB, 8M, 2G, 1T (case-insensitive, power of two).
   Bytes get_bytes(const std::string& key, Bytes dflt) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
   const std::map<std::string, std::string>& entries() const { return entries_; }
 
   /// Parse a standalone size literal; nullopt if malformed.
@@ -44,7 +41,6 @@ class Config {
 
  private:
   std::map<std::string, std::string> entries_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace bpsio

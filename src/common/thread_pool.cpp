@@ -3,7 +3,6 @@
 #include <deque>
 #include <thread>
 
-#include "common/config.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 
@@ -76,33 +75,6 @@ void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
   impl_->work_cv.notify_all();
   MutexLock lock(impl_->mu);
   while (impl_->in_flight != 0) impl_->done_cv.wait(impl_->mu);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) return;
-  const std::size_t chunks = std::min(size_, count);
-  if (chunks <= 1) {
-    body(0, count);
-    return;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  // ceil division so the last chunk is the short one.
-  const std::size_t per = (count + chunks - 1) / chunks;
-  for (std::size_t begin = 0; begin < count; begin += per) {
-    const std::size_t end = std::min(begin + per, count);
-    tasks.push_back([&body, begin, end] { body(begin, end); });
-  }
-  run_all(std::move(tasks));
-}
-
-std::size_t resolve_threads(const Config& cfg, const char* key,
-                            std::size_t dflt) {
-  const auto v = cfg.get_int(key, static_cast<std::int64_t>(dflt));
-  if (v <= 0) return ThreadPool::hardware_threads();
-  return static_cast<std::size_t>(v);
 }
 
 }  // namespace bpsio

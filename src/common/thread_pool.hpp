@@ -1,18 +1,18 @@
 // Fixed-size worker pool for the parallel metric pipeline.
 //
 // The discrete-event simulator core stays single-threaded by design; what
-// parallelizes is the *analysis* around it — sharded interval sorting
-// (metrics/overlap), chunked trace merging and B accumulation (trace), and
-// independent sweep points run on separate Simulator instances
-// (core/experiment). All of those fan out through this pool.
+// parallelizes is the work around it. Two callers fan out through this pool:
+// independent sweep points, each on its own Simulator (core/experiment), and
+// the sharded interval sort of overlap_time_parallel (metrics/overlap). The
+// trace merge, B and the correlation study run serially.
 //
 // Deliberately minimal: a mutex-protected task queue (an annotated
 // common/mutex.hpp Mutex, so clang's -Wthread-safety proves every queue
 // access is locked), no work stealing, no futures. Determinism is the
 // callers' job and they get it by pre-assigning
-// every task an output slot (no result depends on completion order). Blocking
-// helpers (`run_all`, `parallel_for`) must be called from outside the pool's
-// own workers — tasks must not submit blocking sub-tasks, or the pool can
+// every task an output slot (no result depends on completion order).
+// `run_all` blocks, so it must be called from outside the pool's own
+// workers — tasks must not submit blocking sub-tasks, or the pool can
 // deadlock waiting on itself.
 #pragma once
 
@@ -21,8 +21,6 @@
 #include <vector>
 
 namespace bpsio {
-
-class Config;
 
 class ThreadPool {
  public:
@@ -42,12 +40,6 @@ class ThreadPool {
   /// report failure through their own state instead).
   void run_all(std::vector<std::function<void()>> tasks);
 
-  /// Split [0, count) into at most `size()` contiguous chunks and run
-  /// `body(begin, end)` for each; blocks until every chunk is done.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t begin,
-                                             std::size_t end)>& body);
-
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads();
 
@@ -56,10 +48,5 @@ class ThreadPool {
   Impl* impl_ = nullptr;  ///< null when size_ == 1 (inline execution)
   std::size_t size_ = 1;
 };
-
-/// The `--threads` knob shared by benches, examples, and tests: reads
-/// `key` from `cfg`; 0 (or absent with dflt 0) means "all hardware threads".
-std::size_t resolve_threads(const Config& cfg, const char* key = "threads",
-                            std::size_t dflt = 1);
 
 }  // namespace bpsio

@@ -34,7 +34,6 @@ BpsReading BpsMeter::measure(const trace::RecordFilter& filter) const {
   const Status run = pipeline.run(source);
   BPSIO_CHECK(run.ok(), "meter pipeline failed: %s",
               run.error().message.c_str());
-  (void)algo_;  // all overlap algorithms yield the same union T
 
   BpsReading r;
   r.blocks = block_size_ == kDefaultBlockSize

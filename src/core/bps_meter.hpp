@@ -33,10 +33,8 @@ struct BpsReading {
 
 class BpsMeter {
  public:
-  explicit BpsMeter(Bytes block_size = kDefaultBlockSize,
-                    metrics::OverlapAlgorithm algo =
-                        metrics::OverlapAlgorithm::merged)
-      : block_size_(block_size), algo_(algo) {}
+  explicit BpsMeter(Bytes block_size = kDefaultBlockSize)
+      : block_size_(block_size) {}
 
   Bytes block_size() const { return block_size_; }
 
@@ -55,12 +53,11 @@ class BpsMeter {
   metrics::MetricSample measure_all(Bytes moved_bytes,
                                     SimDuration exec_time) const {
     return metrics::measure_run(collector_, moved_bytes, exec_time,
-                                block_size_, algo_);
+                                block_size_);
   }
 
  private:
   Bytes block_size_;
-  metrics::OverlapAlgorithm algo_;
   trace::TraceCollector collector_;
 };
 

@@ -35,8 +35,7 @@ class SweepProgress {
 
 }  // namespace
 
-metrics::MetricSample run_once(const RunSpec& spec, std::uint64_t seed,
-                               metrics::OverlapAlgorithm algo) {
+metrics::MetricSample run_once(const RunSpec& spec, std::uint64_t seed) {
   Testbed testbed(spec.testbed(seed));
   // Paper discipline: cold caches at the start of every run.
   testbed.drop_caches();
@@ -47,7 +46,7 @@ metrics::MetricSample run_once(const RunSpec& spec, std::uint64_t seed,
 
   const auto sample = metrics::measure_run(
       run.collector, testbed.bytes_moved(), run.exec_time,
-      testbed.config().block_size, algo);
+      testbed.config().block_size);
   BPSIO_DEBUG("run '%s' seed=%llu: %s", spec.label.c_str(),
               static_cast<unsigned long long>(seed),
               sample.to_string().c_str());
@@ -70,8 +69,7 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs,
   for (std::uint32_t r = 0; r < options.repeats; ++r) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       tasks.push_back([&, r, i] {
-        per_seed[r][i] =
-            run_once(specs[i], options.base_seed + r, options.algo);
+        per_seed[r][i] = run_once(specs[i], options.base_seed + r);
         progress.tick(options.progress);
       });
     }
@@ -83,7 +81,7 @@ SweepResult run_sweep(const std::vector<RunSpec>& specs,
   result.report = metrics::correlate(result.samples);
 
   if (per_seed.size() >= 2) {
-    const auto row_reports = metrics::correlate_each(per_seed, &pool);
+    const auto row_reports = metrics::correlate_each(per_seed);
     for (metrics::MetricKind kind : metrics::kAllMetrics) {
       CcStability st;
       st.kind = kind;

@@ -26,9 +26,7 @@ struct RunSpec {
 };
 
 /// Execute one run on a fresh testbed; returns the full metric sample.
-metrics::MetricSample run_once(
-    const RunSpec& spec, std::uint64_t seed,
-    metrics::OverlapAlgorithm algo = metrics::OverlapAlgorithm::merged);
+metrics::MetricSample run_once(const RunSpec& spec, std::uint64_t seed);
 
 /// How stable a metric's normalized CC is across repetition seeds —
 /// evidence that the sweep's verdict is not a lucky draw.
@@ -59,7 +57,6 @@ struct SweepResult {
 struct SweepOptions {
   std::uint32_t repeats = 5;
   std::uint64_t base_seed = 42;
-  metrics::OverlapAlgorithm algo = metrics::OverlapAlgorithm::merged;
   /// >1: run the repeats*specs independent (spec, seed) simulations on a
   /// thread pool of this many workers (0 = hardware threads). Each run gets
   /// a fresh Testbed and its deterministic per-run seed, and writes into a

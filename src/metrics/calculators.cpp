@@ -3,22 +3,13 @@
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "metrics/overlap.hpp"
 #include "metrics/pipeline.hpp"
 #include "trace/record_source.hpp"
 
 namespace bpsio::metrics {
 
 SimDuration overlapped_io_time(const trace::TraceCollector& collector,
-                               OverlapAlgorithm algo,
                                const trace::RecordFilter& filter) {
-  if (algo == OverlapAlgorithm::paper) {
-    // The paper's literal pairwise-subtraction formulation, kept as the
-    // materialized reference implementation.
-    return overlap_time_paper(collector.col_time(filter));
-  }
-  // Every other algorithm computes the same integer union measure, so the
-  // batch entry point runs the streaming pipeline.
   auto source = trace::collector_source(collector, filter);
   OverlapConsumer overlap(filter);
   MetricPipeline pipeline;
@@ -30,7 +21,7 @@ SimDuration overlapped_io_time(const trace::TraceCollector& collector,
 }
 
 double bps(const trace::TraceCollector& collector, Bytes block_size,
-           OverlapAlgorithm algo, const trace::RecordFilter& filter) {
+           const trace::RecordFilter& filter) {
   auto source = trace::collector_source(collector, filter);
   BlocksConsumer acc;
   OverlapConsumer overlap(filter);
@@ -38,7 +29,6 @@ double bps(const trace::TraceCollector& collector, Bytes block_size,
   pipeline.attach(acc).attach(overlap);
   const Status run = pipeline.run(source);
   BPSIO_CHECK(run.ok(), "bps pipeline failed: %s", run.error().message.c_str());
-  (void)algo;  // all overlap algorithms yield the same union T
   const SimDuration t = overlap.io_time();
   if (t.ns() <= 0) return 0.0;
   // Records store blocks in the collector's native block unit (512 B). If a
@@ -90,8 +80,7 @@ double arpt(const trace::TraceCollector& collector,
 
 MetricSample measure_run(const trace::TraceCollector& collector,
                          Bytes moved_bytes, SimDuration exec_time,
-                         Bytes block_size, OverlapAlgorithm algo) {
-  (void)algo;  // all overlap algorithms yield the same union T
+                         Bytes block_size) {
   auto source = trace::collector_source(collector);
   auto sample = measure_stream(source, moved_bytes, exec_time, block_size);
   BPSIO_CHECK(sample.ok(), "measure pipeline failed: %s",

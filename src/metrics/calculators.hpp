@@ -25,19 +25,14 @@
 
 namespace bpsio::metrics {
 
-/// Which union algorithm BPS uses for T.
-enum class OverlapAlgorithm { paper, merged };
-
 /// BPS = B / T. `block_size` defaults to the paper's 512-byte unit.
 /// Returns 0 when T is zero.
 double bps(const trace::TraceCollector& collector,
            Bytes block_size = kDefaultBlockSize,
-           OverlapAlgorithm algo = OverlapAlgorithm::merged,
            const trace::RecordFilter& filter = {});
 
 /// The overlapped I/O time T for a collector's records.
 SimDuration overlapped_io_time(const trace::TraceCollector& collector,
-                               OverlapAlgorithm algo = OverlapAlgorithm::merged,
                                const trace::RecordFilter& filter = {});
 
 /// IOPS over an explicitly-supplied period (typically application execution
@@ -77,8 +72,7 @@ struct MetricSample {
 /// `moved_bytes` comes from FS-level counters; `exec_time` from the run.
 MetricSample measure_run(const trace::TraceCollector& collector,
                          Bytes moved_bytes, SimDuration exec_time,
-                         Bytes block_size = kDefaultBlockSize,
-                         OverlapAlgorithm algo = OverlapAlgorithm::merged);
+                         Bytes block_size = kDefaultBlockSize);
 
 /// The metrics under comparison, in the paper's column order.
 enum class MetricKind { iops, bandwidth, arpt, bps };

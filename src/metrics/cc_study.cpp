@@ -55,20 +55,10 @@ CorrelationReport correlate(const std::vector<MetricSample>& samples) {
 }
 
 std::vector<CorrelationReport> correlate_each(
-    const std::vector<std::vector<MetricSample>>& per_seed, ThreadPool* pool) {
-  std::vector<CorrelationReport> reports(per_seed.size());
-  if (!pool || pool->size() <= 1) {
-    for (std::size_t i = 0; i < per_seed.size(); ++i) {
-      reports[i] = correlate(per_seed[i]);
-    }
-    return reports;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(per_seed.size());
-  for (std::size_t i = 0; i < per_seed.size(); ++i) {
-    tasks.push_back([&, i] { reports[i] = correlate(per_seed[i]); });
-  }
-  pool->run_all(std::move(tasks));
+    const std::vector<std::vector<MetricSample>>& per_seed) {
+  std::vector<CorrelationReport> reports;
+  reports.reserve(per_seed.size());
+  for (const auto& row : per_seed) reports.push_back(correlate(row));
   return reports;
 }
 

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "metrics/calculators.hpp"
 #include "stats/correlation.hpp"
 
@@ -39,13 +38,9 @@ struct CorrelationReport {
 /// Run the study. Requires >= 2 samples (CC undefined otherwise).
 CorrelationReport correlate(const std::vector<MetricSample>& samples);
 
-/// One report per per-seed sample row (the seed-stability analysis), each
-/// row's study running on its own pool worker. Pass nullptr to run serially;
-/// either way the output order and every value match the serial loop
-/// exactly — each row's report is computed independently into its own slot.
+/// One report per per-seed sample row (the seed-stability analysis).
 std::vector<CorrelationReport> correlate_each(
-    const std::vector<std::vector<MetricSample>>& per_seed,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::vector<MetricSample>>& per_seed);
 
 /// Average several per-seed sample vectors pointwise (the paper runs each
 /// experiment 5 times and uses the average). All vectors must be equal size.

@@ -109,10 +109,10 @@ struct WindowFigures {
 /// Unlike the batch pipeline, add() accepts records in ANY arrival order —
 /// the daemon interleaves frames from many capture clients — and the result
 /// is order-independent: the window differential test feeds shuffled
-/// permutations and compares against overlap_time_paper/overlap_time_windowed
-/// on the same window, and against the per-record heap store it replaced
-/// (tests/window_oracle.hpp). State is O(live records in window): 12 bytes
-/// each, plus the busy-interval union.
+/// permutations and compares against overlap_time_paper and the windowed
+/// union of tests/overlap_oracle.hpp on the same window, and against the
+/// per-record heap store it replaced (tests/window_oracle.hpp). State is
+/// O(live records in window): 12 bytes each, plus the busy-interval union.
 class SlidingWindowMetrics {
  public:
   explicit SlidingWindowMetrics(SimDuration window);

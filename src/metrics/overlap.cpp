@@ -69,46 +69,6 @@ SimDuration overlap_time_merged(std::vector<TimeInterval> col_time) {
   return SimDuration(T);
 }
 
-SimDuration overlap_time_bruteforce(const std::vector<TimeInterval>& col_time) {
-  // For interval i, count only the portion of [start_i, end_i) not covered
-  // by any interval j < i. Subtract overlaps segment by segment.
-  std::int64_t T = 0;
-  for (std::size_t i = 0; i < col_time.size(); ++i) {
-    // Collect the parts of interval i already covered by earlier intervals.
-    std::vector<TimeInterval> uncovered{col_time[i]};
-    if (uncovered.back().end_ns <= uncovered.back().start_ns) continue;
-    for (std::size_t j = 0; j < i && !uncovered.empty(); ++j) {
-      std::vector<TimeInterval> next;
-      for (const auto& seg : uncovered) {
-        const std::int64_t s = std::max(seg.start_ns, col_time[j].start_ns);
-        const std::int64_t e = std::min(seg.end_ns, col_time[j].end_ns);
-        if (s >= e) {
-          next.push_back(seg);  // no overlap with j
-          continue;
-        }
-        if (seg.start_ns < s) next.push_back({seg.start_ns, s});
-        if (e < seg.end_ns) next.push_back({e, seg.end_ns});
-      }
-      uncovered = std::move(next);
-    }
-    for (const auto& seg : uncovered) T += seg.end_ns - seg.start_ns;
-  }
-  return SimDuration(T);
-}
-
-SimDuration overlap_time_windowed(const std::vector<TimeInterval>& col_time,
-                                  std::int64_t window_start_ns,
-                                  std::int64_t window_end_ns) {
-  std::vector<TimeInterval> clipped;
-  clipped.reserve(col_time.size());
-  for (const auto& iv : col_time) {
-    const std::int64_t s = std::max(iv.start_ns, window_start_ns);
-    const std::int64_t e = std::min(iv.end_ns, window_end_ns);
-    if (s < e) clipped.push_back({s, e});
-  }
-  return overlap_time_merged(std::move(clipped));
-}
-
 SimDuration idle_time(const std::vector<TimeInterval>& col_time) {
   if (col_time.empty()) return SimDuration::zero();
   std::int64_t lo = col_time.front().start_ns;

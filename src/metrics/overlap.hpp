@@ -4,21 +4,23 @@
 // intervals: concurrent overlapping accesses count once, idle gaps count
 // zero ("T should only include the time when I/O operation is performing").
 //
-// Three implementations are provided:
+// These materialized unions sit beside the streaming one that every metric
+// in the library uses (OverlapConsumer, metrics/pipeline.hpp):
 //  * overlap_time_paper()      — the paper's Figure-3 algorithm, transcribed
 //                                as literally as possible (sort by start, then
 //                                a step-by-step record comparison that merges
-//                                the next record into the current one).
+//                                the next record into the current one). It is
+//                                the reference the tests check T against.
 //  * overlap_time_merged()     — a clean sort-and-merge; also returns the
 //                                merged interval list for inspection.
-//  * overlap_time_bruteforce() — O(n²) reference used by property tests.
 //  * overlap_time_parallel()   — sharded sort + k-way merge on a ThreadPool;
 //                                bit-identical to overlap_time_merged() by
 //                                construction (overlap_parallel.cpp).
 //
-// All implementations agree on every input (tested exhaustively); the paper
-// version is kept because reproducing the published algorithm verbatim is
-// part of the point, and the ablation bench compares their cost.
+// All implementations agree on every input (tested exhaustively, with the
+// O(n²) oracle of tests/overlap_oracle.hpp); the paper version is kept
+// because reproducing the published algorithm verbatim is part of the point,
+// and the ablation bench compares it with the library's T.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +45,6 @@ SimDuration overlap_time_merged(std::vector<TimeInterval> col_time);
 /// Useful for visualizing busy/idle phases (see examples/trace_tools).
 std::vector<TimeInterval> merge_intervals(std::vector<TimeInterval> col_time);
 
-/// O(n²) reference: for each interval, measure the part not covered by any
-/// earlier interval, via pairwise subtraction. Slow; tests only.
-SimDuration overlap_time_bruteforce(const std::vector<TimeInterval>& col_time);
-
 /// Sharded union measure: partition col_time into one shard per pool worker,
 /// sort the shards concurrently, then stream the union scan over a k-way
 /// merge of the sorted shards. The scan consumes exactly the sequence
@@ -61,11 +59,6 @@ SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
 /// (0 = hardware threads). Prefer the pool overload in loops.
 SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
                                   std::size_t threads);
-
-/// Union measure restricted to a window [w_start, w_end).
-SimDuration overlap_time_windowed(const std::vector<TimeInterval>& col_time,
-                                  std::int64_t window_start_ns,
-                                  std::int64_t window_end_ns);
 
 /// Idle time inside the span of the collection: span length minus union.
 SimDuration idle_time(const std::vector<TimeInterval>& col_time);

@@ -276,10 +276,9 @@ class MetricPipeline {
 };
 
 /// Compute a full MetricSample from an ordered record stream in one pass and
-/// bounded memory — the streaming equivalent of measure_run(). The union T
-/// is algorithm-independent (every overlap implementation computes the same
-/// integer measure — see overlap.hpp), so there is no OverlapAlgorithm knob
-/// here; the differential tests assert equality against both batch choices.
+/// bounded memory; measure_run() is this over a collector's records. T comes
+/// from OverlapConsumer, and the differential tests check it against the
+/// Figure-3 reference, overlap_time_paper().
 Result<MetricSample> measure_stream(trace::RecordSource& source,
                                     Bytes moved_bytes, SimDuration exec_time,
                                     Bytes block_size = kDefaultBlockSize);

@@ -1,7 +1,7 @@
 #include "trace/merge.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -14,131 +14,19 @@ namespace bpsio::trace {
 std::vector<IoRecord> merge_traces(
     const std::vector<std::vector<IoRecord>>& traces,
     const MergeOptions& options) {
-  std::vector<IoRecord> out;
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.size();
-  out.reserve(total);
-
-  for (std::size_t src = 0; src < traces.size(); ++src) {
-    std::int64_t shift = 0;
-    if (options.alignment == TimeAlignment::align_starts &&
-        !traces[src].empty()) {
-      std::int64_t earliest = std::numeric_limits<std::int64_t>::max();
-      for (const auto& r : traces[src]) earliest = std::min(earliest, r.start_ns);
-      shift = -earliest;
-    }
-    for (IoRecord r : traces[src]) {
-      if (options.pid_stride > 0) {
-        r.pid = static_cast<std::uint32_t>(src + 1) * options.pid_stride + r.pid;
-      }
-      r.start_ns += shift;
-      r.end_ns += shift;
-      out.push_back(r);
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const IoRecord& a, const IoRecord& b) {
-    if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-    return a.end_ns < b.end_ns;
-  });
-  return out;
-}
-
-std::vector<IoRecord> merge_traces_parallel(
-    const std::vector<std::vector<IoRecord>>& traces, ThreadPool& pool,
-    const MergeOptions& options) {
-  // Per-source segment offsets into the flat output.
-  std::vector<std::size_t> offsets(traces.size() + 1, 0);
-  for (std::size_t src = 0; src < traces.size(); ++src) {
-    offsets[src + 1] = offsets[src] + traces[src].size();
-  }
-  std::vector<IoRecord> flat(offsets.back());
-
-  // Stage 1 — one task per source: align, remap, and stable-sort its segment.
-  // stable_sort keeps original record order inside (start, end) ties, which
-  // combined with the source-index tiebreak below makes the whole output
-  // deterministic run-to-run and independent of pool width.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(traces.size());
-  for (std::size_t src = 0; src < traces.size(); ++src) {
-    tasks.push_back([&, src] {
-      const auto& in = traces[src];
-      std::int64_t shift = 0;
-      if (options.alignment == TimeAlignment::align_starts && !in.empty()) {
-        std::int64_t earliest = std::numeric_limits<std::int64_t>::max();
-        for (const auto& r : in) earliest = std::min(earliest, r.start_ns);
-        shift = -earliest;
-      }
-      IoRecord* out = flat.data() + offsets[src];
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        IoRecord r = in[i];
-        if (options.pid_stride > 0) {
-          r.pid =
-              static_cast<std::uint32_t>(src + 1) * options.pid_stride + r.pid;
-        }
-        r.start_ns += shift;
-        r.end_ns += shift;
-        out[i] = r;
-      }
-      std::stable_sort(out, out + in.size(),
-                       [](const IoRecord& a, const IoRecord& b) {
-                         if (a.start_ns != b.start_ns)
-                           return a.start_ns < b.start_ns;
-                         return a.end_ns < b.end_ns;
-                       });
-    });
-  }
-  pool.run_all(std::move(tasks));
-
-  // Stage 2 — k-way merge of the sorted segments (source count is small,
-  // so a linear head scan suffices). Lower source index wins ties.
-  std::vector<IoRecord> out;
-  out.reserve(flat.size());
-  std::vector<std::size_t> heads(traces.size());
-  for (std::size_t src = 0; src < traces.size(); ++src) {
-    heads[src] = offsets[src];
-  }
-  for (std::size_t emitted = 0; emitted < flat.size(); ++emitted) {
-    std::size_t best = traces.size();
-    for (std::size_t src = 0; src < traces.size(); ++src) {
-      if (heads[src] == offsets[src + 1]) continue;
-      if (best == traces.size()) {
-        best = src;
-        continue;
-      }
-      const IoRecord& a = flat[heads[src]];
-      const IoRecord& b = flat[heads[best]];
-      if (a.start_ns < b.start_ns ||
-          (a.start_ns == b.start_ns && a.end_ns < b.end_ns)) {
-        best = src;
-      }
-    }
-    out.push_back(flat[heads[best]++]);
-  }
-  return out;
-}
-
-std::unique_ptr<RecordSource> merged_record_source(
-    const std::vector<std::vector<IoRecord>>& traces,
-    const MergeOptions& options) {
-  // Each child stable-sorts a copy of its trace; the shift/remap transform
-  // happens inside MergedSource and cannot reorder records (uniform shift,
-  // pid not part of the comparator), so child streams match the batch
-  // merge's per-source stage record for record.
   std::vector<std::unique_ptr<RecordSource>> children;
   children.reserve(traces.size());
   for (const auto& t : traces) {
     children.push_back(std::make_unique<VectorSource>(VectorSource::sorted(t)));
   }
-  return std::make_unique<MergedSource>(std::move(children), options);
-}
-
-std::vector<IoRecord> shift_trace(std::vector<IoRecord> records,
-                                  std::int64_t delta_ns) {
-  for (auto& r : records) {
-    r.start_ns += delta_ns;
-    r.end_ns += delta_ns;
+  MergedSource merged(std::move(children), options);
+  std::vector<IoRecord> out;
+  out.reserve(merged.size_hint().value_or(0));
+  for (auto chunk = merged.next_chunk(); !chunk.empty();
+       chunk = merged.next_chunk()) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
   }
-  return records;
+  return out;
 }
 
 Status merge_trace_files(std::vector<std::string> paths,

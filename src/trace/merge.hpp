@@ -9,17 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.hpp"
-#include "common/thread_pool.hpp"
 #include "trace/io_record.hpp"
 
 namespace bpsio::trace {
-
-class RecordSource;  // record_source.hpp
 
 enum class TimeAlignment {
   keep,         ///< trust the recorded timestamps (shared clock)
@@ -33,40 +29,18 @@ struct MergeOptions {
   /// when sources share pid values — callers opting out of remapping accept
   /// that records from different applications become indistinguishable by
   /// pid (per-pid filters then select the union of the colliding processes).
+  /// The remap is 32-bit arithmetic: keep source_count * pid_stride at or
+  /// below UINT32_MAX, or the remapped pids wrap.
   std::uint32_t pid_stride = 1000;
 };
 
-/// Merge several applications' record sets into one, sorted by start time
-/// (ties by end time; tie order beyond that is unspecified).
+/// Merge several applications' record sets into one, ordered by (start,
+/// end); equal keys come in source order, then in input order. This is a
+/// MergedSource over each trace stable-sorted (VectorSource::sorted),
+/// drained into one vector — the same merge bpsio_report streams.
 std::vector<IoRecord> merge_traces(
     const std::vector<std::vector<IoRecord>>& traces,
     const MergeOptions& options = {});
-
-/// Pool-parallel merge: each source trace is shifted/remapped and sorted on
-/// its own worker, then the sorted sources are k-way merged. Output is fully
-/// deterministic — ordered by (start, end), ties broken by source index then
-/// original position — and is a permutation-equal reordering of the serial
-/// merge_traces() result (identical multiset of records, identical order
-/// wherever (start, end) keys are distinct).
-std::vector<IoRecord> merge_traces_parallel(
-    const std::vector<std::vector<IoRecord>>& traces, ThreadPool& pool,
-    const MergeOptions& options = {});
-
-/// Streaming counterpart of merge_traces_parallel(): wraps each input trace
-/// in a sorted in-memory source and k-way merges them through a
-/// MergedSource. Yields exactly the record sequence merge_traces_parallel()
-/// returns — ordered by (start, end), ties by source index then original
-/// position — but chunk by chunk, without building the merged vector.
-/// Copies each input once (for the per-source sort); inputs that are
-/// already on disk should feed SpilledTraceSource children to a
-/// MergedSource directly instead.
-std::unique_ptr<RecordSource> merged_record_source(
-    const std::vector<std::vector<IoRecord>>& traces,
-    const MergeOptions& options = {});
-
-/// Shift every record by `delta_ns` (e.g. to concatenate phases).
-std::vector<IoRecord> shift_trace(std::vector<IoRecord> records,
-                                  std::int64_t delta_ns);
 
 /// K-way merge several on-disk, start-ordered trace files (per-connection
 /// or per-stream spools) into one sorted v2 trace at `out_path` —

@@ -7,8 +7,7 @@ namespace bpsio::trace {
 namespace {
 
 // The canonical record order (PAPER.md §III.B / Figure 3): by start time,
-// ties by end time. Stable so equal keys keep their input order — this is
-// the same comparator merge_traces_parallel's per-source stage uses.
+// ties by end time. Stable so equal keys keep their input order.
 void sort_records(std::vector<IoRecord>& records) {
   std::stable_sort(records.begin(), records.end(),
                    [](const IoRecord& a, const IoRecord& b) {
@@ -238,7 +237,7 @@ std::span<const IoRecord> MergedSource::next_chunk() {
       const IoRecord& a = c.view[c.pos];
       const IoRecord& b = best->view[best->pos];
       // Strict less, children scanned in index order: lower child index wins
-      // ties — the exact tiebreak of merge_traces_parallel's k-way stage.
+      // ties.
       if (a.start_ns < b.start_ns ||
           (a.start_ns == b.start_ns && a.end_ns < b.end_ns)) {
         best = &c;

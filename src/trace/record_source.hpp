@@ -10,8 +10,8 @@
 //   * SpilledTraceSource   — streams a .bpstrace file chunk by chunk,
 //                            validating the v2 header without loading it.
 //   * MergedSource         — deterministic k-way merge over per-process /
-//                            per-application sources (the streaming twin of
-//                            merge_traces_parallel).
+//                            per-application sources (merge_traces drains
+//                            one into a vector).
 //   * FilteredSource       — RecordFilter::matches() applied on the fly.
 //
 // Ordering contract: a RecordSource yields records in nondecreasing
@@ -67,8 +67,7 @@ class VectorSource final : public RecordSource {
                            std::size_t chunk_records = kDefaultSourceChunk);
 
   /// Owning source: takes the records and stable-sorts them into the
-  /// canonical (start, end) order (ties keep their input order, matching
-  /// merge_traces_parallel's per-source stage).
+  /// canonical (start, end) order (ties keep their input order).
   static VectorSource sorted(std::vector<IoRecord> records,
                              std::size_t chunk_records = kDefaultSourceChunk);
 
@@ -127,12 +126,12 @@ class SpilledTraceSource final : public RecordSource {
   Status status_;
 };
 
-/// Deterministic k-way merge over ordered child sources — the streaming twin
-/// of merge_traces_parallel: output is ordered by (start, end) with ties
-/// broken by child index, and MergeOptions pid remapping / start alignment
-/// apply exactly as in the batch merge (a child's first record carries its
-/// earliest start, since children are ordered). A failing child truncates
-/// the stream and surfaces through status().
+/// Deterministic k-way merge over ordered child sources, and the only trace
+/// merge (merge_traces drains one): output is ordered by (start, end), equal
+/// keys by child index, then in each child's own order. MergeOptions pid
+/// remapping and start alignment apply per child (a child's first record
+/// carries its earliest start, since children are ordered). A failing child
+/// truncates the stream and surfaces through status().
 class MergedSource final : public RecordSource {
  public:
   explicit MergedSource(std::vector<std::unique_ptr<RecordSource>> children,

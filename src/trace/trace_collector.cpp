@@ -1,7 +1,6 @@
 #include "trace/trace_collector.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 namespace bpsio::trace {
@@ -47,27 +46,6 @@ std::uint64_t TraceCollector::total_blocks(const RecordFilter& filter) const {
     if (filter.matches(r)) sum += r.blocks;
   }
   return sum;
-}
-
-std::uint64_t TraceCollector::total_blocks_parallel(
-    ThreadPool& pool, const RecordFilter& filter) const {
-  // One partial sum slot per chunk; no shared accumulator, no atomics.
-  // Quiescent read (class contract): workers index records() lock-free.
-  const std::vector<IoRecord>& recs = records();
-  const std::size_t n = recs.size();
-  if (pool.size() <= 1 || n < 4096) return total_blocks(filter);
-  std::vector<std::uint64_t> partial(pool.size(), 0);
-  std::atomic<std::size_t> next_slot{0};
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    std::uint64_t sum = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (filter.matches(recs[i])) sum += recs[i].blocks;
-    }
-    partial[next_slot.fetch_add(1, std::memory_order_relaxed)] = sum;
-  });
-  std::uint64_t total = 0;
-  for (std::uint64_t p : partial) total += p;
-  return total;
 }
 
 Bytes TraceCollector::total_bytes(Bytes block_size,

@@ -17,7 +17,6 @@
 #include "common/mutex.hpp"
 #include "common/sim_time.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "trace/io_record.hpp"
 #include "trace/trace_buffer.hpp"
 
@@ -87,12 +86,6 @@ class TraceCollector {
   /// B — total number of I/O blocks required by the applications
   /// (all processes, successful or not, concurrent or not).
   std::uint64_t total_blocks(const RecordFilter& filter = {}) const;
-
-  /// B accumulated in record chunks across a thread pool. Unsigned addition
-  /// is associative, so the result equals total_blocks() exactly regardless
-  /// of chunk count or completion order.
-  std::uint64_t total_blocks_parallel(ThreadPool& pool,
-                                      const RecordFilter& filter = {}) const;
 
   /// Total bytes implied by B under the given block size.
   Bytes total_bytes(Bytes block_size = kDefaultBlockSize,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/calculators.hpp"
+#include "metrics/overlap.hpp"
 #include "trace/trace_collector.hpp"
 
 namespace bpsio::metrics {
@@ -58,15 +59,19 @@ TEST(Bps, CustomBlockSizeRescales) {
   EXPECT_DOUBLE_EQ(bps(c, 4096), 1.0);
 }
 
-TEST(Bps, PaperAndMergedAlgorithmsAgree) {
+TEST(Bps, EqualsBlocksOverPaperT) {
+  // The Figure-2 requests: T = 6 ms + 2 ms by Figure 3's algorithm.
   const auto c = collect({
       make_record(1, 10, SimTime(0), SimTime(4 * kMs)),
       make_record(2, 10, SimTime(1 * kMs), SimTime(2 * kMs)),
       make_record(3, 10, SimTime(2 * kMs), SimTime(6 * kMs)),
       make_record(4, 10, SimTime(7 * kMs), SimTime(9 * kMs)),
   });
-  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, OverlapAlgorithm::paper),
-                   bps(c, kDefaultBlockSize, OverlapAlgorithm::merged));
+  const SimDuration t_paper = overlap_time_paper(c.col_time());
+  EXPECT_EQ(t_paper.ns(), 8 * kMs);
+  EXPECT_EQ(overlapped_io_time(c).ns(), t_paper.ns());
+  EXPECT_DOUBLE_EQ(bps(c),
+                   static_cast<double>(c.total_blocks()) / t_paper.seconds());
 }
 
 TEST(Iops, CountOverPeriod) {
@@ -187,8 +192,7 @@ TEST(Filters, BpsRestrictedToOneProcess) {
   });
   trace::RecordFilter f;
   f.pid = 2;
-  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, OverlapAlgorithm::merged, f),
-                   300.0);
+  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, f), 300.0);
 }
 
 }  // namespace

@@ -5,17 +5,12 @@
 namespace bpsio {
 namespace {
 
-Config parse(std::initializer_list<const char*> args) {
-  std::vector<const char*> v(args);
-  return Config::from_args(static_cast<int>(v.size()), v.data());
-}
+Config parse(const std::string& text) { return Config::from_string(text); }
 
 TEST(Config, ParsesKeyValueAndFlags) {
-  const auto cfg = parse({"--scale=0.5", "--verbose", "input.trace"});
+  const auto cfg = parse("scale=0.5 verbose");
   EXPECT_DOUBLE_EQ(cfg.get_double("scale", 1.0), 0.5);
   EXPECT_TRUE(cfg.get_bool("verbose", false));
-  ASSERT_EQ(cfg.positional().size(), 1u);
-  EXPECT_EQ(cfg.positional()[0], "input.trace");
 }
 
 TEST(Config, DefaultsWhenMissing) {
@@ -28,13 +23,13 @@ TEST(Config, DefaultsWhenMissing) {
 }
 
 TEST(Config, MalformedNumbersFallBack) {
-  const auto cfg = parse({"--n=abc", "--d=1.5x"});
+  const auto cfg = parse("n=abc d=1.5x");
   EXPECT_EQ(cfg.get_int("n", 3), 3);
   EXPECT_DOUBLE_EQ(cfg.get_double("d", 2.0), 2.0);
 }
 
 TEST(Config, BoolSpellings) {
-  const auto cfg = parse({"--a=1", "--b=true", "--c=off", "--d=no", "--e=maybe"});
+  const auto cfg = parse("a=1 b=true c=off d=no e=maybe");
   EXPECT_TRUE(cfg.get_bool("a", false));
   EXPECT_TRUE(cfg.get_bool("b", false));
   EXPECT_FALSE(cfg.get_bool("c", true));
@@ -57,7 +52,7 @@ TEST(Config, ByteSuffixes) {
 }
 
 TEST(Config, GetBytesUsesSuffixes) {
-  const auto cfg = parse({"--record=64k", "--file=1G"});
+  const auto cfg = parse("record=64k file=1G");
   EXPECT_EQ(cfg.get_bytes("record", 0), 64u * kKiB);
   EXPECT_EQ(cfg.get_bytes("file", 0), kGiB);
 }
@@ -70,7 +65,7 @@ TEST(Config, FromString) {
 }
 
 TEST(Config, LastValueWins) {
-  const auto cfg = parse({"--x=1", "--x=2"});
+  const auto cfg = parse("x=1 x=2");
   EXPECT_EQ(cfg.get_int("x", 0), 2);
 }
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/rng.hpp"
 #include "core/report.hpp"
+#include "merge_oracle.hpp"
 #include "metrics/calculators.hpp"
 #include "trace/merge.hpp"
+#include "trace/record_source.hpp"
 #include "trace/trace_collector.hpp"
 
 namespace bpsio {
@@ -57,13 +62,6 @@ TEST(MergeTraces, StrideZeroPidCollisionsAreDocumentedBehavior) {
   trace::RecordFilter pid7;
   pid7.pid = 7;
   EXPECT_EQ(collector.total_blocks(pid7), 30u);
-
-  // The parallel merge honors the same opt-out.
-  ThreadPool pool(3);
-  const auto parallel = trace::merge_traces_parallel(traces, pool, opts);
-  ASSERT_EQ(parallel.size(), 3u);
-  EXPECT_EQ(parallel[0].pid, 7u);
-  EXPECT_EQ(parallel[1].pid, 7u);
 }
 
 TEST(MergeTraces, SortedByStartTime) {
@@ -106,12 +104,79 @@ TEST(MergeTraces, MergedBpsSeesBothApplications) {
   EXPECT_EQ(collector.process_count(), 2u);
 }
 
-TEST(ShiftTrace, MovesBothEndpoints) {
-  auto shifted = trace::shift_trace(
-      {make_record(1, 1, SimTime(100), SimTime(200))}, 50);
-  EXPECT_EQ(shifted[0].start_ns, 150);
-  EXPECT_EQ(shifted[0].end_ns, 250);
+// ---------------------------------------------------------------------------
+// Property: merge_traces, the drained MergedSource, and the stable-sort
+// oracle agree record for record.
+// ---------------------------------------------------------------------------
+
+/// `sources` unsorted traces of up to 400 records each, starts in
+/// [0, time_range), lengths below max_len, a few failed accesses.
+std::vector<std::vector<trace::IoRecord>> random_traces(
+    Rng& rng, std::size_t sources, std::uint64_t time_range,
+    std::uint64_t max_len) {
+  std::vector<std::vector<trace::IoRecord>> traces(sources);
+  for (auto& t : traces) {
+    const std::size_t n = rng.uniform_u64(400);
+    for (std::size_t i = 0; i < n; ++i) {
+      trace::IoRecord r;
+      r.pid = static_cast<std::uint32_t>(rng.uniform_u64(5));
+      r.blocks = rng.uniform_u64(1000);
+      r.start_ns = static_cast<std::int64_t>(rng.uniform_u64(time_range));
+      r.end_ns =
+          r.start_ns + static_cast<std::int64_t>(rng.uniform_u64(max_len));
+      if (rng.uniform() < 0.05) r.flags = trace::kIoFailed;
+      t.push_back(r);
+    }
+  }
+  return traces;
 }
+
+/// The MergedSource over the traces, with small chunks on both sides so
+/// chunk boundaries fall inside runs of equal keys, drained to a vector.
+std::vector<trace::IoRecord> drain_merged_source(
+    const std::vector<std::vector<trace::IoRecord>>& traces,
+    const trace::MergeOptions& opts, std::size_t chunk) {
+  std::vector<std::unique_ptr<trace::RecordSource>> children;
+  for (const auto& t : traces) {
+    children.push_back(std::make_unique<trace::VectorSource>(
+        trace::VectorSource::sorted(t, chunk)));
+  }
+  trace::MergedSource merged(std::move(children), opts, chunk + 2);
+  std::vector<trace::IoRecord> out;
+  for (auto c = merged.next_chunk(); !c.empty(); c = merged.next_chunk()) {
+    out.insert(out.end(), c.begin(), c.end());
+  }
+  EXPECT_TRUE(merged.status().ok());
+  return out;
+}
+
+class MergeTracesProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MergeTracesProperty, EqualsMergedSourceAndStableSortOracle) {
+  Rng rng(GetParam() ^ 0xfeedULL);
+  const std::size_t sources = 1 + rng.uniform_u64(6);
+  // Spread out (ties rare) and dense (runs of equal keys across sources).
+  for (const auto& traces : {random_traces(rng, sources, 100'000, 500),
+                             random_traces(rng, sources, 300, 20)}) {
+    for (trace::TimeAlignment align :
+         {trace::TimeAlignment::keep, trace::TimeAlignment::align_starts}) {
+      for (std::uint32_t stride : {0u, 1000u}) {
+        SCOPED_TRACE("align=" + std::to_string(static_cast<int>(align)) +
+                     " stride=" + std::to_string(stride));
+        trace::MergeOptions opts;
+        opts.alignment = align;
+        opts.pid_stride = stride;
+        const auto merged = trace::merge_traces(traces, opts);
+        EXPECT_EQ(merged, trace::merge_oracle(traces, opts));
+        EXPECT_EQ(merged,
+                  drain_merged_source(traces, opts, 1 + GetParam() % 7));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, MergeTracesProperty,
+                         ::testing::Range<std::uint64_t>(0, 12));
 
 TEST(Report, MarkdownContainsTablesAndVerdicts) {
   core::SweepResult sweep;

@@ -1,7 +1,7 @@
 // Differential tests: the streaming pipeline must be bit-identical to the
 // batch metric path — same B, T, BPS, ARPT (and timeline/profile) whether
-// records arrive from memory, a spilled trace file, or a k-way merge, and
-// whichever OverlapAlgorithm the batch side uses.
+// records arrive from memory, a spilled trace file, or a k-way merge — and
+// its T must equal the Figure-3 reference, overlap_time_paper().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,8 @@
 #include "trace/spill_writer.hpp"
 #include "trace/trace_collector.hpp"
 #include "interval_shapes.hpp"
+#include "merge_oracle.hpp"
+#include "overlap_oracle.hpp"
 
 namespace bpsio {
 namespace {
@@ -157,7 +159,7 @@ TEST(MetricPipeline, SpilledStreamIsBitIdenticalToInMemory) {
   std::remove(path.c_str());
 }
 
-TEST(MetricPipeline, MergedStreamIsBitIdenticalToBatchMerge) {
+TEST(MetricPipeline, MergedStreamIsBitIdenticalToMergeOracle) {
   // Three applications traced separately, merged on the fly vs in memory.
   std::vector<std::vector<IoRecord>> traces(3);
   for (std::uint32_t app = 0; app < 3; ++app) {
@@ -172,15 +174,18 @@ TEST(MetricPipeline, MergedStreamIsBitIdenticalToBatchMerge) {
   const Bytes moved = 16 * kMiB;
   const SimDuration exec = SimDuration(2'000'000'000);
 
-  ThreadPool pool(2);
-  const auto merged_batch =
-      trace::merge_traces_parallel(traces, pool, trace::MergeOptions{});
+  const auto merged_batch = trace::merge_oracle(traces, trace::MergeOptions{});
   auto batch_source = trace::VectorSource::view(merged_batch);
   const auto from_batch = metrics::measure_stream(batch_source, moved, exec);
   ASSERT_TRUE(from_batch.ok());
 
-  auto streaming = trace::merged_record_source(traces, trace::MergeOptions{});
-  const auto from_stream = metrics::measure_stream(*streaming, moved, exec);
+  std::vector<std::unique_ptr<trace::RecordSource>> children;
+  for (const auto& t : traces) {
+    children.push_back(std::make_unique<trace::VectorSource>(
+        trace::VectorSource::sorted(t)));
+  }
+  trace::MergedSource streaming(std::move(children), trace::MergeOptions{});
+  const auto from_stream = metrics::measure_stream(streaming, moved, exec);
   ASSERT_TRUE(from_stream.ok());
   expect_identical(*from_batch, *from_stream);
 }
@@ -189,29 +194,31 @@ TEST(MetricPipeline, MeasureRunAndMeasureStreamAgree) {
   const auto c = messy_collector();
   const Bytes moved = 8 * kMiB;
   const SimDuration exec = SimDuration(1'000'000'000);
-  for (const auto algo : {metrics::OverlapAlgorithm::paper,
-                          metrics::OverlapAlgorithm::merged}) {
-    const auto batch = metrics::measure_run(c, moved, exec,
-                                            kDefaultBlockSize, algo);
-    auto source = trace::collector_source(c);
-    const auto stream = metrics::measure_stream(source, moved, exec);
-    ASSERT_TRUE(stream.ok());
-    expect_identical(batch, *stream);
-  }
+  const auto batch = metrics::measure_run(c, moved, exec);
+  // T and BPS against the Figure-3 reference.
+  const SimDuration t_paper = metrics::overlap_time_paper(c.col_time());
+  ASSERT_GT(t_paper.ns(), 0);
+  EXPECT_EQ(batch.app_blocks, c.total_blocks());
+  EXPECT_EQ(batch.io_time_s, t_paper.seconds());
+  EXPECT_EQ(batch.bps,
+            static_cast<double>(c.total_blocks()) / t_paper.seconds());
+  auto source = trace::collector_source(c);
+  const auto stream = metrics::measure_stream(source, moved, exec);
+  ASSERT_TRUE(stream.ok());
+  expect_identical(batch, *stream);
 }
 
-TEST(MetricPipeline, WindowedBpsMatchesBothBatchAlgorithms) {
+TEST(MetricPipeline, WindowedBpsMatchesPaperReference) {
   const auto c = messy_collector();
   trace::RecordFilter f;
   f.window_start_ns = 500;
   f.window_end_ns = 4000;
   f.include_failed = false;
   const double paper =
-      metrics::bps(c, kDefaultBlockSize, metrics::OverlapAlgorithm::paper, f);
-  const double merged =
-      metrics::bps(c, kDefaultBlockSize, metrics::OverlapAlgorithm::merged, f);
+      static_cast<double>(c.total_blocks(f)) /
+      metrics::overlap_time_paper(c.col_time(f)).seconds();
   EXPECT_GT(paper, 0.0);
-  EXPECT_DOUBLE_EQ(paper, merged);
+  EXPECT_DOUBLE_EQ(metrics::bps(c, kDefaultBlockSize, f), paper);
 
   // The same computation assembled by hand from streaming parts.
   auto source = trace::collector_source(c, f);
@@ -237,9 +244,9 @@ TEST(MetricPipeline, BpsMeterReadingMatchesBatchFormulas) {
   const auto col_time = c.col_time(f);
   EXPECT_DOUBLE_EQ(reading.io_time_s,
                    metrics::overlap_time_paper(col_time).seconds());
-  EXPECT_DOUBLE_EQ(reading.bps, metrics::bps(c, kDefaultBlockSize,
-                                             metrics::OverlapAlgorithm::paper,
-                                             f));
+  EXPECT_DOUBLE_EQ(reading.bps,
+                   static_cast<double>(c.total_blocks(f)) /
+                       metrics::overlap_time_paper(col_time).seconds());
   EXPECT_EQ(reading.processes, c.process_count());
   EXPECT_DOUBLE_EQ(reading.idle_time_s,
                    metrics::idle_time(col_time).seconds());

@@ -14,6 +14,7 @@
 #include "metrics/calculators.hpp"
 #include "metrics/online.hpp"
 #include "metrics/overlap.hpp"
+#include "overlap_oracle.hpp"
 #include "workload/iozone.hpp"
 #include "workload/process.hpp"
 #include "window_oracle.hpp"
@@ -205,7 +206,7 @@ TEST_P(OnlineReplayDifferential, MatchesOfflinePipelineExactly) {
   EXPECT_EQ(online.blocks(), collector.total_blocks());  // failed count in B
   EXPECT_EQ(online.busy_time(now).ns(), overlapped_io_time(collector).ns());
   EXPECT_EQ(online.busy_time(now).ns(),
-            overlapped_io_time(collector, OverlapAlgorithm::paper).ns());
+            overlap_time_paper(collector.col_time()).ns());
   EXPECT_DOUBLE_EQ(online.bps(now), bps(collector));
 }
 
@@ -245,7 +246,8 @@ TEST(OnlineBps, ListIoAndCollectivePathsFeedTheCounter) {
 // ---------------------------------------------------------------------------
 // SlidingWindowMetrics — the live daemon's windowed counters. Ground truth
 // is the batch pipeline: clamp every record's interval to the window and
-// union it with overlap_time_paper / overlap_time_windowed.
+// union it with overlap_time_paper / overlap_time_windowed (the latter from
+// tests/overlap_oracle.hpp).
 // ---------------------------------------------------------------------------
 
 /// Batch ground truth over `records` for the window (ws, now]: time clamped

@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "metrics/overlap.hpp"
+#include "overlap_oracle.hpp"
 
 namespace bpsio::metrics {
 namespace {

@@ -1,23 +1,20 @@
-// Property-based differential tests for the parallel metric pipeline.
+// Property-based differential tests for the sharded overlap engine.
 //
 // The paper ships its own oracle: three agreeing union implementations
 // (Figure-3 verbatim, sort-and-merge, O(n^2) brute force). The sharded
 // engine must match all of them exactly — not approximately — on every
-// input shape we can generate, at every pool width. The same differential
-// treatment covers the pool-parallel trace merge and chunked B accumulation.
+// input shape we can generate, at every pool width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
-#include <tuple>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "metrics/overlap.hpp"
-#include "trace/merge.hpp"
-#include "trace/trace_collector.hpp"
+#include "overlap_oracle.hpp"
 
 namespace bpsio::metrics {
 namespace {
@@ -61,44 +58,24 @@ TEST(ThreadPool, InlineWhenSingleThreaded) {
   EXPECT_EQ(calls, 2);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPool, RunAllRunsEveryTaskOnce) {
   for (std::size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
     std::vector<int> hits(1000, 0);
-    pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) ++hits[i];
-    });
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      tasks.push_back([&hits, i] { ++hits[i]; });
+    }
+    pool.run_all(std::move(tasks));
     EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
               static_cast<std::ptrdiff_t>(hits.size()))
         << "threads=" << threads;
   }
 }
 
-TEST(ThreadPool, ParallelForEmptyAndTiny) {
-  ThreadPool pool(4);
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { FAIL(); });
-  int calls = 0;
-  pool.parallel_for(1, [&](std::size_t b, std::size_t e) {
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 1u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(ThreadPool, ZeroResolvesToHardwareThreads) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), ThreadPool::hardware_threads());
-}
-
-TEST(ThreadPool, ResolveThreadsFromConfig) {
-  const char* argv[] = {"--threads=6"};
-  EXPECT_EQ(resolve_threads(Config::from_args(1, argv)), 6u);
-  const char* argv0[] = {"--threads=0"};
-  EXPECT_EQ(resolve_threads(Config::from_args(1, argv0)),
-            ThreadPool::hardware_threads());
-  EXPECT_EQ(resolve_threads(Config{}), 1u);          // absent -> default
-  EXPECT_EQ(resolve_threads(Config{}, "threads", 4), 4u);
 }
 
 TEST(OverlapParallel, EmptyInput) {
@@ -169,101 +146,6 @@ TEST_P(OverlapParallelProperty, ShardedPathMatchesOnLargeSets) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, OverlapParallelProperty,
                          ::testing::Range<std::uint64_t>(0, 20));
-
-// ---------------------------------------------------------------------------
-// Pool-parallel trace utilities.
-// ---------------------------------------------------------------------------
-
-std::vector<std::vector<trace::IoRecord>> random_traces(Rng& rng,
-                                                        std::size_t sources) {
-  std::vector<std::vector<trace::IoRecord>> traces(sources);
-  for (auto& t : traces) {
-    const std::size_t n = rng.uniform_u64(400);
-    for (std::size_t i = 0; i < n; ++i) {
-      trace::IoRecord r;
-      r.pid = static_cast<std::uint32_t>(rng.uniform_u64(5));
-      r.blocks = rng.uniform_u64(1000);
-      r.start_ns = static_cast<std::int64_t>(rng.uniform_u64(100'000));
-      r.end_ns = r.start_ns + static_cast<std::int64_t>(rng.uniform_u64(500));
-      if (rng.uniform() < 0.05) r.flags = trace::kIoFailed;
-      t.push_back(r);
-    }
-  }
-  return traces;
-}
-
-class MergeParallelProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MergeParallelProperty, MatchesSerialMergeAtEveryPoolWidth) {
-  Rng rng(GetParam() ^ 0xfeedULL);
-  const auto traces = random_traces(rng, 1 + rng.uniform_u64(6));
-  for (trace::TimeAlignment align :
-       {trace::TimeAlignment::keep, trace::TimeAlignment::align_starts}) {
-    trace::MergeOptions opts;
-    opts.alignment = align;
-    const auto serial = trace::merge_traces(traces, opts);
-
-    std::vector<trace::IoRecord> reference;
-    for (std::size_t threads = 1; threads <= 4; ++threads) {
-      ThreadPool pool(threads);
-      const auto parallel = trace::merge_traces_parallel(traces, pool, opts);
-      ASSERT_EQ(parallel.size(), serial.size());
-      // Same global ordering key as the serial merge...
-      for (std::size_t i = 0; i + 1 < parallel.size(); ++i) {
-        const bool ordered =
-            parallel[i].start_ns < parallel[i + 1].start_ns ||
-            (parallel[i].start_ns == parallel[i + 1].start_ns &&
-             parallel[i].end_ns <= parallel[i + 1].end_ns);
-        ASSERT_TRUE(ordered) << "at " << i;
-      }
-      // ...same multiset of records...
-      auto a = serial, b = parallel;
-      auto key = [](const trace::IoRecord& x, const trace::IoRecord& y) {
-        return std::tie(x.start_ns, x.end_ns, x.pid, x.blocks, x.flags) <
-               std::tie(y.start_ns, y.end_ns, y.pid, y.blocks, y.flags);
-      };
-      std::sort(a.begin(), a.end(), key);
-      std::sort(b.begin(), b.end(), key);
-      EXPECT_EQ(a, b);
-      // ...and bit-identical output across pool widths (full determinism).
-      if (reference.empty()) {
-        reference = parallel;
-      } else {
-        EXPECT_EQ(parallel, reference) << "threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST_P(MergeParallelProperty, ChunkedBlockAccumulationIsExact) {
-  Rng rng(GetParam() + 0x8badULL);
-  trace::TraceCollector collector;
-  const std::size_t n = 3000 + rng.uniform_u64(9000);
-  for (std::size_t i = 0; i < n; ++i) {
-    trace::IoRecord r;
-    r.pid = static_cast<std::uint32_t>(rng.uniform_u64(16));
-    r.blocks = rng.uniform_u64(1 << 20);
-    r.start_ns = static_cast<std::int64_t>(rng.uniform_u64(1'000'000));
-    r.end_ns = r.start_ns + 10;
-    if (rng.uniform() < 0.1) r.flags = trace::kIoFailed;
-    collector.add(r);
-  }
-  trace::RecordFilter failed_excluded;
-  failed_excluded.include_failed = false;
-  trace::RecordFilter one_pid;
-  one_pid.pid = 3;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(collector.total_blocks_parallel(pool), collector.total_blocks());
-    EXPECT_EQ(collector.total_blocks_parallel(pool, failed_excluded),
-              collector.total_blocks(failed_excluded));
-    EXPECT_EQ(collector.total_blocks_parallel(pool, one_pid),
-              collector.total_blocks(one_pid));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, MergeParallelProperty,
-                         ::testing::Range<std::uint64_t>(0, 12));
 
 }  // namespace
 }  // namespace bpsio::metrics

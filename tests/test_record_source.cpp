@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "merge_oracle.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
 #include "trace/serialize.hpp"
@@ -229,22 +229,35 @@ std::vector<std::vector<IoRecord>> three_traces() {
   return traces;
 }
 
+/// A MergedSource over each trace stable-sorted in memory.
+trace::MergedSource merged_source(
+    const std::vector<std::vector<IoRecord>>& traces,
+    const trace::MergeOptions& options,
+    std::size_t child_chunk = trace::kDefaultSourceChunk,
+    std::size_t chunk = trace::kDefaultSourceChunk) {
+  std::vector<std::unique_ptr<trace::RecordSource>> children;
+  for (const auto& t : traces) {
+    children.push_back(std::make_unique<trace::VectorSource>(
+        trace::VectorSource::sorted(t, child_chunk)));
+  }
+  return trace::MergedSource(std::move(children), options, chunk);
+}
+
 void expect_same_sequence(const trace::MergeOptions& options) {
   const auto traces = three_traces();
-  ThreadPool pool(2);
-  const auto batch = trace::merge_traces_parallel(traces, pool, options);
-  auto source = trace::merged_record_source(traces, options);
-  ASSERT_NE(source, nullptr);
+  const auto expected = trace::merge_oracle(traces, options);
+  auto source = merged_source(traces, options);
   std::vector<IoRecord> streamed;
-  for (auto chunk = source->next_chunk(); !chunk.empty();
-       chunk = source->next_chunk()) {
+  for (auto chunk = source.next_chunk(); !chunk.empty();
+       chunk = source.next_chunk()) {
     EXPECT_LE(chunk.size(), trace::kDefaultSourceChunk);
     streamed.insert(streamed.end(), chunk.begin(), chunk.end());
   }
-  EXPECT_TRUE(source->status().ok());
-  ASSERT_TRUE(source->size_hint().has_value());
-  EXPECT_EQ(*source->size_hint(), batch.size());
-  EXPECT_EQ(streamed, batch);
+  EXPECT_TRUE(source.status().ok());
+  ASSERT_TRUE(source.size_hint().has_value());
+  EXPECT_EQ(*source.size_hint(), expected.size());
+  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(trace::merge_traces(traces, options), expected);
 }
 
 TEST(MergedSource, MatchesBatchMergeRecordForRecord) {
@@ -265,17 +278,9 @@ TEST(MergedSource, MatchesBatchMergeWithoutPidRemap) {
 
 TEST(MergedSource, SmallChunksPreserveTheSequence) {
   const auto traces = three_traces();
-  ThreadPool pool(2);
-  const auto batch =
-      trace::merge_traces_parallel(traces, pool, trace::MergeOptions{});
-  std::vector<std::unique_ptr<trace::RecordSource>> children;
-  for (const auto& t : traces) {
-    children.push_back(std::make_unique<trace::VectorSource>(
-        trace::VectorSource::sorted(t, /*chunk_records=*/1)));
-  }
-  trace::MergedSource source(std::move(children), trace::MergeOptions{},
-                             /*chunk_records=*/2);
-  EXPECT_EQ(drain(source), batch);
+  auto source = merged_source(traces, trace::MergeOptions{},
+                              /*child_chunk=*/1, /*chunk=*/2);
+  EXPECT_EQ(drain(source), trace::merge_oracle(traces, trace::MergeOptions{}));
 }
 
 TEST(MergedSource, NoChildrenIsEmpty) {
@@ -305,8 +310,8 @@ TEST(FilteredSource, FilterThenMergeEqualsMergeThenFilter) {
   f.pid = 7;
 
   // Merge, then filter the merged stream.
-  auto merged = trace::merged_record_source(traces, options);
-  trace::FilteredSource merge_then_filter(*merged, f);
+  auto merged = merged_source(traces, options);
+  trace::FilteredSource merge_then_filter(merged, f);
   const auto a = drain(merge_then_filter);
 
   // Filter each child, then merge the filtered streams.

@@ -8,8 +8,9 @@
 //   of that pid's intervals, printed the way the tool prints it.
 // - The text and --csv outputs with --per-pid and a timeline are pinned
 //   byte for byte.
-// - Durations the tools cannot represent, and timelines too large to hold,
-//   are usage errors (exit 2), not aborts or undefined casts.
+// - Durations the tools cannot represent, pid strides whose remap passes
+//   32 bits, and timelines too large to hold are usage errors (exit 2), not
+//   aborts, undefined casts or wrapped pids.
 //
 // The binaries come from the test ENVIRONMENT (BPSIO_REPORT_BIN,
 // BPSIO_AGENTD_BIN); without them (running this test binary by hand) the
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "common/format.hpp"
-#include "metrics/overlap.hpp"
+#include "overlap_oracle.hpp"
 #include "trace/record_source.hpp"
 #include "trace/spill_writer.hpp"
 #include "interval_shapes.hpp"
@@ -261,6 +262,31 @@ TEST(ReportE2E, DurationsItCannotRepresentAreUsageErrors) {
     EXPECT_NE(run->out.find("usage: bpsio_report"), std::string::npos)
         << run->out;
   }
+}
+
+TEST(ReportE2E, PidStridesItCannotRepresentAreUsageErrors) {
+  const TraceSet set(1);
+  // Past 32 bits: unchecked, 4294967297 acted as a stride of 1.
+  const auto wide = report("--pid-stride=4294967297 '" + set.dir() + "'");
+  if (!wide) GTEST_SKIP() << "BPSIO_REPORT_BIN not in environment";
+  EXPECT_EQ(wide->exit_code, 2) << wide->out;
+  EXPECT_NE(wide->out.find("usage: bpsio_report"), std::string::npos)
+      << wide->out;
+
+  // Three files: file 3's pids become 3 * stride + pid. At 1431655665 the
+  // largest, pid 33, lands on 4294967028 and fits.
+  const auto fits =
+      report("--per-pid --csv --pid-stride=1431655665 '" + set.dir() + "'");
+  EXPECT_EQ(fits->exit_code, 0) << fits->out;
+  EXPECT_NE(fits->out.find("\n4294967028,"), std::string::npos) << fits->out;
+  // 3 * 1431655766 passes 4294967295: unchecked, the pids wrapped.
+  const auto wraps = report("--pid-stride=1431655766 '" + set.dir() + "'");
+  EXPECT_EQ(wraps->exit_code, 2) << wraps->out;
+  EXPECT_NE(wraps->out.find("--pid-stride=1431655766 over 3 files remaps pids "
+                            "past 4294967295; use a stride of at most "
+                            "1431655765"),
+            std::string::npos)
+      << wraps->out;
 }
 
 TEST(ReportE2E, DaemonWindowsItCannotRepresentAreUsageErrors) {

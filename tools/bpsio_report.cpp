@@ -25,7 +25,9 @@
 //                         different machines / boots; same-boot captures
 //                         share CLOCK_MONOTONIC and should keep timestamps)
 //     --pid-stride=N      remap pids per source file (default 0: captured
-//                         traces carry real, already-distinct pids)
+//                         traces carry real, already-distinct pids); file
+//                         i's pids become (i + 1) * N + pid, so the file
+//                         count times N must fit in 32 bits
 //     --per-pid           per-process table
 //     --window=MS         windowed BPS timeline with MS-millisecond windows
 //                         (--timeline=MS is the older spelling, kept as an
@@ -75,7 +77,7 @@ struct Options {
   Bytes block_size = kDefaultBlockSize;
   std::int64_t exec_time_ns = 0;  ///< 0: the trace span
   bool align = false;
-  std::uint32_t pid_stride = 0;
+  long long pid_stride = 0;
   bool per_pid = false;
   std::int64_t window_ns = 0;  ///< 0: no timeline
   bool csv = false;
@@ -97,17 +99,8 @@ cli::ArgParser make_parser(Options& opt) {
                    });
   parser.add_duration("--exec-time", &opt.exec_time_ns, cli::kNsPerSec, "SECS",
                       "period for IOPS/BW (default: the trace span)");
-  parser.add_value("--pid-stride", "N",
-                   "remap pids per source file (default 0: keep real pids)",
-                   [&opt](const std::string& v) {
-                     char* end = nullptr;
-                     const long stride = std::strtol(v.c_str(), &end, 10);
-                     if (end == nullptr || *end != '\0' || stride < 0) {
-                       return false;
-                     }
-                     opt.pid_stride = static_cast<std::uint32_t>(stride);
-                     return true;
-                   });
+  parser.add_int("--pid-stride", &opt.pid_stride, 0, UINT32_MAX, "N",
+                 "remap pids per source file (default 0: keep real pids)");
   parser.add_duration("--window", &opt.window_ns, cli::kNsPerMs, "MS",
                       "windowed BPS timeline with MS-millisecond windows");
   parser.add_duration("--timeline", &opt.window_ns, cli::kNsPerMs, "MS",
@@ -287,6 +280,18 @@ int run_report(const Options& opt) {
     return 2;
   }
 
+  // File i's pids become (i + 1) * stride + pid, in 32 bits.
+  const auto files = static_cast<std::uint64_t>(paths->size());
+  if (files * static_cast<std::uint64_t>(opt.pid_stride) > UINT32_MAX) {
+    std::fprintf(stderr,
+                 "bpsio_report: --pid-stride=%lld over %llu files remaps pids "
+                 "past %u; use a stride of at most %llu\n",
+                 opt.pid_stride, static_cast<unsigned long long>(files),
+                 UINT32_MAX,
+                 static_cast<unsigned long long>(UINT32_MAX / files));
+    return 2;
+  }
+
   std::vector<std::unique_ptr<trace::RecordSource>> children;
   children.reserve(paths->size());
   for (const std::string& path : *paths) {
@@ -302,7 +307,7 @@ int run_report(const Options& opt) {
   trace::MergeOptions merge;
   merge.alignment = opt.align ? trace::TimeAlignment::align_starts
                               : trace::TimeAlignment::keep;
-  merge.pid_stride = opt.pid_stride;
+  merge.pid_stride = static_cast<std::uint32_t>(opt.pid_stride);
   trace::MergedSource merged(std::move(children), merge);
 
   std::optional<metrics::TimelineConsumer> timeline;

@@ -55,6 +55,8 @@ class ArgParser {
   ArgParser(std::string program, std::string summary)
       : program_(std::move(program)), summary_(std::move(summary)) {}
 
+  const std::string& program() const { return program_; }
+
   /// `usage_line` names the positional operands, e.g. "<trace-file-or-dir>...".
   void positionals(std::string usage_line) {
     positional_usage_ = std::move(usage_line);
