@@ -44,6 +44,32 @@ inline SimDuration overlap_time_bruteforce(
   return SimDuration(T);
 }
 
+/// The disjoint union runs, by the plain sort-and-extend loop: sort by
+/// (start, end), then extend the last run while the next interval starts at
+/// or before its end (touching intervals merge; a zero-length interval
+/// apart from every other is a run of its own).
+inline std::vector<TimeInterval> merge_intervals_reference(
+    std::vector<TimeInterval> col_time) {
+  std::vector<TimeInterval> merged;
+  if (col_time.empty()) return merged;
+  std::sort(col_time.begin(), col_time.end(),
+            [](const TimeInterval& a, const TimeInterval& b) {
+              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+              return a.end_ns < b.end_ns;
+            });
+  merged.push_back(col_time.front());
+  for (std::size_t i = 1; i < col_time.size(); ++i) {
+    const TimeInterval& next = col_time[i];
+    TimeInterval& cur = merged.back();
+    if (next.start_ns <= cur.end_ns) {
+      cur.end_ns = std::max(cur.end_ns, next.end_ns);
+    } else {
+      merged.push_back(next);
+    }
+  }
+  return merged;
+}
+
 /// Union measure restricted to a window [w_start, w_end).
 inline SimDuration overlap_time_windowed(
     const std::vector<TimeInterval>& col_time, std::int64_t window_start_ns,

@@ -90,6 +90,30 @@ TEST(Overlap, MergeIntervalsReturnsDisjointSortedRuns) {
   EXPECT_EQ(runs[1], (TimeInterval{7, 9}));
 }
 
+TEST(Overlap, MergeIntervalsMatchesReferenceLoopOnEdgeShapes) {
+  const std::vector<std::vector<TimeInterval>> shapes = {
+      {},
+      {{5, 5}},                                   // zero-length alone
+      {{5, 5}, {5, 5}, {9, 9}},                   // repeated zero-length
+      {{0, 10}, {4, 4}},                          // zero-length inside
+      {{0, 10}, {10, 10}, {10, 12}},              // zero-length at a seam
+      {{3, 3}, {0, 3}},                           // zero-length at an end
+      {{0, 2}, {2, 4}, {4, 6}},                   // touching chain
+      {{4, 6}, {0, 2}, {2, 4}},                   // touching, unsorted
+      {{0, 100}, {10, 20}, {30, 40}, {0, 100}},   // nested and identical
+      {{0, 100}, {10, 200}, {150, 160}},          // nested in the extension
+      {{-50, -10}, {-10, 0}, {1, 2}},             // negative times
+      {{0, 1}, {2, 3}, {4, 5}},                   // disjoint
+  };
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto runs = merge_intervals(shapes[i]);
+    EXPECT_EQ(runs, merge_intervals_reference(shapes[i])) << "shape " << i;
+    std::int64_t total = 0;
+    for (const auto& r : runs) total += r.end_ns - r.start_ns;
+    EXPECT_EQ(merged_ns(shapes[i]), total) << "shape " << i;
+  }
+}
+
 TEST(Overlap, WindowedClipsAndExcludes) {
   const std::vector<TimeInterval> v{{0, 10}, {20, 30}};
   EXPECT_EQ(overlap_time_windowed(v, 5, 25).ns(), 10);  // [5,10) + [20,25)
@@ -169,6 +193,24 @@ TEST_P(OverlapProperty, ImplementationsAgreeOnRandomInput) {
   EXPECT_GE(t_merged, longest);
   // Union + idle = span.
   EXPECT_EQ(t_merged + idle_time(v).ns(), hi - lo);
+}
+
+TEST_P(OverlapProperty, MergeIntervalsMatchesReferenceLoop) {
+  // Random sets with zero-length, touching, nested and repeated intervals:
+  // short lengths on a coarse grid make every shape common.
+  Rng rng(GetParam() ^ 0x5eed);
+  const int n = 1 + static_cast<int>(rng.uniform_u64(200));
+  std::vector<TimeInterval> v;
+  for (int i = 0; i < n; ++i) {
+    const auto start = static_cast<std::int64_t>(rng.uniform_u64(100)) * 4;
+    const auto len = static_cast<std::int64_t>(rng.uniform_u64(5)) * 4;
+    v.push_back({start, start + len});
+  }
+  const auto reference = merge_intervals_reference(v);
+  EXPECT_EQ(merge_intervals(v), reference);
+  std::int64_t total = 0;
+  for (const auto& r : reference) total += r.end_ns - r.start_ns;
+  EXPECT_EQ(merged_ns(v), total);
 }
 
 TEST_P(OverlapProperty, UnionIsMonotoneUnderAddingIntervals) {
