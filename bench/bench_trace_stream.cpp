@@ -6,22 +6,21 @@
 //       reason to exist: a MetricSample over an N-record trace file costs
 //       O(chunk) resident memory through measure_stream, while the
 //       materialized path (load_binary -> TraceCollector -> measure_run)
-//       costs O(N). Three passes, in this order because ru_maxrss never
-//       decreases: open_trace_source() (the mmap source bpsio_report and
+//       costs O(N). Two passes, in this order because ru_maxrss never
+//       decreases: open_trace_source() (the mapped source bpsio_report and
 //       the daemons' drains use; mapped file pages count in RSS, so its
-//       budget is a few chunks), SpilledTraceSource, then the materialized
-//       path. All three must produce bit-identical samples, and the two
-//       streaming passes must stay inside their budgets while the trace is
-//       >= 100x the SpillWriter's in-memory batch default (4096 records).
+//       budget is a few chunks), then the materialized path. Both must
+//       produce bit-identical samples, the streaming pass must stay inside
+//       its budget while the trace is >= 100x the SpillWriter's in-memory
+//       batch default (4096 records), and the materialized pass must pay
+//       for at least one copy of the records.
 //
 //   --mode=throughput  Statistical-harness drain of the same file through
-//       SpilledTraceSource (ifstream copy-per-chunk) and MappedTraceSource
-//       (spans over the mapping, zero copies), emitting
-//       BENCH_trace_stream_ifstream.json and BENCH_trace_stream_mmap.json;
-//       the mmap record carries `speedup_vs_ifstream`. Each timed drain
-//       reads every record's payload into a checksum, so the mapped source
-//       pays its page faults and page release, and both drains must agree
-//       on record count and total blocks or the bench fails.
+//       MappedTraceSource (spans over the mapping, zero copies), emitting
+//       BENCH_trace_stream_mmap.json. Each timed drain reads every record's
+//       payload into a checksum, so the source pays its page faults and page
+//       release, and every drain must deliver the file's record count and
+//       total blocks or the bench fails.
 //
 // The rss smoke ctest runs --records=409600 (100x the in-memory default,
 // ~12.5 MiB on disk). Exit status is nonzero on any mismatch or an RSS
@@ -121,18 +120,7 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
     return 1;
   }
 
-  // Pass 2 — the ifstream source.
-  const long rss_before_stream = peak_rss_kib();
-  trace::SpilledTraceSource source(path, chunk);
-  const auto streamed = metrics::measure_stream(source, moved, exec);
-  const long stream_growth = peak_rss_kib() - rss_before_stream;
-  if (!streamed.ok()) {
-    std::fprintf(stderr, "FAIL: streaming measure: %s\n",
-                 streamed.error().message.c_str());
-    return 1;
-  }
-
-  // Pass 3 — materialized batch path.
+  // Pass 2 — materialized batch path.
   const long rss_before_batch = peak_rss_kib();
   metrics::MetricSample batch;
   {
@@ -148,16 +136,13 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
   }
   const long batch_growth = peak_rss_kib() - rss_before_batch;
 
-  std::printf("  streaming: %s\n", streamed->to_string().c_str());
-  std::printf("  rss growth: default source %+ld KiB, ifstream source %+ld "
-              "KiB (chunk=%zu records), materialized %+ld KiB\n",
-              mapped_growth, stream_growth, chunk, batch_growth);
+  std::printf("  streaming: %s\n", mapped->to_string().c_str());
+  std::printf("  rss growth: default source %+ld KiB (chunk=%zu records), "
+              "materialized %+ld KiB\n",
+              mapped_growth, chunk, batch_growth);
 
   int failures = 0;
   if (!identical(*mapped, batch, "default-source vs materialized sample")) {
-    ++failures;
-  }
-  if (!identical(*streamed, batch, "streaming vs materialized sample")) {
     ++failures;
   }
   const long chunk_kib =
@@ -172,17 +157,6 @@ int run_rss_mode(const std::string& path, std::uint64_t records,
                  "FAIL: default-source pass grew %ld KiB (budget %ld KiB) — "
                  "the mapped trace stayed resident\n",
                  mapped_growth, mapped_budget_kib);
-    ++failures;
-  }
-  // Flat-memory check, deliberately generous: the streaming pass may grow by
-  // its chunk buffer plus allocator slack, never by anything proportional to
-  // the trace. 16 MiB is ~3% of the full-mode trace's materialized footprint.
-  const long stream_budget_kib = 16 * 1024 + chunk_kib;
-  if (stream_growth > stream_budget_kib) {
-    std::fprintf(stderr,
-                 "FAIL: streaming pass grew %ld KiB (budget %ld KiB) — "
-                 "something materialized the trace\n",
-                 stream_growth, stream_budget_kib);
     ++failures;
   }
   // The materialized path must actually pay for the records (one full copy
@@ -212,10 +186,9 @@ struct DrainTotals {
   std::uint64_t blocks = 0;
 };
 
-// Drain that reads every record's payload: the untimed pass proves the two
-// sources deliver identical streams, and the timed passes charge each
-// source what a consumer pays to read it — the ifstream path its copy into
-// the chunk buffer, the mapped path its page faults and page release.
+// Drain that reads every record's payload, so a timed pass charges the
+// mapped source what a consumer pays to read it: its page faults and page
+// release.
 DrainTotals checksum_drain(trace::RecordSource& source) {
   DrainTotals totals;
   for (;;) {
@@ -239,31 +212,16 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
                   (1024.0 * 1024.0),
               chunk);
 
-  // Prove the two sources deliver identical streams before timing anything;
-  // this also checks the mapped source really is mapping — a silent
-  // fallback to the ifstream path would make the comparison meaningless.
+  // Drain once untimed: the file must deliver every record before the
+  // timed passes compare against its totals.
   DrainTotals expected;
   {
     trace::MappedTraceSource mapped(path, chunk);
     BPSIO_CHECK(mapped.status().ok(), "mmap source failed: %s",
                 mapped.status().error().message.c_str());
-    trace::SpilledTraceSource spilled(path, chunk);
     expected = checksum_drain(mapped);
-    const DrainTotals b = checksum_drain(spilled);
-    BPSIO_CHECK(expected.count == records && b.count == records &&
-                    expected.blocks == b.blocks,
-                "ifstream and mmap drains disagree");
+    BPSIO_CHECK(expected.count == records, "mmap drain lost records");
   }
-
-  auto ifstream_cfg = bench::make_harness_config("trace_stream_ifstream", args);
-  const bench::BenchHarness ifstream_harness(ifstream_cfg);
-  const auto ifstream_result = ifstream_harness.run([&] {
-    trace::SpilledTraceSource source(path, chunk);
-    const DrainTotals got = checksum_drain(source);
-    BPSIO_CHECK(got.count == records && got.blocks == expected.blocks,
-                "ifstream drain lost records");
-    return static_cast<double>(got.count);
-  });
 
   auto mmap_cfg = bench::make_harness_config("trace_stream_mmap", args);
   const bench::BenchHarness mmap_harness(mmap_cfg);
@@ -275,22 +233,11 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
     return static_cast<double>(got.count);
   });
 
-  const double speedup = ifstream_result.est.mean > 0
-                             ? mmap_result.est.mean / ifstream_result.est.mean
-                             : 0.0;
-  std::printf("  mmap vs ifstream: %.2fx\n", speedup);
-  char speedup_str[32];
-  std::snprintf(speedup_str, sizeof speedup_str, "%.4f", speedup);
-
-  const std::map<std::string, std::string> shared = {
+  const std::map<std::string, std::string> extra = {
       {"records", std::to_string(records)},
       {"chunk", std::to_string(chunk)},
       {"profile", args.profile}};
-  auto mmap_extra = shared;
-  mmap_extra.emplace("speedup_vs_ifstream", speedup_str);
-  int rc = bench::report_result(args, ifstream_cfg, ifstream_result, shared);
-  rc |= bench::report_result(args, mmap_cfg, mmap_result, mmap_extra);
-  return rc;
+  return bench::report_result(args, mmap_cfg, mmap_result, extra);
 }
 
 }  // namespace
@@ -302,7 +249,7 @@ int main(int argc, char** argv) {
 
   cli::ArgParser parser("bench_trace_stream",
                         "Streaming trace consumption: flat-memory check "
-                        "(--mode=rss) or mmap-vs-ifstream drain throughput "
+                        "(--mode=rss) or mapped-source drain throughput "
                         "with a statistical harness (--mode=throughput).");
   bench::register_common_flags(parser, &args, /*with_threads=*/false);
   parser.add_int("--chunk", &chunk_arg, 1, 1'000'000'000, "N",

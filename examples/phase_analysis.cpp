@@ -56,11 +56,17 @@ int main(int argc, char** argv) {
   std::printf("whole-run view: %s\n\n", whole.to_string().c_str());
 
   const auto tl = metrics::build_timeline(all, SimDuration(window_ns));
+  if (!tl.ok()) {
+    std::fprintf(stderr, "phase_analysis: %s\n",
+                 tl.error().to_string().c_str());
+    return 1;
+  }
   std::printf("timeline (%.0f ms windows):\n%s\n",
-              static_cast<double>(window_ns) / 1e6, tl.to_string().c_str());
+              static_cast<double>(window_ns) / 1e6, tl->to_string().c_str());
   std::printf("peak windowed BPS: %.0f (%.1fx the whole-run average)\n",
-              tl.peak_bps(), whole.bps > 0 ? tl.peak_bps() / whole.bps : 0.0);
-  std::printf("idle windows: %.0f%%\n\n", tl.idle_window_fraction() * 100.0);
+              tl->peak_bps(),
+              whole.bps > 0 ? tl->peak_bps() / whole.bps : 0.0);
+  std::printf("idle windows: %.0f%%\n\n", tl->idle_window_fraction() * 100.0);
 
   const auto profile = metrics::concurrency_profile(all);
   std::printf("concurrency profile (share of busy time at each level):\n");

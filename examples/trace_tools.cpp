@@ -21,7 +21,9 @@
 #include "metrics/overlap.hpp"
 #include "metrics/timeline.hpp"
 #include "trace/merge.hpp"
+#include "trace/record_source.hpp"
 #include "trace/serialize.hpp"
+#include "trace/spill_writer.hpp"
 #include "trace/validate.hpp"
 #include "workload/registry.hpp"
 
@@ -57,14 +59,23 @@ int record_trace(const std::string& path, const Args& args) {
   const workload::WorkloadPtr wkl = workload::make_workload(wl);
   const auto run = wkl->run(testbed.env());
 
-  const auto written = trace::save_binary(path, run.collector.records());
-  if (!written.ok()) {
+  // Saved in (start, end) order, the order bpsio_report and every metric
+  // pipeline read; collector_source sorts the gathered records so.
+  auto ordered = trace::collector_source(run.collector);
+  trace::SpillWriter out(path);
+  for (auto chunk = ordered.next_chunk(); !chunk.empty();
+       chunk = ordered.next_chunk()) {
+    out.append(chunk);
+  }
+  if (const Status closed = out.close(); !closed.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 written.error().to_string().c_str());
+                 closed.to_string().c_str());
     return 1;
   }
   std::printf("recorded %zu accesses from %u processes to %s (%zu bytes)\n",
-              run.collector.record_count(), procs, path.c_str(), *written);
+              run.collector.record_count(), procs, path.c_str(),
+              sizeof(trace::TraceHeader) +
+                  run.collector.record_count() * sizeof(trace::IoRecord));
   return 0;
 }
 
@@ -130,11 +141,15 @@ int show_timeline(const std::string& path, const Args& args) {
   collector.gather(*records);
   const auto tl =
       metrics::build_timeline(collector, SimDuration(args.window_ns));
-  std::printf("%zu windows of %.0f ms:\n%s", tl.windows.size(),
+  if (!tl.ok()) {
+    std::fprintf(stderr, "trace_tools: %s\n", tl.error().to_string().c_str());
+    return 1;
+  }
+  std::printf("%zu windows of %.0f ms:\n%s", tl->windows.size(),
               static_cast<double>(args.window_ns) / 1e6,
-              tl.to_string().c_str());
-  std::printf("peak windowed BPS %.0f, idle windows %.0f%%\n", tl.peak_bps(),
-              tl.idle_window_fraction() * 100.0);
+              tl->to_string().c_str());
+  std::printf("peak windowed BPS %.0f, idle windows %.0f%%\n", tl->peak_bps(),
+              tl->idle_window_fraction() * 100.0);
   return 0;
 }
 

@@ -48,6 +48,13 @@ std::string fmt_double(double v, int digits) {
   return buf;
 }
 
+std::string fmt_ms(std::int64_t ns) {
+  std::string text = fmt_double(static_cast<double>(ns) / 1e6, 6);
+  text.erase(text.find_last_not_of('0') + 1);
+  if (text.back() == '.') text.pop_back();
+  return text;
+}
+
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {}
 

@@ -1,6 +1,7 @@
 // Human-readable rendering helpers for reports and tables.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,10 @@ std::string human_rate(double bytes_per_second);
 
 /// Fixed-point with `digits` fractional digits.
 std::string fmt_double(double v, int digits = 3);
+
+/// `ns` as a decimal count of milliseconds without trailing zeros:
+/// "100", "0.0045", "3814697.265625".
+std::string fmt_ms(std::int64_t ns);
 
 /// Simple fixed-width text table for bench harness output.
 class TextTable {

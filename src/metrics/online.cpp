@@ -1,51 +1,11 @@
 #include "metrics/online.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 
 namespace bpsio::metrics {
-
-void OnlineBpsCounter::access_started(SimTime t) {
-  if (active_ == 0) open_since_ = t;
-  ++active_;
-  ++started_;
-}
-
-void OnlineBpsCounter::access_finished(SimTime t, std::uint64_t blocks) {
-  if (active_ == 0) {
-    // Feeder contract violation (previously a bare assert that was a no-op
-    // in Release, letting active_ wrap to ~4 billion): drop the event and
-    // record the violation instead of corrupting B and T.
-    ++unmatched_finishes_;
-    BPSIO_WARN("online counter: finish at t=%lldns (%llu blocks) without a "
-               "matching start; dropped",
-               static_cast<long long>(t.ns()),
-               static_cast<unsigned long long>(blocks));
-    return;
-  }
-  blocks_ += blocks;
-  ++finished_;
-  --active_;
-  if (active_ == 0) busy_ns_ += (t - open_since_).ns();
-}
-
-SimDuration OnlineBpsCounter::busy_time(SimTime now) const {
-  std::int64_t total = busy_ns_;
-  if (active_ > 0) total += (now - open_since_).ns();
-  return SimDuration(total);
-}
-
-double OnlineBpsCounter::bps(SimTime now) const {
-  const auto t = busy_time(now);
-  if (t.ns() <= 0) return 0.0;
-  return static_cast<double>(blocks_) / t.seconds();
-}
-
-void OnlineBpsCounter::reset() { *this = OnlineBpsCounter{}; }
 
 double WindowFigures::bps() const {
   if (busy_ns <= 0) return 0.0;
@@ -362,14 +322,5 @@ void SlidingWindowMetrics::clip_intervals() {
 }
 
 void SlidingWindowMetrics::reset() { *this = SlidingWindowMetrics(window_); }
-
-std::string OnlineBpsCounter::to_string(SimTime now) const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "online BPS=%.6g (B=%llu, T=%.6gs, in-flight=%u)", bps(now),
-                static_cast<unsigned long long>(blocks_),
-                busy_time(now).seconds(), active_);
-  return buf;
-}
 
 }  // namespace bpsio::metrics

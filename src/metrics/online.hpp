@@ -1,22 +1,17 @@
-// Online (streaming) BPS accumulation — the "hardware counter" the paper
-// anticipates.
+// Online (streaming) BPS over a sliding window — the "hardware counter" the
+// paper anticipates.
 //
 // Section III.C: "while I/O performance has received more and more attention
 // in recent years, hardware counter for I/O performance is expected to be
 // available in the near future." Such a counter would not store 32-byte
-// records and sort them afterwards; it would track, in O(1) state, the
-// number of in-flight accesses, the cumulative busy time (the union T,
-// accumulated at transitions), and the completed blocks B.
-//
-// OnlineBpsCounter is that counter, fed by access start/finish events in
-// nondecreasing time order (which the event loop guarantees). It produces
-// exactly the same B, T, and BPS as the offline Figure-3 pipeline — a
-// property the tests enforce — with no per-access storage at all.
+// records and sort them afterwards; it would keep B and T current as
+// accesses complete. SlidingWindowMetrics is that counter for the live
+// daemons: B, T, IOPS, BW and ARPT over the trailing window, in state
+// proportional to the records inside it.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -24,46 +19,6 @@
 #include "trace/io_record.hpp"
 
 namespace bpsio::metrics {
-
-class OnlineBpsCounter {
- public:
-  /// An access entered the I/O system at time `t`.
-  void access_started(SimTime t);
-  /// An access completed at time `t`, having required `blocks` blocks.
-  /// Failed accesses report their requested size too (they count in B).
-  /// A finish with no matching start violates the feeder contract: it is
-  /// dropped (neither B nor T moves), counted in unmatched_finishes(), and
-  /// logged — it must never underflow the in-flight count, which would
-  /// corrupt every later busy interval.
-  void access_finished(SimTime t, std::uint64_t blocks);
-
-  std::uint64_t blocks() const { return blocks_; }     ///< B so far
-  std::uint32_t in_flight() const { return active_; }
-  std::uint64_t accesses_started() const { return started_; }
-  std::uint64_t accesses_finished() const { return finished_; }
-  /// Contract-violating finishes that were dropped (0 on a healthy feed).
-  std::uint64_t unmatched_finishes() const { return unmatched_finishes_; }
-
-  /// T so far: closed busy time plus the currently open busy interval
-  /// (up to `now`).
-  SimDuration busy_time(SimTime now) const;
-  /// BPS so far = B / T(now). 0 while T is zero.
-  double bps(SimTime now) const;
-
-  /// Reset all counters (e.g. at a phase boundary).
-  void reset();
-
-  std::string to_string(SimTime now) const;
-
- private:
-  std::uint32_t active_ = 0;
-  std::int64_t busy_ns_ = 0;      ///< closed busy intervals
-  SimTime open_since_{};          ///< start of the current busy interval
-  std::uint64_t blocks_ = 0;
-  std::uint64_t started_ = 0;
-  std::uint64_t finished_ = 0;
-  std::uint64_t unmatched_finishes_ = 0;
-};
 
 /// The running figures of a sliding window: everything B, T, IOPS, BW and
 /// ARPT are computed from, in one trivially copyable struct, so a scraper

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "metrics/interval_union.hpp"
+
 namespace bpsio::metrics {
 
 namespace {
@@ -45,28 +47,22 @@ SimDuration overlap_time_paper(std::vector<TimeInterval> col_time) {
 }
 
 std::vector<TimeInterval> merge_intervals(std::vector<TimeInterval> col_time) {
-  std::vector<TimeInterval> merged;
-  if (col_time.empty()) return merged;
   sort_by_start(col_time);
-  merged.push_back(col_time.front());
-  for (std::size_t i = 1; i < col_time.size(); ++i) {
-    const TimeInterval& next = col_time[i];
-    TimeInterval& cur = merged.back();
-    if (next.start_ns <= cur.end_ns) {
-      cur.end_ns = std::max(cur.end_ns, next.end_ns);
-    } else {
-      merged.push_back(next);
-    }
-  }
+  std::vector<TimeInterval> merged;
+  IntervalUnion runs([&merged](std::int64_t start_ns, std::int64_t end_ns) {
+    merged.push_back({start_ns, end_ns});
+  });
+  for (const auto& iv : col_time) runs.add(iv.start_ns, iv.end_ns);
+  runs.finish();
   return merged;
 }
 
 SimDuration overlap_time_merged(std::vector<TimeInterval> col_time) {
-  std::int64_t T = 0;
-  for (const auto& iv : merge_intervals(std::move(col_time))) {
-    T += iv.end_ns - iv.start_ns;
-  }
-  return SimDuration(T);
+  sort_by_start(col_time);
+  IntervalUnion<> busy;
+  for (const auto& iv : col_time) busy.add(iv.start_ns, iv.end_ns);
+  busy.finish();
+  return SimDuration(busy.busy_ns());
 }
 
 SimDuration idle_time(const std::vector<TimeInterval>& col_time) {

@@ -4,23 +4,26 @@
 // intervals: concurrent overlapping accesses count once, idle gaps count
 // zero ("T should only include the time when I/O operation is performing").
 //
-// These materialized unions sit beside the streaming one that every metric
-// in the library uses (OverlapConsumer, metrics/pipeline.hpp):
+// The library has one merge rule, IntervalUnion (metrics/interval_union.hpp),
+// which the streaming OverlapConsumer (metrics/pipeline.hpp) runs over an
+// ordered stream. The materialized entry points here sort, then run it:
+//  * overlap_time_merged()     — sort, then IntervalUnion: the union measure.
+//  * merge_intervals()         — the same, returning the disjoint runs the
+//                                union's close hook emits.
+//  * overlap_time_parallel()   — shards the sort on a ThreadPool and streams
+//                                a k-way merge of the shards into
+//                                IntervalUnion (overlap_parallel.cpp).
+// Beside them, the reference:
 //  * overlap_time_paper()      — the paper's Figure-3 algorithm, transcribed
 //                                as literally as possible (sort by start, then
 //                                a step-by-step record comparison that merges
 //                                the next record into the current one). It is
 //                                the reference the tests check T against.
-//  * overlap_time_merged()     — a clean sort-and-merge; also returns the
-//                                merged interval list for inspection.
-//  * overlap_time_parallel()   — sharded sort + k-way merge on a ThreadPool;
-//                                bit-identical to overlap_time_merged() by
-//                                construction (overlap_parallel.cpp).
 //
-// All implementations agree on every input (tested exhaustively, with the
-// O(n²) oracle of tests/overlap_oracle.hpp); the paper version is kept
-// because reproducing the published algorithm verbatim is part of the point,
-// and the ablation bench compares it with the library's T.
+// All agree on every input (tested exhaustively, with the O(n²) oracle of
+// tests/overlap_oracle.hpp); the paper version is kept because reproducing
+// the published algorithm verbatim is part of the point, and the ablation
+// bench compares it with the library's T.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,12 @@ using trace::TimeInterval;
 /// algorithm sorts internally, as Figure 3 does). Empty input -> 0.
 SimDuration overlap_time_paper(std::vector<TimeInterval> col_time);
 
-/// Clean sort-and-merge union measure.
+/// Union measure: sort by (start, end), then IntervalUnion.
 SimDuration overlap_time_merged(std::vector<TimeInterval> col_time);
 
-/// Sort-and-merge that also returns the disjoint union intervals, sorted.
-/// Useful for visualizing busy/idle phases (see examples/trace_tools).
+/// The disjoint union runs, sorted: touching intervals merge, and a
+/// zero-length interval apart from every other is a run of its own. Useful
+/// for visualizing busy/idle phases (see examples/trace_tools).
 std::vector<TimeInterval> merge_intervals(std::vector<TimeInterval> col_time);
 
 /// Sharded union measure: partition col_time into one shard per pool worker,

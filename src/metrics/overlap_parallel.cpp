@@ -76,7 +76,7 @@ SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
     return best;
   };
 
-  IntervalUnion busy;
+  IntervalUnion<> busy;
   while (const TimeInterval* next = next_min()) {
     busy.add(next->start_ns, next->end_ns);
   }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/format.hpp"
 
 namespace bpsio::metrics {
 
@@ -140,10 +141,27 @@ void ConcurrencyProfileConsumer::finish() {
 TimelineConsumer::TimelineConsumer(SimDuration window,
                                    std::optional<std::int64_t> lo,
                                    std::optional<std::int64_t> hi)
-    : window_ns_(window.ns()), lo_override_(lo), hi_override_(hi) {
+    : window_ns_(window.ns()),
+      reach_limit_(std::min<std::uint64_t>(
+                       static_cast<std::uint64_t>(window.ns()),
+                       std::uint64_t{1} << 43) *
+                   kMaxTimelineWindows),
+      lo_override_(lo),
+      hi_override_(hi) {
   BPSIO_CHECK(window_ns_ > 0, "timeline window must be positive, got %lldns",
               static_cast<long long>(window_ns_));
   timeline_.window = window;
+}
+
+void TimelineConsumer::refuse(std::uint64_t reach) {
+  fitting_window_ns_ =
+      static_cast<std::int64_t>(reach / kMaxTimelineWindows) + 1;
+  status_ = Status{
+      Errc::out_of_range,
+      "the timeline needs " +
+          std::to_string(reach / static_cast<std::uint64_t>(window_ns_) + 1) +
+          " windows of " + fmt_ms(window_ns_) + " ms, over the limit of " +
+          std::to_string(kMaxTimelineWindows)};
 }
 
 void TimelineConsumer::ensure_windows(std::size_t count) {
@@ -154,6 +172,7 @@ void TimelineConsumer::ensure_windows(std::size_t count) {
 }
 
 void TimelineConsumer::consume(std::span<const trace::IoRecord> chunk) {
+  if (!status_.ok()) return;
   const std::int64_t hi_clamp =
       hi_override_ ? *hi_override_ : std::numeric_limits<std::int64_t>::max();
   for (const auto& r : chunk) {
@@ -171,12 +190,20 @@ void TimelineConsumer::consume(std::span<const trace::IoRecord> chunk) {
     const std::int64_t r_start = std::max(r.start_ns, lo_);
     const std::int64_t r_end = std::min(r.end_ns, hi_clamp);
     if (r_end < r_start) continue;
+    // The record's last window holds its last ns (its start when it has
+    // none), `reach` ns past lo_.
+    const std::int64_t last_ns = r_end == r_start ? r_start : r_end - 1;
+    const std::uint64_t reach =
+        static_cast<std::uint64_t>(last_ns) - static_cast<std::uint64_t>(lo_);
+    if (reach >= reach_limit_) {
+      refuse(reach);
+      return;
+    }
     const std::int64_t duration = r.end_ns - r.start_ns;
     const auto first_win =
         static_cast<std::size_t>((r_start - lo_) / window_ns_);
     const auto last_win = static_cast<std::size_t>(
-        r_end == r_start ? (r_start - lo_) / window_ns_
-                         : (r_end - 1 - lo_) / window_ns_);
+        reach / static_cast<std::uint64_t>(window_ns_));
     ensure_windows(last_win + 1);
     for (std::size_t i = first_win; i <= last_win; ++i) {
       TimelineWindow& win = timeline_.windows[i];
@@ -284,7 +311,10 @@ Status MetricPipeline::run(trace::RecordSource& source) {
         have_prev = true;
       }
     }
-    for (MetricConsumer* c : consumers_) c->consume(chunk);
+    for (MetricConsumer* c : consumers_) {
+      c->consume(chunk);
+      if (Status s = c->status(); !s.ok()) return s;
+    }
     processed_ += chunk.size();
   }
   if (const Status s = source.status(); !s.ok()) return s;

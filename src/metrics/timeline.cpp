@@ -41,9 +41,9 @@ std::string Timeline::to_string() const {
   return out;
 }
 
-Timeline build_timeline(const trace::TraceCollector& collector,
-                        SimDuration window,
-                        const trace::RecordFilter& filter) {
+Result<Timeline> build_timeline(const trace::TraceCollector& collector,
+                                SimDuration window,
+                                const trace::RecordFilter& filter) {
   BPSIO_CHECK(window.ns() > 0, "timeline window must be positive, got %lldns",
               static_cast<long long>(window.ns()));
   auto source = trace::collector_source(collector, filter);
@@ -51,9 +51,7 @@ Timeline build_timeline(const trace::TraceCollector& collector,
                             filter.window_end_ns);
   MetricPipeline pipeline;
   pipeline.attach(timeline);
-  const Status run = pipeline.run(source);
-  BPSIO_CHECK(run.ok(), "timeline pipeline failed: %s",
-              run.error().message.c_str());
+  if (const Status run = pipeline.run(source); !run.ok()) return run.error();
   return timeline.take();
 }
 

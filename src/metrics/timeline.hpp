@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "trace/trace_collector.hpp"
 
@@ -45,12 +46,18 @@ struct Timeline {
   std::string to_string() const;
 };
 
+/// The most windows a timeline may hold: 2^20, about 100 MiB of window
+/// state (TimelineConsumer refuses a record that needs more).
+inline constexpr std::uint64_t kMaxTimelineWindows = std::uint64_t{1} << 20;
+
 /// Build a timeline over [t0, t1) (defaults: the records' span) with the
 /// given window size. Blocks of an access spanning several windows are
-/// attributed proportionally to the time the access spends in each.
-Timeline build_timeline(const trace::TraceCollector& collector,
-                        SimDuration window,
-                        const trace::RecordFilter& filter = {});
+/// attributed proportionally to the time the access spends in each. Fails
+/// with Errc::out_of_range when the span needs more than kMaxTimelineWindows
+/// windows.
+Result<Timeline> build_timeline(const trace::TraceCollector& collector,
+                                SimDuration window,
+                                const trace::RecordFilter& filter = {});
 
 /// Concurrency profile: fraction of busy time spent at each concurrency
 /// level (index 0 = exactly 1 active access, etc.; the vector is sized to

@@ -44,7 +44,6 @@ void IoClient::finish_access(SimTime start, Bytes requested,
                   const auto blocks = bytes_to_blocks(requested, block_size_);
                   trace_.record(blocks, start, node_.simulator().now(), op,
                                 flags);
-                  notify_access_finished(blocks);
                   done(outcome);
                 });
 }
@@ -52,7 +51,6 @@ void IoClient::finish_access(SimTime start, Bytes requested,
 void IoClient::read(fs::FileHandle h, Bytes offset, Bytes size,
                     fs::IoDoneFn done) {
   const SimTime start = node_.simulator().now();
-  notify_access_started();
   node_.compute(node_.params().per_op_overhead, [this, h, offset, size, start,
                                                  done = std::move(done)]() mutable {
     auto complete = [this, start, size, done = std::move(done)](
@@ -71,7 +69,6 @@ void IoClient::read(fs::FileHandle h, Bytes offset, Bytes size,
 void IoClient::write(fs::FileHandle h, Bytes offset, Bytes size,
                      fs::IoDoneFn done) {
   const SimTime start = node_.simulator().now();
-  notify_access_started();
   // Write: copy-in is part of issuing the request; charge it with the
   // per-op overhead before the backend write.
   node_.compute(
@@ -85,7 +82,6 @@ void IoClient::write(fs::FileHandle h, Bytes offset, Bytes size,
                          const auto blocks = bytes_to_blocks(size, block_size_);
                          trace_.record(blocks, start, node_.simulator().now(),
                                        trace::IoOpKind::write, flags);
-                         notify_access_finished(blocks);
                          done(outcome);
                        });
       });

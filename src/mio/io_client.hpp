@@ -15,7 +15,6 @@
 #include <string>
 
 #include "fs/file_api.hpp"
-#include "metrics/online.hpp"
 #include "mio/client_node.hpp"
 #include "mio/prefetcher.hpp"
 #include "trace/trace_buffer.hpp"
@@ -35,23 +34,6 @@ class IoClient {
   fs::FileApi& backend() { return backend_; }
   trace::TraceBuffer& trace() { return trace_; }
   const trace::TraceBuffer& trace() const { return trace_; }
-
-  /// Attach an online (hardware-counter-style) BPS accumulator; every
-  /// application access on this client then feeds it start/finish events.
-  /// Several clients may share one counter (it is the global collection).
-  void set_online_counter(metrics::OnlineBpsCounter* counter) {
-    online_ = counter;
-  }
-  metrics::OnlineBpsCounter* online_counter() { return online_; }
-
-  /// Middleware-internal: online-counter notifications. Every access path
-  /// (POSIX, list I/O, collective) brackets itself with these.
-  void notify_access_started() {
-    if (online_) online_->access_started(node_.simulator().now());
-  }
-  void notify_access_finished(std::uint64_t blocks) {
-    if (online_) online_->access_finished(node_.simulator().now(), blocks);
-  }
 
   /// Enable middleware-level sequential prefetching (off by default).
   /// Prefetch reads move data without being application accesses — the
@@ -86,7 +68,6 @@ class IoClient {
   Bytes block_size_;
   trace::TraceBuffer trace_;
   std::unique_ptr<Prefetcher> prefetch_;
-  metrics::OnlineBpsCounter* online_ = nullptr;
 };
 
 }  // namespace bpsio::mio

@@ -67,7 +67,6 @@ void MpiIo::finish_list(std::shared_ptr<ListPlan> plan) {
   const auto blocks = bytes_to_blocks(plan->useful, client_.block_size());
   client_.trace().record(blocks, plan->start, node.simulator().now(),
                          plan->op, flags);
-  client_.notify_access_finished(blocks);
   plan->done(fs::IoOutcome{plan->ok, plan->ok ? plan->useful : 0});
 }
 
@@ -216,7 +215,6 @@ void MpiIo::read_list(fs::FileHandle h, std::vector<Region> regions,
   plan->op = trace::IoOpKind::read;
   plan->done = std::move(done);
   plan->start = client_.node().simulator().now();
-  client_.notify_access_started();
 
   // MPI_File_read entry: request setup plus datatype flattening — a real,
   // per-region CPU cost that large region counts make significant.
@@ -255,7 +253,6 @@ void MpiIo::write_list(fs::FileHandle h, std::vector<Region> regions,
   plan->op = trace::IoOpKind::write;
   plan->done = std::move(done);
   plan->start = client_.node().simulator().now();
-  client_.notify_access_started();
 
   const SimDuration setup =
       client_.node().params().per_op_overhead +
@@ -299,7 +296,6 @@ void MpiIo::read_collective(CollectiveGroup& group, fs::FileHandle h,
   pending.start = client_.node().simulator().now();
   pending.op = trace::IoOpKind::read;
   pending.done = std::move(done);
-  client_.notify_access_started();
   group.arrive(std::move(pending));
 }
 
@@ -315,7 +311,6 @@ void MpiIo::write_collective(CollectiveGroup& group, fs::FileHandle h,
   pending.start = client_.node().simulator().now();
   pending.op = trace::IoOpKind::write;
   pending.done = std::move(done);
-  client_.notify_access_started();
   group.arrive(std::move(pending));
 }
 
@@ -356,7 +351,6 @@ void CollectiveGroup::run_round() {
       auto& node = p.io->client_.node();
       p.io->client_.trace().record(0, p.start, node.simulator().now(), p.op,
                                    trace::kIoCollective);
-      p.io->client_.notify_access_finished(0);
       sim_.schedule_now([done = std::move(p.done)]() { done({true, 0}); });
     }
     return;
@@ -444,7 +438,6 @@ void CollectiveGroup::run_round() {
       const auto blocks = bytes_to_blocks(p.useful, p.io->client_.block_size());
       p.io->client_.trace().record(blocks, p.start, n.simulator().now(), p.op,
                                    trace::kIoCollective);
-      p.io->client_.notify_access_finished(blocks);
       p.done(fs::IoOutcome{true, p.useful});
     }
   };

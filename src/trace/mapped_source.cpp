@@ -1,17 +1,12 @@
 #include "trace/mapped_source.hpp"
 
-#include <algorithm>
-#include <type_traits>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define BPSIO_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define BPSIO_HAS_MMAP 0
-#endif
+
+#include <algorithm>
+#include <type_traits>
 
 namespace bpsio::trace {
 
@@ -28,24 +23,21 @@ static_assert(sizeof(TraceHeader) % alignof(IoRecord) == 0,
 MappedTraceSource::MappedTraceSource(std::string path,
                                      std::size_t chunk_records)
     : path_(std::move(path)), chunk_(chunk_records ? chunk_records : 1) {
-#if BPSIO_HAS_MMAP
   const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     status_ = Status{Errc::not_found, "cannot open " + path_};
-    env_failed_ = true;
     return;
   }
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     status_ = Status{Errc::io_error, "cannot stat " + path_};
-    env_failed_ = true;
     ::close(fd);
     return;
   }
   const auto file_size = static_cast<std::size_t>(st.st_size);
   if (file_size == 0) {
     // mmap of length 0 is EINVAL; the file is simply too short to hold a
-    // header — report it exactly as the stream reader would.
+    // header.
     status_ = Status{parse_trace_header(nullptr, 0).error()};
     ::close(fd);
     return;
@@ -55,7 +47,6 @@ MappedTraceSource::MappedTraceSource(std::string path,
   if (map_ == MAP_FAILED) {
     map_ = nullptr;
     status_ = Status{Errc::io_error, "cannot mmap " + path_};
-    env_failed_ = true;
     return;
   }
   map_len_ = file_size;
@@ -72,16 +63,10 @@ MappedTraceSource::MappedTraceSource(std::string path,
                                                sizeof(TraceHeader));
   available_ = (map_len_ - sizeof(TraceHeader)) / sizeof(IoRecord);
   remaining_ = header_.record_count;
-#else
-  status_ = Status{Errc::unsupported, "mmap is unavailable on this platform"};
-  env_failed_ = true;
-#endif
 }
 
 MappedTraceSource::~MappedTraceSource() {
-#if BPSIO_HAS_MMAP
   if (map_ != nullptr) ::munmap(map_, map_len_);
-#endif
 }
 
 std::span<const IoRecord> MappedTraceSource::next_chunk() {
@@ -89,9 +74,8 @@ std::span<const IoRecord> MappedTraceSource::next_chunk() {
   const auto take =
       static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, chunk_));
   if (delivered_ + take > available_) {
-    // Same wording AND granularity as SpilledTraceSource: a chunk that
-    // cannot be filled whole delivers nothing and fails the source, and the
-    // "found" count is the complete records physically present.
+    // A chunk that cannot be filled whole delivers nothing and fails the
+    // source; "found" counts the complete records physically present.
     status_ = Status{Errc::io_error,
                      "trace truncated: header claims " +
                          std::to_string(header_.record_count) +
@@ -108,7 +92,6 @@ std::span<const IoRecord> MappedTraceSource::next_chunk() {
 }
 
 void MappedTraceSource::release_before(std::uint64_t index) {
-#if BPSIO_HAS_MMAP && defined(MADV_DONTNEED)
   static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   const std::size_t byte =
       sizeof(TraceHeader) + static_cast<std::size_t>(index) * sizeof(IoRecord);
@@ -117,21 +100,16 @@ void MappedTraceSource::release_before(std::uint64_t index) {
   ::madvise(static_cast<char*>(map_) + released_, upto - released_,
             MADV_DONTNEED);
   released_ = upto;
-#else
-  (void)index;
-#endif
 }
 
 std::optional<std::uint64_t> MappedTraceSource::size_hint() const {
   if (!status_.ok()) return std::nullopt;
-  return header_.record_count;
+  return std::min(header_.record_count, available_);
 }
 
 std::unique_ptr<RecordSource> open_trace_source(const std::string& path,
                                                 std::size_t chunk_records) {
-  auto mapped = std::make_unique<MappedTraceSource>(path, chunk_records);
-  if (mapped->status().ok() || !mapped->environment_failed()) return mapped;
-  return std::make_unique<SpilledTraceSource>(path, chunk_records);
+  return std::make_unique<MappedTraceSource>(path, chunk_records);
 }
 
 }  // namespace bpsio::trace

@@ -1,6 +1,8 @@
 #include "trace/record_source.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 namespace bpsio::trace {
 
@@ -67,58 +69,6 @@ VectorSource collector_view(const TraceCollector& collector,
 }
 
 // ---------------------------------------------------------------------------
-// SpilledTraceSource
-// ---------------------------------------------------------------------------
-
-SpilledTraceSource::SpilledTraceSource(std::string path,
-                                       std::size_t chunk_records)
-    : path_(std::move(path)),
-      in_(path_, std::ios::binary),
-      chunk_(chunk_records ? chunk_records : 1) {
-  if (!in_) {
-    status_ = Status{Errc::not_found, "cannot open " + path_};
-    return;
-  }
-  auto header = read_trace_header(in_);
-  if (!header.ok()) {
-    status_ = Status{header.error()};
-    return;
-  }
-  header_ = *header;
-  remaining_ = header_.record_count;
-}
-
-std::span<const IoRecord> SpilledTraceSource::next_chunk() {
-  if (!status_.ok() || remaining_ == 0) return {};
-  const auto take =
-      static_cast<std::size_t>(std::min<std::uint64_t>(remaining_, chunk_));
-  buf_.resize(take);
-  in_.read(reinterpret_cast<char*>(buf_.data()),
-           static_cast<std::streamsize>(take * sizeof(IoRecord)));
-  const auto got_bytes = static_cast<std::uint64_t>(in_.gcount());
-  if (got_bytes != take * sizeof(IoRecord)) {
-    // Same wording as read_binary(): truncation is the same corruption
-    // whether the trace is loaded whole or streamed.
-    const std::uint64_t got_records = delivered_ + got_bytes / sizeof(IoRecord);
-    status_ = Status{Errc::io_error,
-                     "trace truncated: header claims " +
-                         std::to_string(header_.record_count) +
-                         " records, found " + std::to_string(got_records)};
-    buf_.clear();
-    remaining_ = 0;
-    return {};
-  }
-  delivered_ += take;
-  remaining_ -= take;
-  return {buf_.data(), buf_.size()};
-}
-
-std::optional<std::uint64_t> SpilledTraceSource::size_hint() const {
-  if (!status_.ok()) return std::nullopt;
-  return header_.record_count;
-}
-
-// ---------------------------------------------------------------------------
 // MergedSource
 // ---------------------------------------------------------------------------
 
@@ -132,6 +82,11 @@ MergedSource::MergedSource(std::vector<std::unique_ptr<RecordSource>> children,
     Child c;
     c.src = std::move(children[i]);
     c.index = static_cast<std::uint32_t>(i);
+    const std::uint64_t base = (i + 1) * std::uint64_t{options_.pid_stride};
+    c.pid_base = static_cast<std::uint32_t>(base);
+    c.pid_room = base > UINT32_MAX
+                     ? -1
+                     : static_cast<std::int64_t>(UINT32_MAX - base);
     if (const auto hint = c.src->size_hint(); hint && all_known) {
       total += *hint;
     } else {
@@ -165,7 +120,8 @@ bool MergedSource::refill(Child& child) {
     child.buf.assign(chunk.begin(), chunk.end());
     for (IoRecord& r : child.buf) {
       if (options_.pid_stride > 0) {
-        r.pid = (child.index + 1) * options_.pid_stride + r.pid;
+        if (r.pid > child.pid_room) return fail_remap(child, r.pid);
+        r.pid = child.pid_base + r.pid;
       }
       r.start_ns += child.shift;
       r.end_ns += child.shift;
@@ -178,6 +134,19 @@ bool MergedSource::refill(Child& child) {
   }
   child.pos = 0;
   return true;
+}
+
+bool MergedSource::fail_remap(Child& child, std::uint32_t pid) {
+  child.done = true;
+  child.view = {};
+  if (status_.ok()) {
+    status_ = Status{Errc::out_of_range,
+                     "pid stride " + std::to_string(options_.pid_stride) +
+                         " remaps pid " + std::to_string(pid) + " of source " +
+                         std::to_string(child.index + 1) + " past " +
+                         std::to_string(UINT32_MAX)};
+  }
+  return false;
 }
 
 bool MergedSource::precedes(const IoRecord& a, std::uint32_t ia,

@@ -7,8 +7,8 @@
 //
 //   * VectorSource         — view over in-memory records (or an owned,
 //                            sorted snapshot of a TraceCollector).
-//   * SpilledTraceSource   — streams a .bpstrace file chunk by chunk,
-//                            validating the v2 header without loading it.
+//   * MappedTraceSource    — streams a .bpstrace file as spans over its
+//                            mapping (trace/mapped_source.hpp).
 //   * MergedSource         — deterministic k-way merge over per-process /
 //                            per-application sources (merge_traces drains
 //                            one into a vector).
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
@@ -31,7 +30,6 @@
 #include "common/result.hpp"
 #include "trace/io_record.hpp"
 #include "trace/merge.hpp"
-#include "trace/serialize.hpp"
 #include "trace/trace_collector.hpp"
 
 namespace bpsio::trace {
@@ -98,40 +96,13 @@ VectorSource collector_source(const TraceCollector& collector,
 VectorSource collector_view(const TraceCollector& collector,
                             std::size_t chunk_records = kDefaultSourceChunk);
 
-/// Streams a .bpstrace (v2) file in bounded chunks. Header validation and
-/// truncation detection match read_binary(): a failed open, bad header, or
-/// short file surfaces through status(), never through a partial silent
-/// stream — next_chunk() yields nothing once the source has failed.
-class SpilledTraceSource final : public RecordSource {
- public:
-  explicit SpilledTraceSource(std::string path,
-                              std::size_t chunk_records = kDefaultSourceChunk);
-
-  std::span<const IoRecord> next_chunk() override;
-  std::optional<std::uint64_t> size_hint() const override;
-  Status status() const override { return status_; }
-
-  /// Record count the header claims (0 when the header was rejected).
-  std::uint64_t record_count() const { return header_.record_count; }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  std::ifstream in_;
-  TraceHeader header_{};
-  std::vector<IoRecord> buf_;
-  std::uint64_t remaining_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::size_t chunk_;
-  Status status_;
-};
-
 /// Deterministic k-way merge over ordered child sources, and the only trace
 /// merge (merge_traces drains one): output is ordered by (start, end), equal
 /// keys by child index, then in each child's own order. MergeOptions pid
 /// remapping and start alignment apply per child (a child's first record
 /// carries its earliest start, since children are ordered). A failing child
-/// truncates the stream and surfaces through status().
+/// truncates the stream and surfaces through status(); so does a pid the
+/// remap would carry past UINT32_MAX (Errc::out_of_range).
 class MergedSource final : public RecordSource {
  public:
   explicit MergedSource(std::vector<std::unique_ptr<RecordSource>> children,
@@ -152,12 +123,17 @@ class MergedSource final : public RecordSource {
     std::span<const IoRecord> view;
     std::size_t pos = 0;
     std::int64_t shift = 0;
+    std::uint32_t pid_base = 0;  ///< (index + 1) * pid_stride
+    /// Largest pid the remap keeps within 32 bits; negative when none.
+    std::int64_t pid_room = 0;
     std::uint32_t index = 0;
     bool first = true;
     bool done = false;
   };
 
   bool refill(Child& child);
+  /// Ends `child` on a pid the remap cannot represent; returns false.
+  bool fail_remap(Child& child, std::uint32_t pid);
   /// True when record `a` of child `ia` merges strictly before record `b`
   /// of child `ib` — (start, end) order, full ties to the lower index.
   static bool precedes(const IoRecord& a, std::uint32_t ia, const IoRecord& b,

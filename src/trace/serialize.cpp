@@ -1,30 +1,20 @@
 #include "trace/serialize.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <ostream>
+
+#include "trace/mapped_source.hpp"
+#include "trace/spill_writer.hpp"
 
 namespace bpsio::trace {
 
-Result<std::size_t> write_binary(std::ostream& out,
-                                 const std::vector<IoRecord>& records) {
-  TraceHeader header;
-  header.record_count = records.size();
-  out.write(reinterpret_cast<const char*>(&header), sizeof header);
-  if (!records.empty()) {
-    out.write(reinterpret_cast<const char*>(records.data()),
-              static_cast<std::streamsize>(records.size() * sizeof(IoRecord)));
-  }
-  if (!out) return Error{Errc::io_error, "trace write failed"};
-  return sizeof header + records.size() * sizeof(IoRecord);
-}
-
 Result<std::size_t> save_binary(const std::string& path,
                                 const std::vector<IoRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Error{Errc::io_error, "cannot open " + path};
-  return write_binary(out, records);
+  SpillWriter out(path);
+  if (!out.ok()) return Error{Errc::io_error, "cannot open " + path};
+  out.append(records);
+  if (const Status closed = out.close(); !closed.ok()) return closed.error();
+  return sizeof(TraceHeader) + records.size() * sizeof(IoRecord);
 }
 
 Result<TraceHeader> parse_trace_header(const char* data, std::size_t size) {
@@ -54,47 +44,20 @@ Result<TraceHeader> parse_trace_header(const char* data, std::size_t size) {
   return header;
 }
 
-Result<TraceHeader> read_trace_header(std::istream& in) {
-  char raw[sizeof(TraceHeader)];
-  in.read(raw, sizeof raw);
-  return parse_trace_header(raw, static_cast<std::size_t>(in.gcount()));
-}
-
-Result<std::vector<IoRecord>> read_binary(std::istream& in) {
-  const auto parsed = read_trace_header(in);
-  if (!parsed.ok()) return parsed.error();
-  const TraceHeader header = *parsed;
-  // Read in bounded chunks: a corrupt record_count must fail with a clean
-  // "truncated" error, not a multi-gigabyte allocation.
-  constexpr std::uint64_t kChunkRecords = 1 << 16;
+Result<std::vector<IoRecord>> load_binary(const std::string& path) {
+  MappedTraceSource source(path);
   std::vector<IoRecord> records;
-  records.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(header.record_count, kChunkRecords)));
-  std::uint64_t remaining = header.record_count;
-  while (remaining > 0) {
-    const std::uint64_t take = std::min<std::uint64_t>(remaining, kChunkRecords);
-    const std::size_t old_size = records.size();
-    records.resize(old_size + static_cast<std::size_t>(take));
-    in.read(reinterpret_cast<char*>(records.data() + old_size),
-            static_cast<std::streamsize>(take * sizeof(IoRecord)));
-    const auto got_bytes = static_cast<std::uint64_t>(in.gcount());
-    if (got_bytes != take * sizeof(IoRecord)) {
-      const std::uint64_t got_records =
-          static_cast<std::uint64_t>(old_size) + got_bytes / sizeof(IoRecord);
-      return Error{Errc::io_error,
-                   "trace truncated: header claims " +
-                       std::to_string(header.record_count) +
-                       " records, found " + std::to_string(got_records)};
-    }
-    remaining -= take;
+  // The hint never exceeds the records the file holds, whatever the header
+  // claims.
+  records.reserve(static_cast<std::size_t>(source.size_hint().value_or(0)));
+  for (auto chunk = source.next_chunk(); !chunk.empty();
+       chunk = source.next_chunk()) {
+    records.insert(records.end(), chunk.begin(), chunk.end());
+  }
+  if (const Status status = source.status(); !status.ok()) {
+    return status.error();
   }
   return records;
-}
-
-Result<std::vector<IoRecord>> load_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{Errc::not_found, "cannot open " + path};
-  return read_binary(in);
 }
 
 void write_csv(std::ostream& out, const std::vector<IoRecord>& records) {
@@ -104,41 +67,6 @@ void write_csv(std::ostream& out, const std::vector<IoRecord>& records) {
         << static_cast<unsigned>(r.flags) << ',' << r.blocks << ','
         << r.start_ns << ',' << r.end_ns << '\n';
   }
-}
-
-Result<std::vector<IoRecord>> read_csv(std::istream& in) {
-  std::vector<IoRecord> records;
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Error{Errc::invalid_argument, "empty csv"};
-  }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string pid_s, op_s, flags_s, blocks_s, start_s, end_s;
-    if (!std::getline(ls, pid_s, ',') || !std::getline(ls, op_s, ',') ||
-        !std::getline(ls, flags_s, ',') || !std::getline(ls, blocks_s, ',') ||
-        !std::getline(ls, start_s, ',') || !std::getline(ls, end_s)) {
-      return Error{Errc::invalid_argument,
-                   "malformed csv at line " + std::to_string(line_no)};
-    }
-    IoRecord r;
-    try {
-      r.pid = static_cast<std::uint32_t>(std::stoul(pid_s));
-      r.op = op_s == "write" ? IoOpKind::write : IoOpKind::read;
-      r.flags = static_cast<std::uint8_t>(std::stoul(flags_s));
-      r.blocks = std::stoull(blocks_s);
-      r.start_ns = std::stoll(start_s);
-      r.end_ns = std::stoll(end_s);
-    } catch (const std::exception&) {
-      return Error{Errc::invalid_argument,
-                   "unparsable csv at line " + std::to_string(line_no)};
-    }
-    records.push_back(r);
-  }
-  return records;
 }
 
 }  // namespace bpsio::trace

@@ -71,16 +71,6 @@ Status SpillWriter::checkpoint() {
   return {};
 }
 
-Result<SpilledTraceSource> SpillWriter::into_source(
-    std::size_t chunk_records) {
-  if (const Status closed = close(); !closed.ok()) return closed.error();
-  SpilledTraceSource source(path_, chunk_records);
-  if (const Status opened = source.status(); !opened.ok()) {
-    return opened.error();
-  }
-  return source;
-}
-
 Status SpillWriter::close() {
   if (closed_) return {};
   closed_ = true;

@@ -6,7 +6,8 @@
 // batch and spill to the trace file whenever the batch fills, so a
 // long-running measurement keeps O(batch) memory instead of O(accesses).
 // The on-disk format is the standard .bpstrace container (header rewritten
-// with the final count on close).
+// with the final count on close), and SpillWriter is its only writer:
+// save_binary() and every spool and drain append through one.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 
 #include "common/result.hpp"
 #include "trace/io_record.hpp"
-#include "trace/record_source.hpp"
 
 namespace bpsio::trace {
 
@@ -52,16 +52,6 @@ class SpillWriter {
   /// Flush, rewrite the header with the final count, and close the file.
   /// Called by the destructor if not called explicitly.
   Status close();
-
-  /// Flush, close, and reopen the spill file as a streaming RecordSource —
-  /// the write-side-to-read-side handoff of the bounded-memory pipeline.
-  /// Records stream back in append order; `chunk_records` bounds resident
-  /// memory on the read side as `batch_records` did on the write side.
-  /// Fails when the writer never opened or the close failed (a failed close
-  /// can leave a stale placeholder header, which must not read as an empty
-  /// trace).
-  Result<SpilledTraceSource> into_source(
-      std::size_t chunk_records = kDefaultSourceChunk);
 
   std::uint64_t records_written() const { return written_ + batch_.size(); }
   std::size_t resident_records() const { return batch_.size(); }

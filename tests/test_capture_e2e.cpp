@@ -27,6 +27,7 @@
 #include "common/wallclock.hpp"
 #include "metrics/calculators.hpp"
 #include "metrics/pipeline.hpp"
+#include "trace/mapped_source.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
 #include "trace/serialize.hpp"
@@ -142,7 +143,7 @@ TEST(CaptureE2E, KnownPatternCapturesExactBlocks) {
   // traces, measured in one bounded-memory pass.
   std::vector<std::unique_ptr<trace::RecordSource>> children;
   for (const std::string& file : files) {
-    auto source = std::make_unique<trace::SpilledTraceSource>(file);
+    auto source = trace::open_trace_source(file);
     ASSERT_TRUE(source->status().ok()) << source->status().to_string();
     children.push_back(std::move(source));
   }

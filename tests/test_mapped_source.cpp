@@ -1,22 +1,22 @@
-// MappedTraceSource (trace/mapped_source.hpp): the mmap twin of
-// SpilledTraceSource must be bit-identical to it on every input — same
-// records, same status() behavior, same error text — and its spans must
+// MappedTraceSource (trace/mapped_source.hpp), the one .bpstrace reader:
+// it streams exactly the file's records, fails every corruption with a
+// pinned code and text (the same ones load_binary reports), and its spans
 // genuinely alias the mapping (zero copy) while staying safe to abandon
-// mid-stream. Failure modes are exercised differentially: whatever the
-// ifstream source says about a corrupt file, the mapped source must say
-// verbatim.
+// mid-stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "merge_oracle.hpp"
 #include "trace/mapped_source.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
@@ -100,7 +100,7 @@ TEST(MappedTraceSource, ChunksAreContiguousWindowsOverTheMapping) {
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceSource, MatchesSpilledSourceOnTruncatedFile) {
+TEST(MappedTraceSource, TruncatedFileFailsWithThePinnedText) {
   const auto records = ordered_records(40);
   const std::string path =
       write_spill("/tmp/bpsio_map_trunc.bpstrace", records);
@@ -110,25 +110,26 @@ TEST(MappedTraceSource, MatchesSpilledSourceOnTruncatedFile) {
   write_raw(path, bytes);
 
   trace::MappedTraceSource mapped(path, /*chunk_records=*/16);
-  trace::SpilledTraceSource spilled(path, /*chunk_records=*/16);
   ASSERT_TRUE(mapped.status().ok());  // header still intact
-  ASSERT_TRUE(spilled.status().ok());
-  // Both deliver the same complete chunks before failing...
-  EXPECT_EQ(drain(mapped), drain(spilled));
-  EXPECT_FALSE(mapped.status().ok());
-  EXPECT_FALSE(spilled.status().ok());
-  // ...and fail with byte-identical messages, which are also the loader's.
-  EXPECT_EQ(mapped.status().error().message, spilled.status().error().message);
+  // The two whole chunks come through; the third cannot be filled whole
+  // and delivers nothing.
+  EXPECT_EQ(drain(mapped),
+            std::vector<IoRecord>(records.begin(), records.begin() + 32));
+  ASSERT_FALSE(mapped.status().ok());
+  EXPECT_EQ(mapped.status().error().code, Errc::io_error);
+  EXPECT_EQ(mapped.status().error().message,
+            "trace truncated: header claims 40 records, found 38");
+  // The loader drains the same source and fails the same way.
   const auto loaded = trace::load_binary(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(mapped.status().error().message, loaded.error().message);
+  EXPECT_EQ(loaded.error().message, mapped.status().error().message);
   // A failed source yields nothing further and hides its hint.
   EXPECT_TRUE(mapped.next_chunk().empty());
   EXPECT_FALSE(mapped.size_hint().has_value());
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceSource, MatchesSpilledSourceOnBadHeaders) {
+TEST(MappedTraceSource, BadHeadersFailWithThePinnedTexts) {
   const std::string path = "/tmp/bpsio_map_badheader.bpstrace";
   const auto records = ordered_records(8);
   write_spill(path, records);
@@ -136,32 +137,37 @@ TEST(MappedTraceSource, MatchesSpilledSourceOnBadHeaders) {
 
   // One corruption per header field the parser validates, plus a header
   // shorter than 24 bytes.
-  std::vector<std::vector<char>> corruptions;
+  struct Corruption {
+    std::vector<char> bytes;
+    Errc code;
+    std::string message;
+  };
+  std::vector<Corruption> corruptions;
   auto bad_magic = good;
   bad_magic[0] = 'X';
-  corruptions.push_back(bad_magic);
+  corruptions.push_back(
+      {bad_magic, Errc::invalid_argument, "bad trace magic"});
   auto bad_version = good;
   bad_version[4] = 99;
-  corruptions.push_back(bad_version);
+  corruptions.push_back({bad_version, Errc::unsupported,
+                         "unsupported trace version 99 (expected 2)"});
   auto bad_record_size = good;
   bad_record_size[8] = 16;
-  corruptions.push_back(bad_record_size);
-  corruptions.push_back(std::vector<char>(good.begin(), good.begin() + 10));
+  corruptions.push_back(
+      {bad_record_size, Errc::unsupported,
+       "non-32-byte record size 16 (paper-format records are 32 bytes)"});
+  corruptions.push_back({std::vector<char>(good.begin(), good.begin() + 10),
+                         Errc::invalid_argument,
+                         "truncated trace header (10 of 24 bytes)"});
 
   for (std::size_t i = 0; i < corruptions.size(); ++i) {
-    write_raw(path, corruptions[i]);
+    write_raw(path, corruptions[i].bytes);
     trace::MappedTraceSource mapped(path);
-    trace::SpilledTraceSource spilled(path);
-    EXPECT_FALSE(mapped.status().ok()) << "corruption " << i;
-    EXPECT_FALSE(spilled.status().ok()) << "corruption " << i;
-    EXPECT_EQ(mapped.status().error().message,
-              spilled.status().error().message)
+    ASSERT_FALSE(mapped.status().ok()) << "corruption " << i;
+    EXPECT_EQ(mapped.status().error().code, corruptions[i].code)
         << "corruption " << i;
-    EXPECT_EQ(mapped.status().error().code, spilled.status().error().code)
+    EXPECT_EQ(mapped.status().error().message, corruptions[i].message)
         << "corruption " << i;
-    // A malformed FILE is not an environment failure: the factory must NOT
-    // fall back and give the corruption a second chance.
-    EXPECT_FALSE(mapped.environment_failed()) << "corruption " << i;
     EXPECT_TRUE(mapped.next_chunk().empty()) << "corruption " << i;
     EXPECT_FALSE(mapped.size_hint().has_value()) << "corruption " << i;
     EXPECT_EQ(mapped.record_count(), 0u) << "corruption " << i;
@@ -169,15 +175,14 @@ TEST(MappedTraceSource, MatchesSpilledSourceOnBadHeaders) {
   std::remove(path.c_str());
 }
 
-TEST(MappedTraceSource, EmptyFileMatchesSpilledSource) {
+TEST(MappedTraceSource, EmptyFileFailsWithThePinnedText) {
   const std::string path = "/tmp/bpsio_map_empty.bpstrace";
   write_raw(path, {});
   trace::MappedTraceSource mapped(path);
-  trace::SpilledTraceSource spilled(path);
-  EXPECT_FALSE(mapped.status().ok());
-  EXPECT_FALSE(spilled.status().ok());
-  EXPECT_EQ(mapped.status().error().message, spilled.status().error().message);
-  EXPECT_FALSE(mapped.environment_failed());
+  ASSERT_FALSE(mapped.status().ok());
+  EXPECT_EQ(mapped.status().error().code, Errc::invalid_argument);
+  EXPECT_EQ(mapped.status().error().message,
+            "truncated trace header (0 of 24 bytes)");
   std::remove(path.c_str());
 }
 
@@ -185,9 +190,7 @@ TEST(MappedTraceSource, ZeroRecordFileStreamsNothingCleanly) {
   const std::string path =
       write_spill("/tmp/bpsio_map_zero.bpstrace", {});
   trace::MappedTraceSource mapped(path);
-  trace::SpilledTraceSource spilled(path);
   ASSERT_TRUE(mapped.status().ok()) << mapped.status().to_string();
-  ASSERT_TRUE(spilled.status().ok());
   EXPECT_EQ(mapped.record_count(), 0u);
   ASSERT_TRUE(mapped.size_hint().has_value());
   EXPECT_EQ(*mapped.size_hint(), 0u);
@@ -196,20 +199,34 @@ TEST(MappedTraceSource, ZeroRecordFileStreamsNothingCleanly) {
   std::remove(path.c_str());
 }
 
+TEST(MappedTraceSource, HintNeverExceedsTheRecordsInTheFile) {
+  // A header claiming more records than the file holds must not inflate
+  // what a consumer reserves.
+  const std::string path =
+      write_spill("/tmp/bpsio_map_hint.bpstrace", ordered_records(3));
+  auto bytes = read_raw(path);
+  trace::TraceHeader header;
+  std::memcpy(&header, bytes.data(), sizeof header);
+  header.record_count = 1ULL << 39;
+  std::memcpy(bytes.data(), &header, sizeof header);
+  write_raw(path, bytes);
+  trace::MappedTraceSource mapped(path);
+  ASSERT_TRUE(mapped.status().ok());
+  EXPECT_EQ(mapped.record_count(), 1ULL << 39);
+  EXPECT_EQ(mapped.size_hint(), std::optional<std::uint64_t>(3));
+  std::remove(path.c_str());
+}
+
 TEST(MappedTraceSource, MissingFileFailsUpFront) {
-  trace::MappedTraceSource source("/tmp/bpsio_no_such_map.bpstrace");
-  EXPECT_FALSE(source.status().ok());
-  EXPECT_TRUE(source.environment_failed());
+  const std::string path = "/tmp/bpsio_no_such_map.bpstrace";
+  trace::MappedTraceSource source(path);
+  ASSERT_FALSE(source.status().ok());
+  EXPECT_EQ(source.status().error().code, Errc::not_found);
+  EXPECT_EQ(source.status().error().message, "cannot open " + path);
   EXPECT_TRUE(source.next_chunk().empty());
   EXPECT_FALSE(source.size_hint().has_value());
-  // The factory's fallback reports the missing file with the exact text the
-  // ifstream source always used.
-  trace::SpilledTraceSource spilled("/tmp/bpsio_no_such_map.bpstrace");
-  const auto fallback =
-      trace::open_trace_source("/tmp/bpsio_no_such_map.bpstrace");
-  EXPECT_FALSE(fallback->status().ok());
-  EXPECT_EQ(fallback->status().error().message,
-            spilled.status().error().message);
+  const auto opened = trace::open_trace_source(path);
+  EXPECT_EQ(opened->status().error().message, "cannot open " + path);
 }
 
 TEST(MappedTraceSource, MidStreamAbandonmentIsSafe) {
@@ -293,23 +310,20 @@ TEST(MappedTraceSource, ReleasesPagesBehindTheCursor) {
   std::remove(path.c_str());
 }
 
-TEST(OpenTraceSource, PrefersTheMappingAndFallsBackOnlyOnEnvironment) {
+TEST(OpenTraceSource, ReturnsTheMapping) {
   const auto records = ordered_records(20);
   const std::string path =
       write_spill("/tmp/bpsio_map_factory.bpstrace", records);
   const auto source = trace::open_trace_source(path, /*chunk_records=*/8);
   ASSERT_TRUE(source->status().ok());
-  // On this platform mmap works, so the factory must return the mapped
-  // source, not the ifstream fallback.
   EXPECT_NE(dynamic_cast<trace::MappedTraceSource*>(source.get()), nullptr);
   EXPECT_EQ(drain(*source), records);
   std::remove(path.c_str());
 }
 
-TEST(OpenTraceSource, MergedChildrenMatchIfstreamChildren) {
-  // The drain/report merge must produce the identical record sequence
-  // whether its children are mapped or streamed — including the (start,
-  // end, child-index) tie-break.
+TEST(OpenTraceSource, MergedMappedChildrenFollowTheTieBreak) {
+  // The drain/report merge over mapped children: (start, end) order, equal
+  // keys by child index, then in each child's own order.
   std::vector<IoRecord> a;
   std::vector<IoRecord> b;
   for (int i = 0; i < 50; ++i) {
@@ -324,19 +338,13 @@ TEST(OpenTraceSource, MergedChildrenMatchIfstreamChildren) {
   keep.alignment = trace::TimeAlignment::keep;
   keep.pid_stride = 0;
 
-  std::vector<std::unique_ptr<trace::RecordSource>> mapped_children;
-  mapped_children.push_back(std::make_unique<trace::MappedTraceSource>(pa, 16));
-  mapped_children.push_back(std::make_unique<trace::MappedTraceSource>(pb, 16));
-  trace::MergedSource mapped_merge(std::move(mapped_children), keep);
+  std::vector<std::unique_ptr<trace::RecordSource>> children;
+  children.push_back(trace::open_trace_source(pa, 16));
+  children.push_back(trace::open_trace_source(pb, 16));
+  trace::MergedSource merged(std::move(children), keep);
 
-  std::vector<std::unique_ptr<trace::RecordSource>> stream_children;
-  stream_children.push_back(std::make_unique<trace::SpilledTraceSource>(pa, 16));
-  stream_children.push_back(std::make_unique<trace::SpilledTraceSource>(pb, 16));
-  trace::MergedSource stream_merge(std::move(stream_children), keep);
-
-  EXPECT_EQ(drain(mapped_merge), drain(stream_merge));
-  EXPECT_TRUE(mapped_merge.status().ok());
-  EXPECT_TRUE(stream_merge.status().ok());
+  EXPECT_EQ(drain(merged), trace::merge_oracle({a, b}, keep));
+  EXPECT_TRUE(merged.status().ok());
   std::remove(pa.c_str());
   std::remove(pb.c_str());
 }

@@ -17,6 +17,7 @@
 #include "metrics/overlap.hpp"
 #include "metrics/pipeline.hpp"
 #include "metrics/timeline.hpp"
+#include "trace/mapped_source.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
 #include "trace/spill_writer.hpp"
@@ -152,7 +153,7 @@ TEST(MetricPipeline, SpilledStreamIsBitIdenticalToInMemory) {
     }
     ASSERT_TRUE(writer.close().ok());
   }
-  trace::SpilledTraceSource spilled(path, /*chunk_records=*/33);
+  trace::MappedTraceSource spilled(path, /*chunk_records=*/33);
   const auto from_disk = metrics::measure_stream(spilled, moved, exec);
   ASSERT_TRUE(from_disk.ok());
   expect_identical(*from_memory, *from_disk);
@@ -257,7 +258,7 @@ TEST(MetricPipeline, BpsMeterReadingMatchesBatchFormulas) {
 TEST(MetricPipeline, TimelineFromSpilledStreamMatchesBatchBuilder) {
   const auto c = messy_collector();
   const auto window = SimDuration(1'000'000);
-  const auto batch = metrics::build_timeline(c, window);
+  const auto batch = *metrics::build_timeline(c, window);
 
   const std::string path = "/tmp/bpsio_pipeline_timeline.bpstrace";
   {
@@ -269,7 +270,7 @@ TEST(MetricPipeline, TimelineFromSpilledStreamMatchesBatchBuilder) {
     }
     ASSERT_TRUE(writer.close().ok());
   }
-  trace::SpilledTraceSource spilled(path, /*chunk_records=*/17);
+  trace::MappedTraceSource spilled(path, /*chunk_records=*/17);
   metrics::TimelineConsumer consumer(window);
   metrics::MetricPipeline pipeline;
   pipeline.attach(consumer);
@@ -394,7 +395,7 @@ TEST(MetricPipelineProperty, StreamingConsumersMatchBatchOracles) {
                 metrics::average_concurrency(col_time));
 
       const auto streamed = timeline.take();
-      const auto batch = metrics::build_timeline(c, window, f);
+      const auto batch = *metrics::build_timeline(c, window, f);
       ASSERT_EQ(streamed.windows.size(), batch.windows.size());
       for (std::size_t i = 0; i < batch.windows.size(); ++i) {
         SCOPED_TRACE("window " + std::to_string(i));
@@ -431,7 +432,7 @@ TEST(MetricPipeline, RejectsUnorderedStreams) {
 }
 
 TEST(MetricPipeline, PropagatesSourceFailure) {
-  trace::SpilledTraceSource missing("/tmp/bpsio_no_such_pipeline.bpstrace");
+  trace::MappedTraceSource missing("/tmp/bpsio_no_such_pipeline.bpstrace");
   const auto sample =
       metrics::measure_stream(missing, Bytes{0}, SimDuration(1));
   EXPECT_FALSE(sample.ok());

@@ -1,6 +1,5 @@
-// Online (hardware-counter-style) BPS vs the offline record pipeline.
-// The two must agree exactly: the counter is the O(1)-state version of the
-// Figure-3 union computation.
+// SlidingWindowMetrics, the live daemons' windowed counters, against the
+// offline record pipeline: the two must agree exactly on every window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,238 +9,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/testbed.hpp"
-#include "metrics/calculators.hpp"
 #include "metrics/online.hpp"
 #include "metrics/overlap.hpp"
 #include "overlap_oracle.hpp"
-#include "workload/iozone.hpp"
-#include "workload/process.hpp"
 #include "window_oracle.hpp"
 
 namespace bpsio::metrics {
 namespace {
-
-TEST(OnlineBps, SingleAccess) {
-  OnlineBpsCounter c;
-  c.access_started(SimTime(0));
-  c.access_finished(SimTime::from_seconds(0.5), 100);
-  EXPECT_EQ(c.blocks(), 100u);
-  EXPECT_DOUBLE_EQ(c.busy_time(SimTime::from_seconds(1.0)).seconds(), 0.5);
-  EXPECT_DOUBLE_EQ(c.bps(SimTime::from_seconds(1.0)), 200.0);
-}
-
-TEST(OnlineBps, OverlapCountsOnce) {
-  OnlineBpsCounter c;
-  c.access_started(SimTime(0));
-  c.access_started(SimTime(0));
-  c.access_finished(SimTime::from_seconds(1.0), 100);
-  c.access_finished(SimTime::from_seconds(1.0), 100);
-  EXPECT_DOUBLE_EQ(c.busy_time(SimTime::from_seconds(2.0)).seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(c.bps(SimTime::from_seconds(2.0)), 200.0);
-}
-
-TEST(OnlineBps, IdleGapsExcluded) {
-  OnlineBpsCounter c;
-  c.access_started(SimTime(0));
-  c.access_finished(SimTime::from_seconds(1.0), 100);
-  c.access_started(SimTime::from_seconds(9.0));
-  c.access_finished(SimTime::from_seconds(10.0), 100);
-  EXPECT_DOUBLE_EQ(c.busy_time(SimTime::from_seconds(10.0)).seconds(), 2.0);
-}
-
-TEST(OnlineBps, OpenIntervalIncludedUpToNow) {
-  OnlineBpsCounter c;
-  c.access_started(SimTime(0));
-  EXPECT_EQ(c.in_flight(), 1u);
-  EXPECT_DOUBLE_EQ(c.busy_time(SimTime::from_seconds(0.25)).seconds(), 0.25);
-  // B is still zero until completion, so BPS reads zero mid-access.
-  EXPECT_DOUBLE_EQ(c.bps(SimTime::from_seconds(0.25)), 0.0);
-}
-
-TEST(OnlineBps, UnmatchedFinishIsDroppedNotUnderflowed) {
-  // Regression: an unmatched finish used to decrement active_ past zero in
-  // Release builds (the guarding assert was a no-op), wrapping in_flight to
-  // ~4 billion and poisoning every later busy interval.
-  OnlineBpsCounter c;
-  c.access_finished(SimTime(100), 50);
-  EXPECT_EQ(c.unmatched_finishes(), 1u);
-  EXPECT_EQ(c.in_flight(), 0u);
-  EXPECT_EQ(c.blocks(), 0u);
-  EXPECT_EQ(c.accesses_finished(), 0u);
-  EXPECT_EQ(c.busy_time(SimTime(200)).ns(), 0);
-
-  // The counter stays usable: a well-formed access afterwards is exact.
-  c.access_started(SimTime(200));
-  c.access_finished(SimTime(300), 10);
-  EXPECT_EQ(c.unmatched_finishes(), 1u);
-  EXPECT_EQ(c.in_flight(), 0u);
-  EXPECT_EQ(c.blocks(), 10u);
-  EXPECT_EQ(c.busy_time(SimTime(300)).ns(), 100);
-
-  c.reset();
-  EXPECT_EQ(c.unmatched_finishes(), 0u);
-}
-
-TEST(OnlineBps, ResetClears) {
-  OnlineBpsCounter c;
-  c.access_started(SimTime(0));
-  c.access_finished(SimTime(100), 5);
-  c.reset();
-  EXPECT_EQ(c.blocks(), 0u);
-  EXPECT_EQ(c.busy_time(SimTime(200)).ns(), 0);
-  EXPECT_EQ(c.accesses_started(), 0u);
-}
-
-// The headline property: on a real concurrent workload, online == offline.
-class OnlineOfflineAgreement : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(OnlineOfflineAgreement, ExactMatchOnConcurrentWorkloads) {
-  Rng rng(GetParam() ^ 0xccULL);
-  core::TestbedConfig cfg;
-  cfg.backend = core::BackendKind::pfs;
-  cfg.pfs.server_count = static_cast<std::uint32_t>(1 + rng.uniform_u64(4));
-  cfg.pfs.device = pfs::DeviceKind::hdd;
-  cfg.pfs.hdd.capacity = 8 * kGiB;
-  cfg.client_nodes = 1;
-  cfg.seed = GetParam();
-  core::Testbed testbed(cfg);
-
-  OnlineBpsCounter online;
-  workload::IozoneConfig wl;
-  wl.file_size = (2 + rng.uniform_u64(8)) * kMiB;
-  wl.record_size = 1ULL << (13 + rng.uniform_u64(5));
-  wl.processes = static_cast<std::uint32_t>(1 + rng.uniform_u64(6));
-  // Build processes manually so each client feeds the shared counter.
-  auto& env = testbed.env();
-  const SimTime t0 = env.sim->now();
-  std::vector<std::unique_ptr<workload::Process>> processes;
-  for (std::uint32_t p = 0; p < wl.processes; ++p) {
-    auto proc = std::make_unique<workload::Process>(
-        *env.nodes[0], *env.backends[0], p + 1, env.block_size);
-    proc->io().set_online_counter(&online);
-    auto h = proc->io().create("/f" + std::to_string(p),
-                               wl.file_size / wl.processes);
-    proc->set_file(*h);
-    proc->set_ops(workload::sequential_ops(workload::AppOp::Kind::read,
-                                           wl.file_size / wl.processes,
-                                           wl.record_size));
-    processes.push_back(std::move(proc));
-  }
-  const auto run = workload::run_processes(env, processes, t0);
-
-  const SimTime now = env.sim->now();
-  const auto offline_t = overlapped_io_time(run.collector);
-  EXPECT_EQ(online.blocks(), run.collector.total_blocks());
-  EXPECT_EQ(online.busy_time(now).ns(), offline_t.ns());
-  EXPECT_DOUBLE_EQ(online.bps(now), bps(run.collector));
-  EXPECT_EQ(online.accesses_finished(), run.collector.record_count());
-  EXPECT_EQ(online.in_flight(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomRuns, OnlineOfflineAgreement,
-                         ::testing::Range<std::uint64_t>(0, 10));
-
-// ---------------------------------------------------------------------------
-// Differential replay: the same random trace pushed through the streaming
-// counter and the offline Figure-3 pipeline must yield identical B, T, and
-// BPS — including failed accesses (they count in B) and interleaved
-// start/finish events at equal timestamps (either processing order closes
-// and reopens the busy interval at the same instant, adding zero).
-// ---------------------------------------------------------------------------
-
-struct ReplayEvent {
-  std::int64_t t_ns;
-  bool is_finish;
-  std::uint64_t blocks;  // finish events only
-};
-
-class OnlineReplayDifferential
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(OnlineReplayDifferential, MatchesOfflinePipelineExactly) {
-  Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 99);
-  const bool finishes_first_at_ties = (GetParam() % 2) == 1;
-
-  trace::TraceCollector collector;
-  std::vector<ReplayEvent> events;
-  const std::size_t n = 1 + rng.uniform_u64(500);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Coarse timestamps force plenty of exact collisions between starts and
-    // finishes of different accesses.
-    const auto start = static_cast<std::int64_t>(rng.uniform_u64(200)) * 10;
-    std::int64_t len = static_cast<std::int64_t>(rng.uniform_u64(20)) * 10;
-    // Zero-length accesses only when starts sort before finishes at ties;
-    // the other ordering would replay an access's finish before its start.
-    if (finishes_first_at_ties && len == 0) len = 10;
-    const std::uint8_t flags =
-        rng.uniform() < 0.2 ? trace::kIoFailed : trace::kIoOk;
-    const auto r = make_record(static_cast<std::uint32_t>(1 + i % 7),
-                               1 + rng.uniform_u64(100), SimTime(start),
-                               SimTime(start + len), trace::IoOpKind::read,
-                               flags);
-    collector.add(r);
-    events.push_back({r.start_ns, false, 0});
-    events.push_back({r.end_ns, true, r.blocks});
-  }
-  std::sort(events.begin(), events.end(),
-            [finishes_first_at_ties](const ReplayEvent& a,
-                                     const ReplayEvent& b) {
-              if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-              return finishes_first_at_ties ? (a.is_finish && !b.is_finish)
-                                            : (!a.is_finish && b.is_finish);
-            });
-
-  OnlineBpsCounter online;
-  for (const auto& e : events) {
-    if (e.is_finish) {
-      online.access_finished(SimTime(e.t_ns), e.blocks);
-    } else {
-      online.access_started(SimTime(e.t_ns));
-    }
-  }
-
-  const SimTime now(events.back().t_ns);
-  EXPECT_EQ(online.in_flight(), 0u);
-  EXPECT_EQ(online.blocks(), collector.total_blocks());  // failed count in B
-  EXPECT_EQ(online.busy_time(now).ns(), overlapped_io_time(collector).ns());
-  EXPECT_EQ(online.busy_time(now).ns(),
-            overlap_time_paper(collector.col_time()).ns());
-  EXPECT_DOUBLE_EQ(online.bps(now), bps(collector));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomTraces, OnlineReplayDifferential,
-                         ::testing::Range<std::uint64_t>(0, 30));
-
-TEST(OnlineBps, ListIoAndCollectivePathsFeedTheCounter) {
-  core::TestbedConfig cfg;
-  cfg.backend = core::BackendKind::local;
-  cfg.device = pfs::DeviceKind::ram;
-  cfg.ram.capacity = 64 * kMiB;
-  core::Testbed testbed(cfg);
-  auto& env = testbed.env();
-
-  OnlineBpsCounter online;
-  mio::IoClient client(*env.nodes[0], *env.backends[0], 1);
-  client.set_online_counter(&online);
-  mio::MpiIo mpi(client);
-  auto h = client.create("/f", 4 * kMiB);
-
-  bool done = false;
-  mpi.read_list(*h, mio::make_strided_regions(0, 64, 4096, 4096),
-                [&](fs::IoOutcome) { done = true; });
-  env.sim->run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(online.accesses_finished(), 1u);
-  EXPECT_EQ(online.blocks(), bytes_to_blocks(64 * 4096));
-  EXPECT_GT(online.busy_time(env.sim->now()).ns(), 0);
-
-  mio::CollectiveGroup group(*env.sim, 1);
-  mpi.read_collective(group, *h, {mio::Region{0, 64 * kKiB}},
-                      [&](fs::IoOutcome) {});
-  env.sim->run();
-  EXPECT_EQ(online.accesses_finished(), 2u);
-}
 
 // ---------------------------------------------------------------------------
 // SlidingWindowMetrics — the live daemon's windowed counters. Ground truth

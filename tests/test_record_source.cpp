@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "merge_oracle.hpp"
+#include "trace/mapped_source.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
 #include "trace/serialize.hpp"
@@ -108,7 +109,7 @@ TEST(CollectorSource, ViewPreservesGatherOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// SpilledTraceSource
+// Trace files (open_trace_source)
 // ---------------------------------------------------------------------------
 
 std::vector<IoRecord> ordered_records(std::size_t n) {
@@ -130,42 +131,42 @@ std::string write_spill(const std::string& path,
   return path;
 }
 
-TEST(SpilledTraceSource, StreamsExactlyTheFileContents) {
+TEST(TraceFileSource, StreamsExactlyTheFileContents) {
   const auto records = ordered_records(100);
   const std::string path =
       write_spill("/tmp/bpsio_src_stream.bpstrace", records);
-  trace::SpilledTraceSource source(path, /*chunk_records=*/7);
-  ASSERT_TRUE(source.status().ok());
-  EXPECT_EQ(source.record_count(), 100u);
-  ASSERT_TRUE(source.size_hint().has_value());
-  EXPECT_EQ(*source.size_hint(), 100u);
-  EXPECT_EQ(drain(source), records);
-  EXPECT_TRUE(source.status().ok());
+  const auto source = trace::open_trace_source(path, /*chunk_records=*/7);
+  ASSERT_TRUE(source->status().ok());
+  ASSERT_TRUE(source->size_hint().has_value());
+  EXPECT_EQ(*source->size_hint(), 100u);
+  EXPECT_EQ(drain(*source), records);
+  EXPECT_TRUE(source->status().ok());
   std::remove(path.c_str());
 }
 
-TEST(SpilledTraceSource, ChunkBoundaryCounts) {
+TEST(TraceFileSource, ChunkBoundaryCounts) {
   // Record counts at chunk-1 / chunk / chunk+1 / 2*chunk stream exactly.
   constexpr std::size_t kChunk = 8;
   for (const std::size_t n : {kChunk - 1, kChunk, kChunk + 1, 2 * kChunk}) {
     const auto records = ordered_records(n);
     const std::string path = write_spill(
         "/tmp/bpsio_src_boundary_" + std::to_string(n) + ".bpstrace", records);
-    trace::SpilledTraceSource source(path, kChunk);
-    EXPECT_EQ(drain(source), records) << "n=" << n;
-    EXPECT_TRUE(source.status().ok()) << "n=" << n;
+    const auto source = trace::open_trace_source(path, kChunk);
+    EXPECT_EQ(drain(*source), records) << "n=" << n;
+    EXPECT_TRUE(source->status().ok()) << "n=" << n;
     std::remove(path.c_str());
   }
 }
 
-TEST(SpilledTraceSource, MissingFileFailsUpFront) {
-  trace::SpilledTraceSource source("/tmp/bpsio_no_such_trace.bpstrace");
-  EXPECT_FALSE(source.status().ok());
-  EXPECT_TRUE(source.next_chunk().empty());
-  EXPECT_FALSE(source.size_hint().has_value());
+TEST(TraceFileSource, MissingFileFailsUpFront) {
+  const auto source =
+      trace::open_trace_source("/tmp/bpsio_no_such_trace.bpstrace");
+  EXPECT_FALSE(source->status().ok());
+  EXPECT_TRUE(source->next_chunk().empty());
+  EXPECT_FALSE(source->size_hint().has_value());
 }
 
-TEST(SpilledTraceSource, TruncatedFileSurfacesTheLoaderError) {
+TEST(TraceFileSource, TruncatedFileSurfacesTheLoaderError) {
   const auto records = ordered_records(40);
   const std::string path =
       write_spill("/tmp/bpsio_src_trunc.bpstrace", records);
@@ -179,38 +180,26 @@ TEST(SpilledTraceSource, TruncatedFileSurfacesTheLoaderError) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  trace::SpilledTraceSource source(path, /*chunk_records=*/16);
-  ASSERT_TRUE(source.status().ok());  // header still intact
-  while (!source.next_chunk().empty()) {
+  const auto source = trace::open_trace_source(path, /*chunk_records=*/16);
+  ASSERT_TRUE(source->status().ok());  // header still intact
+  while (!source->next_chunk().empty()) {
   }
-  EXPECT_FALSE(source.status().ok());
-  EXPECT_NE(source.status().error().message.find("trace truncated"),
+  EXPECT_FALSE(source->status().ok());
+  EXPECT_NE(source->status().error().message.find("trace truncated"),
             std::string::npos)
-      << source.status().error().message;
+      << source->status().error().message;
   // The streamed error matches the whole-file loader's verdict.
   const auto loaded = trace::load_binary(path);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.error().message, source.status().error().message);
+  EXPECT_EQ(loaded.error().message, source->status().error().message);
   std::remove(path.c_str());
 }
 
-TEST(SpillWriter, IntoSourceRoundTrips) {
-  const std::string path = "/tmp/bpsio_into_source.bpstrace";
-  const auto records = ordered_records(50);
-  trace::SpillWriter writer(path, /*batch_records=*/8);
-  for (const auto& r : records) writer.append(r);
-  auto source = writer.into_source(/*chunk_records=*/9);
-  ASSERT_TRUE(source.ok());
-  EXPECT_EQ(source->record_count(), 50u);
-  EXPECT_EQ(drain(*source), records);
-  std::remove(path.c_str());
-}
-
-TEST(SpillWriter, IntoSourcePropagatesWriteFailure) {
+TEST(SpillWriter, CloseReportsAFileThatNeverOpened) {
   trace::SpillWriter writer("/nonexistent-dir/x.bpstrace");
+  EXPECT_FALSE(writer.ok());
   writer.append(make_record(1, 1, SimTime(0), SimTime(1)));
-  const auto source = writer.into_source();
-  EXPECT_FALSE(source.ok());
+  EXPECT_FALSE(writer.close().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -289,10 +278,56 @@ TEST(MergedSource, NoChildrenIsEmpty) {
   EXPECT_TRUE(source.status().ok());
 }
 
+TEST(MergedSource, PidRemapPastUint32FailsTheStream) {
+  // Eight sources of pid 999 at stride 536870911: source 8's base is
+  // 8 * 536870911 = 4294967288, so its pid 999 would wrap to 991.
+  std::vector<std::unique_ptr<trace::RecordSource>> children;
+  std::vector<std::vector<IoRecord>> traces(
+      8, {make_record(999, 1, SimTime(0), SimTime(10))});
+  for (const auto& t : traces) {
+    children.push_back(
+        std::make_unique<trace::VectorSource>(trace::VectorSource::view(t)));
+  }
+  trace::MergeOptions options;
+  options.pid_stride = 536870911;
+  trace::MergedSource merged(std::move(children), options);
+  const auto all = drain(merged);
+  ASSERT_FALSE(merged.status().ok());
+  EXPECT_EQ(merged.status().error().code, Errc::out_of_range);
+  EXPECT_EQ(merged.status().error().message,
+            "pid stride 536870911 remaps pid 999 of source 8 past 4294967295");
+  // Sources 1-7 come through with their exact remapped pids.
+  std::vector<std::uint32_t> pids;
+  for (const IoRecord& r : all) pids.push_back(r.pid);
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t i = 1; i <= 7; ++i) want.push_back(i * 536870911 + 999);
+  EXPECT_EQ(pids, want);
+
+  // The largest pid that fits lands exactly on UINT32_MAX; one more fails.
+  for (const std::uint32_t pid : {999u, 1000u}) {
+    const std::vector<IoRecord> one{make_record(pid, 1, SimTime(0), SimTime(1))};
+    std::vector<std::unique_ptr<trace::RecordSource>> child;
+    child.push_back(
+        std::make_unique<trace::VectorSource>(trace::VectorSource::view(one)));
+    trace::MergeOptions edge;
+    edge.pid_stride = UINT32_MAX - 999;
+    trace::MergedSource source(std::move(child), edge);
+    const auto out = drain(source);
+    if (pid == 999) {
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0].pid, UINT32_MAX);
+      EXPECT_TRUE(source.status().ok());
+    } else {
+      EXPECT_TRUE(out.empty());
+      EXPECT_EQ(source.status().code(), Errc::out_of_range);
+    }
+  }
+}
+
 TEST(MergedSource, ChildFailureTruncatesAndReports) {
   std::vector<std::unique_ptr<trace::RecordSource>> children;
-  children.push_back(std::make_unique<trace::SpilledTraceSource>(
-      "/tmp/bpsio_no_such_child.bpstrace"));
+  children.push_back(
+      trace::open_trace_source("/tmp/bpsio_no_such_child.bpstrace"));
   trace::MergedSource source(std::move(children));
   EXPECT_TRUE(source.next_chunk().empty());
   EXPECT_FALSE(source.status().ok());
@@ -374,7 +409,7 @@ TEST(FilteredSource, WindowFilterAcrossSpilledChunkBoundaries) {
   ASSERT_FALSE(expected.empty());
   ASSERT_LT(expected.size(), records.size());
 
-  trace::SpilledTraceSource spilled(path, /*chunk_records=*/5);
+  trace::MappedTraceSource spilled(path, /*chunk_records=*/5);
   trace::FilteredSource source(spilled, f);
   const auto streamed = drain(source);
   EXPECT_EQ(streamed, expected);

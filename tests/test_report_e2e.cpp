@@ -29,9 +29,9 @@
 
 #include "common/format.hpp"
 #include "overlap_oracle.hpp"
+#include "interval_shapes.hpp"
 #include "trace/record_source.hpp"
 #include "trace/spill_writer.hpp"
-#include "interval_shapes.hpp"
 
 namespace bpsio {
 namespace {
@@ -289,6 +289,27 @@ TEST(ReportE2E, PidStridesItCannotRepresentAreUsageErrors) {
       << wraps->out;
 }
 
+TEST(ReportE2E, PidRemapPastUint32FailsTheRun) {
+  // Eight files of pid 999: 8 * 536870911 passes the usage check exactly,
+  // but file 8's pid 999 remaps past 4294967295 (unchecked, to pid 991).
+  const TempDir dir;
+  for (int f = 1; f <= 8; ++f) {
+    trace::SpillWriter writer(dir.path() + "/t" + std::to_string(f) +
+                              ".bpstrace");
+    writer.append(trace::make_record(999, 8, SimTime(f), SimTime(f + 10)));
+    ASSERT_TRUE(writer.close().ok());
+  }
+  const auto run =
+      report("--per-pid --csv --pid-stride=536870911 '" + dir.path() + "'");
+  if (!run) GTEST_SKIP() << "BPSIO_REPORT_BIN not in environment";
+  EXPECT_NE(run->exit_code, 0) << run->out;
+  EXPECT_NE(run->out.find("out_of_range: pid stride 536870911 remaps pid 999 "
+                          "of source 8 past 4294967295"),
+            std::string::npos)
+      << run->out;
+  EXPECT_EQ(run->out.find("\n991,"), std::string::npos) << run->out;
+}
+
 TEST(ReportE2E, DaemonWindowsItCannotRepresentAreUsageErrors) {
   // Unchecked, each would reach the window store's CHECK.
   const TempDir dir;
@@ -326,6 +347,35 @@ TEST(ReportE2E, OversizedTimelineStopsCleanly) {
   // Without a timeline the same trace reports as usual.
   const auto plain = report("--per-pid '" + path + "'");
   EXPECT_EQ(plain->exit_code, 0) << plain->out;
+}
+
+TEST(ExamplesE2E, TimelinesPastTheWindowCapFail) {
+  // Just over 2^20 windows, so a build without the cap allocates about
+  // 100 MiB of windows rather than billions.
+  const TempDir dir;
+  const std::string path = dir.path() + "/wide.bpstrace";
+  trace::SpillWriter writer(path);
+  writer.append(trace::make_record(1, 8, SimTime(0), SimTime(10)));
+  writer.append(trace::make_record(1, 8, SimTime(10), SimTime(1'048'577)));
+  ASSERT_TRUE(writer.close().ok());
+  const auto tools = run_tool("BPSIO_TRACE_TOOLS_BIN",
+                              "timeline '" + path + "' --window=0.000000001");
+  if (!tools) GTEST_SKIP() << "BPSIO_TRACE_TOOLS_BIN not in environment";
+  EXPECT_EQ(tools->exit_code, 1) << tools->out.substr(0, 400);
+  EXPECT_NE(tools->out.find("out_of_range: the timeline needs 1048577 "
+                            "windows of 0.000001 ms, over the limit of "
+                            "1048576"),
+            std::string::npos)
+      << tools->out.substr(0, 400);
+
+  // phase_analysis's run spans about 4.76 s: 4.5 us windows need ~1.06M.
+  const auto phases =
+      run_tool("BPSIO_PHASE_ANALYSIS_BIN", "--window=0.0000045");
+  if (!phases) GTEST_SKIP() << "BPSIO_PHASE_ANALYSIS_BIN not in environment";
+  EXPECT_EQ(phases->exit_code, 1) << phases->out.substr(0, 400);
+  EXPECT_NE(phases->out.find("windows of 0.0045 ms, over the limit of 1048576"),
+            std::string::npos)
+      << phases->out.substr(0, 400);
 }
 
 }  // namespace

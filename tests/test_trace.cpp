@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "trace/io_record.hpp"
 #include "trace/serialize.hpp"
@@ -112,6 +116,20 @@ TEST(RecordFilter, TimeWindowClampsIntervals) {
   EXPECT_TRUE(c.col_time(g).empty());
 }
 
+std::string temp_trace(const char* name) {
+  return ::testing::TempDir() + "/bpsio_test_trace_" + name + ".bpstrace";
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 TEST(Serialize, BinaryRoundTrip) {
   std::vector<IoRecord> records;
   for (int i = 0; i < 100; ++i) {
@@ -120,47 +138,46 @@ TEST(Serialize, BinaryRoundTrip) {
                                   SimTime(i * 10), SimTime(i * 10 + 5),
                                   i % 2 ? IoOpKind::write : IoOpKind::read));
   }
-  std::stringstream ss;
-  const auto written = write_binary(ss, records);
+  const std::string path = temp_trace("roundtrip");
+  const auto written = save_binary(path, records);
   ASSERT_TRUE(written.ok());
   EXPECT_EQ(*written, sizeof(TraceHeader) + 100 * sizeof(IoRecord));
-  const auto loaded = read_binary(ss);
+  EXPECT_EQ(read_bytes(path).size(), *written);
+  const auto loaded = load_binary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, records);
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, BinaryRejectsGarbage) {
-  std::stringstream ss;
-  ss << "this is not a trace";
-  EXPECT_EQ(read_binary(ss).code(), Errc::invalid_argument);
+  const std::string path = temp_trace("garbage");
+  write_bytes(path, "this is not a trace");
+  EXPECT_EQ(load_binary(path).code(), Errc::invalid_argument);
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, BinaryRejectsTruncation) {
-  std::vector<IoRecord> records(10);
-  std::stringstream ss;
-  ASSERT_TRUE(write_binary(ss, records).ok());
-  std::string data = ss.str();
+  const std::string path = temp_trace("truncation");
+  ASSERT_TRUE(save_binary(path, std::vector<IoRecord>(10)).ok());
+  std::string data = read_bytes(path);
   data.resize(data.size() - 17);
-  std::stringstream truncated(data);
-  EXPECT_EQ(read_binary(truncated).code(), Errc::io_error);
+  write_bytes(path, data);
+  EXPECT_EQ(load_binary(path).code(), Errc::io_error);
+  std::remove(path.c_str());
 }
 
-TEST(Serialize, CsvRoundTrip) {
+TEST(Serialize, CsvExportText) {
   std::vector<IoRecord> records{
       make_record(1, 8, SimTime(0), SimTime(1000)),
       make_record(2, 16, SimTime(500), SimTime(2500), IoOpKind::write,
                   kIoFailed),
   };
-  std::stringstream ss;
-  write_csv(ss, records);
-  const auto loaded = read_csv(ss);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, records);
-}
-
-TEST(Serialize, CsvRejectsMalformedLine) {
-  std::stringstream ss("pid,op,flags,blocks,start_ns,end_ns\n1,read,0\n");
-  EXPECT_EQ(read_csv(ss).code(), Errc::invalid_argument);
+  std::ostringstream out;
+  write_csv(out, records);
+  EXPECT_EQ(out.str(),
+            "pid,op,flags,blocks,start_ns,end_ns\n"
+            "1,read,0,8,0,1000\n"
+            "2,write,1,16,500,2500\n");
 }
 
 TEST(Validate, FlagsBadRecords) {
