@@ -5,11 +5,13 @@
 //     over a trace::RecordSource computing B, T, BPS, IOPS, BW, ARPT
 //                                          (metrics/pipeline.hpp)
 //   * metrics::overlap_time_paper — the Figure-3 interval-union T, the
-//     reference OverlapConsumer's T is tested against
-//                                          (metrics/overlap.hpp)
-//   * metrics::OnlineBpsCounter / SlidingWindowMetrics — O(state) live
-//     counters                             (metrics/online.hpp)
-//   * metrics::TimelineConsumer / Timeline — windowed BPS timelines
+//     reference OverlapConsumer's T is tested against; overlap_time_merged
+//     and merge_intervals run the library's one union rule, IntervalUnion,
+//     over a sorted copy                   (metrics/overlap.hpp)
+//   * metrics::SlidingWindowMetrics — the live daemons' windowed counters
+//                                          (metrics/online.hpp)
+//   * metrics::TimelineConsumer / Timeline / build_timeline — windowed BPS
+//     timelines, at most kMaxTimelineWindows windows
 //                                          (metrics/timeline.hpp)
 //
 // See docs/API.md for the stability policy.

@@ -3,14 +3,15 @@
 //
 // Stable entry points re-exported here:
 //   * trace::IoRecord / make_record        (trace/io_record.hpp)
-//   * trace::RecordSource and its family — VectorSource, SpilledTraceSource,
-//     MergedSource, FilteredSource, collector_source/collector_view
+//   * trace::RecordSource and its family — VectorSource, MergedSource,
+//     FilteredSource, collector_source/collector_view
 //                                          (trace/record_source.hpp)
-//   * trace::MappedTraceSource / open_trace_source — mmap-backed zero-copy
-//     file source and the mmap-preferring factory (trace/mapped_source.hpp);
+//   * trace::MappedTraceSource / open_trace_source — the one .bpstrace
+//     reader, zero-copy spans over the file mapping (trace/mapped_source.hpp);
 //     spans returned by next_chunk() are valid until the next call
-//   * trace::SpillWriter                   (trace/spill_writer.hpp)
-//   * trace::read_binary / write_binary    (trace/serialize.hpp)
+//   * trace::SpillWriter — the one .bpstrace writer (trace/spill_writer.hpp)
+//   * trace::save_binary / load_binary / write_csv — whole-vector
+//     conveniences over the writer and the reader (trace/serialize.hpp)
 //   * trace::merge_traces / MergeOptions   (trace/merge.hpp)
 //   * trace::encode_frame / FrameDecoder   (trace/frame.hpp)
 //

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 
+#include "common/check.hpp"
 #include "trace/mapped_source.hpp"
 #include "trace/record_source.hpp"
 #include "trace/spill_writer.hpp"
@@ -26,6 +27,8 @@ std::vector<IoRecord> merge_traces(
        chunk = merged.next_chunk()) {
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
+  BPSIO_CHECK(merged.status().ok(), "merge_traces: %s",
+              merged.status().to_string().c_str());
   return out;
 }
 

@@ -29,15 +29,16 @@ struct MergeOptions {
   /// when sources share pid values — callers opting out of remapping accept
   /// that records from different applications become indistinguishable by
   /// pid (per-pid filters then select the union of the colliding processes).
-  /// The remap is 32-bit arithmetic: keep source_count * pid_stride at or
-  /// below UINT32_MAX, or the remapped pids wrap.
+  /// Remapped pids must fit in 32 bits: MergedSource fails its stream with
+  /// Errc::out_of_range at a pid the remap would carry past UINT32_MAX.
   std::uint32_t pid_stride = 1000;
 };
 
 /// Merge several applications' record sets into one, ordered by (start,
 /// end); equal keys come in source order, then in input order. This is a
 /// MergedSource over each trace stable-sorted (VectorSource::sorted),
-/// drained into one vector — the same merge bpsio_report streams.
+/// drained into one vector — the same merge bpsio_report streams. A pid the
+/// remap cannot represent is a precondition violation (checked).
 std::vector<IoRecord> merge_traces(
     const std::vector<std::vector<IoRecord>>& traces,
     const MergeOptions& options = {});
