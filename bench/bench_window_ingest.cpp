@@ -1,5 +1,6 @@
 // Harness bench: SlidingWindowMetrics ingest — the live daemon's window hot
-// path (incremental windowed interval-union + end-time-bucketed expiry).
+// path (incremental windowed interval-union + per-tick sums that expire a
+// whole tick at a time, DESIGN.md §10).
 //
 // Pre-generates one seeded record stream and times two arrival shapes, each
 // sample ingesting the whole stream into a fresh SlidingWindowMetrics:
@@ -7,13 +8,14 @@
 //   window_ingest          shuffled arrival, one add() per record: frames
 //                          from many clients interleaved, adversarial order.
 //                          `now` jumps to the stream's end almost at once,
-//                          so most records arrive already expired and are
-//                          rejected without touching the stores.
+//                          so most records arrive with their end tick
+//                          already out of the window and are rejected
+//                          without touching the stores.
 //   window_ingest_ordered  the same records in start order, in frames of
 //                          kFrame records through add(span): one capture
 //                          connection's shape. Nearly every record is
-//                          accepted, so this pass times insertion and
-//                          expiry in the stores.
+//                          accepted, so this pass times the tick sums, the
+//                          union's insertion and the tick expiry.
 //
 // Each pass prints the share of records the window accepted. Emits
 // BENCH_window_ingest.json and BENCH_window_ingest_ordered.json; throughput
@@ -53,8 +55,9 @@ std::vector<trace::IoRecord> ordered_stream(std::uint64_t n, Rng& rng) {
 
 /// Share of records the window accepts when fed in this order, `frame`
 /// records per add() (one add(record) each when `frame` is 1): after each
-/// add(), the frame's records whose end lies past the store's window start
-/// are the ones it took in.
+/// add(), the frame's records whose end is at or past the store's tick edge
+/// (window_start_ns(), the first ns of its oldest tick) are the ones it
+/// took in.
 double store_accepted_share(std::span<const trace::IoRecord> records,
                             std::size_t frame, SimDuration window) {
   metrics::SlidingWindowMetrics live(window);
@@ -68,7 +71,7 @@ double store_accepted_share(std::span<const trace::IoRecord> records,
       live.add(batch);
     }
     for (const trace::IoRecord& r : batch) {
-      if (r.end_ns > live.window_start_ns()) ++accepted;
+      if (r.end_ns >= live.window_start_ns()) ++accepted;
     }
   }
   return static_cast<double>(accepted) / static_cast<double>(records.size());

@@ -1,5 +1,6 @@
 #include "ingest/server.hpp"
 
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,9 +39,10 @@ Server::Server(ServerOptions options, Store& store)
 Server::~Server() {
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) {
-      worker->finish.store(true, std::memory_order_release);
+      finish_worker(*worker);
       worker->thread.join();
     }
+    if (worker->wake_fd >= 0) ::close(worker->wake_fd);
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -119,6 +121,11 @@ Status Server::start() {
   for (std::size_t i = 0; i < std::max<std::size_t>(options_.io_threads, 1);
        ++i) {
     workers_.push_back(std::make_unique<Worker>());
+    if (options_.io_threads == 0) continue;
+    workers_.back()->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (workers_.back()->wake_fd < 0) {
+      return Error{Errc::io_error, "cannot create a worker eventfd"};
+    }
   }
   last_csv_ns_ = monotonic_ns();
   started_ = true;
@@ -314,8 +321,17 @@ void Server::finish_conns(Worker& worker) {
   worker.conn_fds.clear();
 }
 
+void Server::finish_worker(Worker& worker) {
+  worker.finish.store(true, std::memory_order_release);
+  eventfd_write(worker.wake_fd, 1);
+}
+
 void Server::run_worker(Worker& worker) {
   PollLoop loop;
+  loop.add_listener(worker.wake_fd, [&worker] {
+    eventfd_t ignored = 0;
+    eventfd_read(worker.wake_fd, &ignored);
+  });
   for (;;) {
     // Adopt after reading the flag: connections enqueued before finish was
     // raised still get the final service pass.
@@ -397,9 +413,7 @@ Status Server::run() {
     tcp_fd_ = -1;
   }
   if (threaded) {
-    for (auto& worker : workers_) {
-      worker->finish.store(true, std::memory_order_release);
-    }
+    for (auto& worker : workers_) finish_worker(*worker);
     for (auto& worker : workers_) worker->thread.join();
   } else {
     adopt_inbox(local);

@@ -160,6 +160,9 @@ class Server {
     std::vector<std::pair<int, std::uint64_t>> inbox  // (fd, conn id)
         BPSIO_GUARDED_BY(inbox_mu);
     std::atomic<bool> finish{false};
+    /// An eventfd in the worker thread's poll set: finish_worker() makes it
+    /// readable so an idle round returns at once.
+    int wake_fd = -1;
     std::vector<Conn> conns;
     std::vector<int> conn_fds;  ///< index-aligned with conns
     std::thread thread;
@@ -173,6 +176,8 @@ class Server {
   void accept_conns(int listener_fd);
   void accept_http();
   void run_worker(Worker& worker);
+  /// Raise `worker`'s finish flag and wake its thread's poll round.
+  static void finish_worker(Worker& worker);
   void adopt_inbox(Worker& worker);
   /// Service connection `i` of `worker`; false when it closed and left the
   /// set (the PollLoop contract).

@@ -30,201 +30,147 @@ double WindowFigures::bandwidth_bps(SimDuration window,
 
 namespace {
 
-/// Smallest k with 64 * 2^k >= W, capped at 32 so an end offset inside a
-/// bucket always fits 32 bits.
-unsigned bucket_shift(SimDuration window) {
-  unsigned k = 0;
-  while (k < 32 &&
-         (std::uint64_t{64} << k) < static_cast<std::uint64_t>(window.ns())) {
-    ++k;
-  }
-  return k;
+std::int64_t sub_saturated(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  return __builtin_sub_overflow(a, b, &out)
+             ? std::numeric_limits<std::int64_t>::min()
+             : out;
 }
 
-constexpr std::uint64_t kEntryMax = std::numeric_limits<std::uint32_t>::max();
+std::int64_t add_saturated(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  return __builtin_add_overflow(a, b, &out)
+             ? std::numeric_limits<std::int64_t>::max()
+             : out;
+}
 
 }  // namespace
 
+// tau = ceil(W / 64); the bounds start at tick 0, where `now` starts.
 SlidingWindowMetrics::SlidingWindowMetrics(SimDuration window)
-    : window_(window), shift_(bucket_shift(window)) {
+    : window_(window),
+      tick_ns_((std::max<std::int64_t>(window.ns(), 1) - 1) / kTicks + 1),
+      tick_hi_ns_(tick_ns_ - 1),
+      edge_ns_(-(kTicks - 1) * tick_ns_) {
   BPSIO_CHECK(window.ns() > 0, "sliding window length must be positive");
-}
-
-std::int64_t SlidingWindowMetrics::window_start_ns() const {
-  // Saturating: with now near the epoch (captured traces start at boot
-  // monotonic 0 or huge monotonic values; synthetic tests at small ints),
-  // now - W must not wrap below INT64_MIN.
-  const std::int64_t now_ns = now_.ns();
-  const std::int64_t min_ns = std::numeric_limits<std::int64_t>::min();
-  if (now_ns < min_ns + window_.ns()) return min_ns;
-  return now_ns - window_.ns();
 }
 
 void SlidingWindowMetrics::add(const trace::IoRecord& record) {
   if (!record.valid()) return;  // end < start: never corrupt the union
-  if (!any_ || record.end_ns > now_.ns()) now_ = SimTime(record.end_ns);
-  any_ = true;
-  expire_records();
-  const std::int64_t ws = window_start_ns();
-  if (record.end_ns <= ws) return;  // older than the window: changes nothing
-  insert_record(record.end_ns, record.blocks,
-                record.end_ns - record.start_ns);
-  const std::int64_t clipped_start = std::max(record.start_ns, ws);
+  if (!any_ || record.end_ns > now_.ns()) slide_to(record.end_ns);
+  if (record.end_ns < edge_ns_) return;  // its tick has left the window
+  count_record(record.end_ns, record.blocks,
+               record.end_ns - record.start_ns);
+  const std::int64_t clipped_start = std::max(record.start_ns, edge_ns_);
   if (record.end_ns > clipped_start) {
     insert_interval(clipped_start, record.end_ns);
   }
-  clip_intervals();
 }
 
 void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
-  // The window state is a function of the record multiset (the shuffled
-  // differential tests prove order-independence), so a batch may advance
-  // `now` once, expire once, accumulate, and union once — equivalent to the
-  // per-record loop, minus all the intermediate searches.
+  // The window state is a function of the record multiset and `now`, so a
+  // batch may advance `now` once, accumulate, and union once — equivalent
+  // to the per-record loop, minus all the intermediate searches.
+  bool found = false;
   std::int64_t max_end = std::numeric_limits<std::int64_t>::min();
   for (const trace::IoRecord& r : records) {
-    if (r.valid() && r.end_ns > max_end) max_end = r.end_ns;
+    if (!r.valid()) continue;
+    found = true;
+    max_end = std::max(max_end, r.end_ns);
   }
-  if (max_end == std::numeric_limits<std::int64_t>::min()) return;
-  if (!any_ || max_end > now_.ns()) now_ = SimTime(max_end);
-  any_ = true;
-  expire_records();
-  const std::int64_t ws = window_start_ns();
+  if (!found) return;
+  if (!any_ || max_end > now_.ns()) slide_to(max_end);
 
   batch_.clear();
   bool sorted = true;
   std::int64_t prev_start = std::numeric_limits<std::int64_t>::min();
   for (const trace::IoRecord& r : records) {
-    if (!r.valid() || r.end_ns <= ws) continue;
-    insert_record(r.end_ns, r.blocks, r.end_ns - r.start_ns);
-    const std::int64_t clipped_start = std::max(r.start_ns, ws);
+    if (!r.valid() || r.end_ns < edge_ns_) continue;
+    count_record(r.end_ns, r.blocks, r.end_ns - r.start_ns);
+    const std::int64_t clipped_start = std::max(r.start_ns, edge_ns_);
     if (r.end_ns > clipped_start) {
       if (clipped_start < prev_start) sorted = false;
       prev_start = clipped_start;
       batch_.push_back(BusyInterval{clipped_start, r.end_ns});
     }
   }
-  if (!batch_.empty()) {
-    if (!sorted) {
-      std::sort(batch_.begin(), batch_.end(),
-                [](const BusyInterval& a, const BusyInterval& b) {
-                  return a.start_ns < b.start_ns;
-                });
-    }
-    // Coalesce overlapping/touching neighbours in place: a start-ordered
-    // frame collapses to a handful of disjoint runs.
-    std::size_t w = 0;
-    for (std::size_t i = 1; i < batch_.size(); ++i) {
-      if (batch_[i].start_ns <= batch_[w].end_ns) {
-        batch_[w].end_ns = std::max(batch_[w].end_ns, batch_[i].end_ns);
-      } else {
-        batch_[++w] = batch_[i];
-      }
-    }
-    batch_.resize(w + 1);
-    insert_runs();
+  if (batch_.empty()) return;
+  if (!sorted) {
+    std::sort(batch_.begin(), batch_.end(),
+              [](const BusyInterval& a, const BusyInterval& b) {
+                return a.start_ns < b.start_ns;
+              });
   }
-  clip_intervals();
+  // Coalesce overlapping/touching neighbours in place: a start-ordered
+  // frame collapses to a handful of disjoint runs.
+  std::size_t w = 0;
+  for (std::size_t i = 1; i < batch_.size(); ++i) {
+    if (batch_[i].start_ns <= batch_[w].end_ns) {
+      batch_[w].end_ns = std::max(batch_[w].end_ns, batch_[i].end_ns);
+    } else {
+      batch_[++w] = batch_[i];
+    }
+  }
+  batch_.resize(w + 1);
+  insert_runs();
 }
 
 void SlidingWindowMetrics::advance(SimTime now) {
-  if (!any_ || now.ns() <= now_.ns()) return;
-  now_ = now;
-  expire_records();
+  if (any_ && now.ns() > now_.ns()) slide_to(now.ns());
+}
+
+void SlidingWindowMetrics::slide_to(std::int64_t now_ns) {
+  const bool same_tick = any_ && now_ns <= tick_hi_ns_;
+  now_ = SimTime(now_ns);
+  any_ = true;
+  if (same_tick) return;
+  // Floor division: negative times fall in the tick below.
+  std::int64_t tick = now_ns / tick_ns_;
+  std::int64_t into = now_ns % tick_ns_;
+  if (into < 0) {
+    into += tick_ns_;
+    --tick;
+  }
+  if (ticks_ != nullptr) {
+    // The ticks after the old current one reuse the slots of the ticks
+    // that leave the window; past 64 new ticks, every slot has left. The
+    // window holds a record, so `now` only moved forward: tick > tick_.
+    const std::uint64_t moved = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(tick) - static_cast<std::uint64_t>(tick_),
+        kTicks);
+    for (std::uint64_t d = 1; d <= moved; ++d) {
+      Tick& gone = ticks_[(static_cast<std::uint64_t>(tick_) + d) % kTicks];
+      figures_.count -= gone.count;
+      figures_.blocks -= gone.blocks;
+      figures_.response_sum_ns -= gone.response_sum_ns;
+      gone = Tick{};
+    }
+    if (figures_.count == 0) ticks_.reset();  // every slot is zero
+  }
+  tick_ = tick;
+  tick_lo_ns_ = sub_saturated(now_ns, into);
+  tick_hi_ns_ = add_saturated(now_ns, tick_ns_ - 1 - into);
+  edge_ns_ = sub_saturated(tick_lo_ns_, (kTicks - 1) * tick_ns_);
   clip_intervals();
 }
 
-void SlidingWindowMetrics::insert_record(std::int64_t end_ns,
-                                         std::uint64_t blocks,
-                                         std::int64_t response_ns) {
+void SlidingWindowMetrics::count_record(std::int64_t end_ns,
+                                        std::uint64_t blocks,
+                                        std::int64_t response_ns) {
+  if (ticks_ == nullptr) ticks_ = std::make_unique<Tick[]>(kTicks);
+  // Most records end in the current tick; only an earlier one divides.
+  std::int64_t tick = tick_;
+  if (end_ns < tick_lo_ns_) {
+    tick = end_ns / tick_ns_;
+    if (end_ns % tick_ns_ < 0) --tick;
+  }
+  Tick& slot = ticks_[static_cast<std::uint64_t>(tick) % kTicks];
+  ++slot.count;
+  slot.blocks += blocks;
+  slot.response_sum_ns += response_ns;
   ++figures_.count;
   figures_.blocks += blocks;
   figures_.response_sum_ns += response_ns;
-  if (blocks > kEntryMax ||
-      static_cast<std::uint64_t>(response_ns) > kEntryMax) {
-    wide_.push_back(Wide{end_ns, blocks, response_ns});
-    std::push_heap(wide_.begin(), wide_.end(), WideLater{});
-    return;
-  }
-  // Arithmetic shift: floor division, so negative ends bucket correctly.
-  const std::int64_t index = end_ns >> shift_;
-  Bucket& bucket = !buckets_.empty() && buckets_.back().index == index
-                       ? buckets_.back()
-                       : bucket_at(index);
-  ++bucket.count;
-  bucket.blocks += blocks;
-  bucket.response_sum_ns += response_ns;
-  bucket.entries.push_back(Entry{bucket_offset(end_ns),
-                                 static_cast<std::uint32_t>(blocks),
-                                 static_cast<std::uint32_t>(response_ns)});
-  if (bucket.heaped) {
-    std::push_heap(bucket.entries.begin(), bucket.entries.end(),
-                   EntryLater{});
-  }
-}
-
-SlidingWindowMetrics::Bucket& SlidingWindowMetrics::bucket_at(
-    std::int64_t index) {
-  // A window up to 2^38 ns long spans at most 65 buckets (64 * 2^k >= W),
-  // so a binary search over the contiguous buckets takes a few probes.
-  auto it = std::lower_bound(buckets_.begin(), buckets_.end(), index,
-                             [](const Bucket& b, std::int64_t v) {
-                               return b.index < v;
-                             });
-  if (it != buckets_.end() && it->index == index) return *it;
-  Bucket fresh;
-  fresh.index = index;
-  return *buckets_.insert(it, std::move(fresh));
-}
-
-void SlidingWindowMetrics::expire_records() {
-  const std::int64_t ws = window_start_ns();
-  const std::int64_t edge = ws >> shift_;
-  // Buckets wholly behind the edge: subtract their sums, drop them in one
-  // erase.
-  std::size_t drop = 0;
-  while (drop < buckets_.size() && buckets_[drop].index < edge) {
-    const Bucket& gone = buckets_[drop];
-    figures_.count -= gone.count;
-    figures_.blocks -= gone.blocks;
-    figures_.response_sum_ns -= gone.response_sum_ns;
-    ++drop;
-  }
-  if (drop > 0) {
-    buckets_.erase(buckets_.begin(),
-                   buckets_.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-  // The bucket holding the edge: exact per-record expiry off a min-heap.
-  if (!buckets_.empty() && buckets_.front().index == edge) {
-    Bucket& bucket = buckets_.front();
-    if (!bucket.heaped) {
-      std::make_heap(bucket.entries.begin(), bucket.entries.end(),
-                     EntryLater{});
-      bucket.heaped = true;
-    }
-    const std::uint32_t edge_offset = bucket_offset(ws);
-    while (!bucket.entries.empty() &&
-           bucket.entries.front().end_offset <= edge_offset) {
-      const Entry& gone = bucket.entries.front();
-      --bucket.count;
-      bucket.blocks -= gone.blocks;
-      bucket.response_sum_ns -= gone.response_ns;
-      --figures_.count;
-      figures_.blocks -= gone.blocks;
-      figures_.response_sum_ns -= gone.response_ns;
-      std::pop_heap(bucket.entries.begin(), bucket.entries.end(),
-                    EntryLater{});
-      bucket.entries.pop_back();
-    }
-  }
-  while (!wide_.empty() && wide_.front().end_ns <= ws) {
-    const Wide& gone = wide_.front();
-    --figures_.count;
-    figures_.blocks -= gone.blocks;
-    figures_.response_sum_ns -= gone.response_ns;
-    std::pop_heap(wide_.begin(), wide_.end(), WideLater{});
-    wide_.pop_back();
-  }
 }
 
 void SlidingWindowMetrics::insert_interval(std::int64_t start_ns,

@@ -23,7 +23,9 @@ static_assert(sizeof(TraceHeader) % alignof(IoRecord) == 0,
 MappedTraceSource::MappedTraceSource(std::string path,
                                      std::size_t chunk_records)
     : path_(std::move(path)), chunk_(chunk_records ? chunk_records : 1) {
-  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK changes nothing for a regular file; a FIFO with no writer
+  // then opens at once and fails as a 0-byte file instead of blocking.
+  const int fd = ::open(path_.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
   if (fd < 0) {
     status_ = Status{Errc::not_found, "cannot open " + path_};
     return;

@@ -27,6 +27,7 @@
 #include "common/wallclock.hpp"
 #include "ingest/server.hpp"
 #include "socket_util.hpp"
+#include "tick_oracle.hpp"
 #include "trace/frame.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
@@ -252,13 +253,13 @@ bpsio_window_seconds 0.100
 bpsio_block_size_bytes 512
 # HELP bpsio_window_bps Windowed BPS (blocks per second of busy time) per tenant; tenant="all" is the fleet stream.
 # TYPE bpsio_window_bps gauge
-bpsio_window_records{tenant="all"} 85
-bpsio_window_blocks{tenant="all"} 4294969407
-bpsio_window_io_seconds{tenant="all"} 0.039462235
-bpsio_window_bps{tenant="all"} 108837459586.361
-bpsio_window_iops{tenant="all"} 850.000
-bpsio_window_bw_bytes_per_second{tenant="all"} 21990243363840.000
-bpsio_window_arpt_seconds{tenant="all"} 0.071814760
+bpsio_window_records{tenant="all"} 83
+bpsio_window_blocks{tenant="all"} 4294969364
+bpsio_window_io_seconds{tenant="all"} 0.038476789
+bpsio_window_bps{tenant="all"} 111624942611.505
+bpsio_window_iops{tenant="all"} 830.000
+bpsio_window_bw_bytes_per_second{tenant="all"} 21990243143680.000
+bpsio_window_arpt_seconds{tenant="all"} 0.073508794
 bpsio_window_records{tenant="alpha"} 50
 bpsio_window_blocks{tenant="alpha"} 1232
 bpsio_window_io_seconds{tenant="alpha"} 0.033096114
@@ -266,39 +267,54 @@ bpsio_window_bps{tenant="alpha"} 37224.914
 bpsio_window_iops{tenant="alpha"} 500.000
 bpsio_window_bw_bytes_per_second{tenant="alpha"} 6307840.000
 bpsio_window_arpt_seconds{tenant="alpha"} 0.001445268
-bpsio_window_records{tenant="beta"} 35
-bpsio_window_blocks{tenant="beta"} 4294968175
-bpsio_window_io_seconds{tenant="beta"} 0.034822734
-bpsio_window_bps{tenant="beta"} 123338051946.180
-bpsio_window_iops{tenant="beta"} 350.000
-bpsio_window_bw_bytes_per_second{tenant="beta"} 21990237056000.000
-bpsio_window_arpt_seconds{tenant="beta"} 0.172342607
+bpsio_window_records{tenant="beta"} 33
+bpsio_window_blocks{tenant="beta"} 4294968132
+bpsio_window_io_seconds{tenant="beta"} 0.033837288
+bpsio_window_bps{tenant="beta"} 126930034463.755
+bpsio_window_iops{tenant="beta"} 330.000
+bpsio_window_bw_bytes_per_second{tenant="beta"} 21990236835840.000
+bpsio_window_arpt_seconds{tenant="beta"} 0.182695956
 )golden";
 
 constexpr const char* kGoldenCollectorCsv = R"golden(tenant,records_total,blocks_total,window_records,window_blocks,window_io_s,window_bps,window_iops,window_bw_Bps,window_arpt_s
-all,302,4294975058,85,4294969407,0.039462235,108837459586.361,850.000,21990243363840.000,0.071814760
+all,302,4294975058,83,4294969364,0.038476789,111624942611.505,830.000,21990243143680.000,0.073508794
 alpha,175,4469,50,1232,0.033096114,37224.914,500.000,6307840.000,0.001445268
-beta,127,4294970589,35,4294968175,0.034822734,123338051946.180,350.000,21990237056000.000,0.172342607
+beta,127,4294970589,33,4294968132,0.033837288,126930034463.755,330.000,21990236835840.000,0.182695956
 )golden";
+
+/// The golden stream's frames of 1-16 records, alternating between the
+/// tenants alpha (0) and beta (1).
+std::vector<std::pair<int, std::span<const IoRecord>>> golden_frames(
+    const std::vector<IoRecord>& records) {
+  std::vector<std::pair<int, std::span<const IoRecord>>> frames;
+  Rng slicer(29);
+  std::span<const IoRecord> rest(records);
+  for (std::size_t frame = 0; !rest.empty(); ++frame) {
+    const std::size_t take =
+        std::min<std::size_t>(slicer.uniform_u64(16) + 1, rest.size());
+    frames.emplace_back(static_cast<int>(frame % 2), rest.subspan(0, take));
+    rest = rest.subspan(take);
+  }
+  return frames;
+}
+
+/// Where the golden test leaves the windows: 60 ms past the last end,
+/// which expires the stream's first ~40 ms.
+std::int64_t golden_now_ns(const std::vector<IoRecord>& records) {
+  std::int64_t last_end = 0;
+  for (const IoRecord& r : records) last_end = std::max(last_end, r.end_ns);
+  return last_end + 60'000'000;
+}
 
 TEST(TenantShards, GoldenExposition) {
   TenantShards shards(3, SimDuration::from_ms(100), kBlock);
   TenantShards::Tenant* tenants[2] = {shards.handle("alpha"),
                                       shards.handle("beta")};
   const std::vector<IoRecord> records = golden_stream();
-  std::int64_t last_end = 0;
-  for (const IoRecord& r : records) last_end = std::max(last_end, r.end_ns);
-  // Frames of 1-16 records, alternating tenants, then an advance that
-  // expires the stream's first ~40 ms.
-  Rng slicer(29);
-  std::span<const IoRecord> rest(records);
-  for (std::size_t frame = 0; !rest.empty(); ++frame) {
-    const std::size_t take =
-        std::min<std::size_t>(slicer.uniform_u64(16) + 1, rest.size());
-    shards.ingest(tenants[frame % 2], rest.subspan(0, take));
-    rest = rest.subspan(take);
+  for (const auto& [tenant, frame] : golden_frames(records)) {
+    shards.ingest(tenants[tenant], frame);
   }
-  shards.advance_windows(SimTime(last_end + 60'000'000));
+  shards.advance_windows(SimTime(golden_now_ns(records)));
 
   CollectorTransport transport;
   transport.connected_total = 5;
@@ -308,6 +324,45 @@ TEST(TenantShards, GoldenExposition) {
   transport.streams_total = 4;
   EXPECT_EQ(shards.prometheus_text(transport), kGoldenCollectorMetrics);
   EXPECT_EQ(shards.csv_snapshot(), kGoldenCollectorCsv);
+}
+
+TEST(TenantShards, GoldenWindowsMatchTheTickOracle) {
+  // The golden window cells and gauges are the brute-force tick oracle's
+  // figures for the fleet and each tenant, rendered by the same
+  // formatters: the strings above are checked against the rule, not only
+  // re-recorded.
+  const SimDuration window = SimDuration::from_ms(100);
+  const std::vector<IoRecord> records = golden_stream();
+  const SimTime now(golden_now_ns(records));
+  struct Label {
+    const char* name;
+    metrics::testing::TickOracle oracle;
+    ingest::Lifetime lifetime;
+  };
+  Label labels[] = {{"all", metrics::testing::TickOracle(window), {}},
+                    {"alpha", metrics::testing::TickOracle(window), {}},
+                    {"beta", metrics::testing::TickOracle(window), {}}};
+  for (const auto& [tenant, frame] : golden_frames(records)) {
+    for (Label* l : {&labels[0], &labels[1 + tenant]}) {
+      l->oracle.add(frame);
+      l->lifetime.add(frame);
+    }
+  }
+  std::string csv = "tenant,records_total,blocks_total," +
+                    std::string(ingest::kWindowColumns);
+  std::string gauges;
+  for (Label& l : labels) {
+    l.oracle.advance(now);
+    csv += std::string(l.name) + "," + std::to_string(l.lifetime.records) +
+           "," + std::to_string(l.lifetime.blocks);
+    ingest::window_cells(csv, l.oracle.figures(), window, kBlock);
+    ingest::window_gauges(gauges, "{tenant=\"" + std::string(l.name) + "\"}",
+                          l.oracle.figures(), window, kBlock);
+  }
+  EXPECT_EQ(csv, kGoldenCollectorCsv);
+  EXPECT_NE(std::string(kGoldenCollectorMetrics).find(gauges),
+            std::string::npos)
+      << gauges;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // runs under the sanitizers too.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -203,6 +205,53 @@ TEST(IngestServer, ForwardingNeedsAnInlineServer) {
   Server server(options, shards);
   const Status started = server.start();
   EXPECT_EQ(started.code(), Errc::invalid_argument) << started.to_string();
+  std::filesystem::remove_all(dir);
+}
+
+void ignore_signal(int) {}
+
+TEST(IngestServer, ShutdownWakesIdleWorkersAtOnce) {
+  // The collector preset with two I/O workers idle in poll(): once the
+  // stop flag is up and a signal interrupts the poll thread's round, as
+  // SIGTERM does for the daemon, run() must return within a few ms rather
+  // than wait out the workers' poll interval. The signal is re-sent every
+  // ms in case one lands between rounds.
+  struct sigaction wake {};
+  wake.sa_handler = ignore_signal;
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &wake, &saved), 0);
+  const std::filesystem::path dir = make_temp_dir("idle_workers_test");
+  ASSERT_FALSE(dir.empty());
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    ServerOptions options;
+    options.socket_path = (dir / "ingest.sock").string();
+    options.http_port = -1;
+    options.io_threads = 2;
+    collector::TenantShards shards(2, kWindow, kBlock);
+    Running running(options, shards);
+    ASSERT_TRUE(running.server.start().ok());
+    std::atomic<bool> returned{false};
+    running.thread = std::thread([&] {
+      running.status = running.server.run();
+      returned.store(true);
+    });
+    // Let the workers settle into their poll rounds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto stop_at = std::chrono::steady_clock::now();
+    running.stop.store(true);
+    while (!returned.load()) {
+      ::pthread_kill(running.thread.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto waited = std::chrono::steady_clock::now() - stop_at;
+    EXPECT_TRUE(running.join().ok());
+    EXPECT_LT(waited, std::chrono::milliseconds(20))
+        << "attempt " << attempt << ": run() took "
+        << std::chrono::duration_cast<std::chrono::microseconds>(waited)
+               .count()
+        << " us to stop";
+  }
+  ::sigaction(SIGUSR1, &saved, nullptr);
   std::filesystem::remove_all(dir);
 }
 

@@ -5,7 +5,13 @@
 // mid-stream.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "merge_oracle.hpp"
@@ -184,6 +191,40 @@ TEST(MappedTraceSource, EmptyFileFailsWithThePinnedText) {
   EXPECT_EQ(mapped.status().error().message,
             "truncated trace header (0 of 24 bytes)");
   std::remove(path.c_str());
+}
+
+TEST(MappedTraceSource, AFifoWithoutAWriterFailsLikeAnEmptyFile) {
+  // No writer ever opens the FIFO, so a blocking open would wait forever:
+  // the open runs in a child with a deadline, and the test fails instead
+  // of hanging if it blocks.
+  const std::string path = "/tmp/bpsio_map_fifo." + std::to_string(::getpid());
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const Status status = trace::open_trace_source(path)->status();
+    const bool pinned = !status.ok() &&
+                        status.error().code == Errc::invalid_argument &&
+                        status.error().message ==
+                            "truncated trace header (0 of 24 bytes)";
+    if (!pinned) std::fprintf(stderr, "got: %s\n", status.to_string().c_str());
+    ::_exit(pinned ? 0 : 1);
+  }
+  int wait_status = 0;
+  pid_t reaped = 0;
+  for (int ms = 0; ms < 5000 && reaped == 0; ++ms) {
+    reaped = ::waitpid(child, &wait_status, WNOHANG);
+    if (reaped == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (reaped == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &wait_status, 0);
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(reaped, child) << "opening the FIFO blocked for 5 s";
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  EXPECT_EQ(WEXITSTATUS(wait_status), 0) << "not the pinned empty-file text";
 }
 
 TEST(MappedTraceSource, ZeroRecordFileStreamsNothingCleanly) {

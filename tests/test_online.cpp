@@ -1,5 +1,6 @@
 // SlidingWindowMetrics, the live daemons' windowed counters, against the
-// offline record pipeline: the two must agree exactly on every window.
+// offline record pipeline and a brute-force oracle of the tick rule
+// (tests/tick_oracle.hpp): they must agree exactly on every window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,7 @@
 #include "metrics/online.hpp"
 #include "metrics/overlap.hpp"
 #include "overlap_oracle.hpp"
-#include "window_oracle.hpp"
+#include "tick_oracle.hpp"
 
 namespace bpsio::metrics {
 namespace {
@@ -24,9 +25,9 @@ namespace {
 // tests/overlap_oracle.hpp).
 // ---------------------------------------------------------------------------
 
-/// Batch ground truth over `records` for the window (ws, now]: time clamped
-/// to the window, blocks never clamped (a record is live while end > ws —
-/// the same rule TimelineConsumer and col_time apply).
+/// Batch ground truth over `records` for the window [ws, now], ws the
+/// store's tick edge: time clamped to the window, blocks never clamped (a
+/// record is live while its end is at or past the edge).
 struct WindowTruth {
   std::uint64_t count = 0;
   std::uint64_t record_blocks = 0;
@@ -38,7 +39,7 @@ WindowTruth window_truth(const std::vector<trace::IoRecord>& records,
   WindowTruth truth;
   std::vector<TimeInterval> col_time;
   for (const trace::IoRecord& r : records) {
-    if (r.end_ns <= ws || r.end_ns > now) continue;  // expired or future
+    if (r.end_ns < ws || r.end_ns > now) continue;  // expired or future
     ++truth.count;
     truth.record_blocks += r.blocks;
     col_time.push_back({r.start_ns, r.end_ns});
@@ -183,6 +184,9 @@ TEST(SlidingWindow, SpanBatchSkipsInvalidAndExpiredRecords) {
   EXPECT_EQ(untouched.accesses(), 0u);
 }
 
+// A 10 ms window has 64 ticks of 156.25 us.
+constexpr std::int64_t kTau = 156'250;
+
 TEST(SlidingWindow, EvictsAsTheWindowSlides) {
   SlidingWindowMetrics live(SimDuration::from_ms(10));
   live.add(trace::make_record(1, 100, SimTime(0), SimTime(2'000'000)));
@@ -190,19 +194,21 @@ TEST(SlidingWindow, EvictsAsTheWindowSlides) {
   EXPECT_EQ(live.blocks(), 100u);
   EXPECT_EQ(live.io_time().ns(), 2'000'000);
 
-  // A later record slides the window; the first stays live while its end
-  // is inside (end > now - W), full block count either way.
+  // A later record slides the window to ticks 7..70; the first stays live
+  // while its end tick (12) is one of them, full block count either way.
   live.add(trace::make_record(1, 50, SimTime(9'000'000), SimTime(11'000'000)));
+  EXPECT_EQ(live.window_start_ns(), 7 * kTau);
   EXPECT_EQ(live.accesses(), 2u);
   EXPECT_EQ(live.blocks(), 150u);
-  // Window is (1ms, 11ms]: first interval contributes (1ms, 2ms].
-  EXPECT_EQ(live.io_time().ns(), 1'000'000 + 2'000'000);
+  // The first interval contributes [7 tau, 2 ms).
+  EXPECT_EQ(live.io_time().ns(), (2'000'000 - 7 * kTau) + 2'000'000);
 
-  // advance() alone (idle traffic) expires the first record.
+  // advance() alone (idle traffic) moves to tick 77: ticks 14..77 no
+  // longer hold the first record's end.
   live.advance(SimTime(12'100'000));
+  EXPECT_EQ(live.window_start_ns(), 14 * kTau);
   EXPECT_EQ(live.accesses(), 1u);
   EXPECT_EQ(live.blocks(), 50u);
-  // Window is (2.1ms, 12.1ms]: only the second interval remains.
   EXPECT_EQ(live.io_time().ns(), 2'000'000);
 
   // Far future: everything expires; counters drain to zero.
@@ -213,43 +219,98 @@ TEST(SlidingWindow, EvictsAsTheWindowSlides) {
   EXPECT_EQ(live.bps(), 0.0);
 }
 
-TEST(SlidingWindow, BoundaryTimestampEviction) {
-  // The window is half-open from the left, (now - W, now]: a record whose
-  // end lands *exactly* on now - W is expired, one ending a single
-  // nanosecond later is still live.
+TEST(SlidingWindow, TickBoundaryEviction) {
+  // The window edge moves a whole tick at a time: a record ending on the
+  // first ns of the oldest tick is live for the whole of now's tick and
+  // expires when now enters the next one; a record ending one ns earlier
+  // is already out.
   const SimDuration window = SimDuration::from_ms(10);
-
   {
     SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'000)));
-    live.advance(SimTime(12'000'000));  // window start == record end exactly
-    EXPECT_EQ(live.accesses(), 0u);
-    EXPECT_EQ(live.blocks(), 0u);
-    EXPECT_EQ(live.io_time().ns(), 0);
-  }
-  {
-    SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'001)));
-    live.advance(SimTime(12'000'000));  // record end == window start + 1 ns
+    live.add(trace::make_record(1, 7, SimTime(1'000'000), SimTime(13 * kTau)));
+    live.advance(SimTime(76 * kTau));  // window is ticks 13..76
+    EXPECT_EQ(live.window_start_ns(), 13 * kTau);
     EXPECT_EQ(live.accesses(), 1u);
     EXPECT_EQ(live.blocks(), 7u);
-    // Only the final nanosecond of the access is inside the window.
-    EXPECT_EQ(live.io_time().ns(), 1);
-    live.advance(SimTime(12'000'001));  // one more ns and it expires
+    EXPECT_EQ(live.io_time().ns(), 0);  // clipped to [E, E)
+    live.advance(SimTime(77 * kTau - 1));  // still tick 76
+    EXPECT_EQ(live.accesses(), 1u);
+    live.advance(SimTime(77 * kTau));  // tick 77: tick 13 leaves
+    EXPECT_EQ(live.accesses(), 0u);
+    EXPECT_EQ(live.blocks(), 0u);
+  }
+  {
+    SlidingWindowMetrics live(window);
+    live.add(
+        trace::make_record(1, 7, SimTime(1'000'000), SimTime(13 * kTau - 1)));
+    live.advance(SimTime(76 * kTau));
     EXPECT_EQ(live.accesses(), 0u);
     EXPECT_EQ(live.io_time().ns(), 0);
   }
   {
-    // Ingest-driven boundary: a new record whose arrival slides the window
-    // start to exactly the old record's end evicts it within the same add().
-    SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 3, SimTime(0), SimTime(5'000'000)));
-    live.add(
-        trace::make_record(2, 4, SimTime(14'000'000), SimTime(15'000'000)));
-    EXPECT_EQ(live.accesses(), 1u);
-    EXPECT_EQ(live.blocks(), 4u);
-    EXPECT_EQ(live.io_time().ns(), 1'000'000);
+    // The same edge when the record arrives after now: ending on E it
+    // counts, one ns earlier it does not, per record or in a span.
+    const std::vector<trace::IoRecord> frame = {
+        trace::make_record(1, 7, SimTime(1'000'000), SimTime(13 * kTau)),
+        trace::make_record(1, 9, SimTime(1'000'000), SimTime(13 * kTau - 1)),
+        trace::make_record(2, 1, SimTime(76 * kTau), SimTime(76 * kTau))};
+    SlidingWindowMetrics per_record(window);
+    SlidingWindowMetrics batched(window);
+    per_record.add(frame.back());
+    for (const trace::IoRecord& r : frame) per_record.add(r);
+    batched.add(std::span<const trace::IoRecord>(frame));
+    EXPECT_EQ(per_record.accesses(), 3u);  // the last record twice
+    EXPECT_EQ(per_record.blocks(), 9u);
+    EXPECT_EQ(batched.accesses(), 2u);
+    EXPECT_EQ(batched.blocks(), 8u);
   }
+  {
+    // A late record ending on the last ns of the tick before now's lands in
+    // that tick and leaves with it.
+    SlidingWindowMetrics live(window);
+    live.add(trace::make_record(1, 2, SimTime(77 * kTau), SimTime(77 * kTau)));
+    live.add(trace::make_record(1, 3, SimTime(0), SimTime(77 * kTau - 1)));
+    EXPECT_EQ(live.blocks(), 5u);
+    live.advance(SimTime(140 * kTau));  // ticks 77..140
+    EXPECT_EQ(live.blocks(), 2u);
+  }
+  {
+    // Ingest-driven: the record whose arrival moves now into tick 96 evicts
+    // one ending in tick 32 within the same add(); one moving now only to
+    // tick 95 does not.
+    SlidingWindowMetrics live(window);
+    live.add(trace::make_record(1, 3, SimTime(0), SimTime(32 * kTau)));
+    live.add(trace::make_record(2, 4, SimTime(14'000'000), SimTime(95 * kTau)));
+    EXPECT_EQ(live.accesses(), 2u);
+    live.add(
+        trace::make_record(2, 5, SimTime(14'000'000), SimTime(96 * kTau)));
+    EXPECT_EQ(live.accesses(), 2u);
+    EXPECT_EQ(live.blocks(), 9u);
+    EXPECT_EQ(live.io_time().ns(), 96 * kTau - 14'000'000);
+  }
+}
+
+TEST(SlidingWindow, SixtyFourTicksWhenSixtyFourDoesNotDivideW) {
+  // W = 100 ns: tau = 2 ns, so the window is 128 ns of ticks, and the
+  // rates still divide by W.
+  SlidingWindowMetrics live(SimDuration(100));
+  live.add(trace::make_record(1, 5, SimTime(-1), SimTime(0)));
+  live.advance(SimTime(127));  // tick 63: ticks 0..63
+  EXPECT_EQ(live.window_start_ns(), 0);
+  EXPECT_EQ(live.accesses(), 1u);
+  EXPECT_DOUBLE_EQ(live.iops(), 1.0 / 100e-9);
+  live.advance(SimTime(128));  // tick 64
+  EXPECT_EQ(live.window_start_ns(), 2);
+  EXPECT_EQ(live.accesses(), 0u);
+
+  // Negative times floor: -1 ns is in tick -1, [-2, 0).
+  SlidingWindowMetrics negative(SimDuration(100));
+  negative.add(trace::make_record(1, 5, SimTime(-3), SimTime(-1)));
+  EXPECT_EQ(negative.window_start_ns(), -64 * 2);
+  negative.advance(SimTime(125));  // tick 62: ticks -1..62
+  EXPECT_EQ(negative.accesses(), 1u);
+  negative.advance(SimTime(126));  // tick 63
+  EXPECT_EQ(negative.accesses(), 0u);
 }
 
 TEST(SlidingWindow, FullyExpiredRecordsAreIgnored) {
@@ -278,9 +339,12 @@ TEST(SlidingWindow, RatesUseWindowAndBusyTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the end-time-bucketed store against the per-record heap store
-// it replaced (tests/window_oracle.hpp), compared after every step.
+// Differential: the tick store against the brute-force tick oracle
+// (tests/tick_oracle.hpp), compared after every step.
 // ---------------------------------------------------------------------------
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
 struct DiffCase {
   const char* name;
@@ -290,8 +354,8 @@ struct DiffCase {
   std::int64_t max_len_ns;  ///< typical response times lie in [0, max_len]
 };
 
-/// Mostly typical records, plus full-width escapes on both fields and the
-/// values either side of the 32-bit limit.
+/// Mostly typical records, plus zero-block records, full-width escapes on
+/// both fields and the values either side of the 32-bit limit.
 std::vector<trace::IoRecord> diff_records(const DiffCase& c, std::uint64_t seed,
                                           std::size_t n) {
   Rng rng(seed);
@@ -314,6 +378,7 @@ std::vector<trace::IoRecord> diff_records(const DiffCase& c, std::uint64_t seed,
         break;
       case 4: len = static_cast<std::int64_t>(kLimit - 1); break;
       case 5: len = static_cast<std::int64_t>(kLimit); break;
+      case 6: blocks = 0; break;  // fsync: time only
       default: break;
     }
     records.push_back(trace::make_record(
@@ -324,34 +389,40 @@ std::vector<trace::IoRecord> diff_records(const DiffCase& c, std::uint64_t seed,
 }
 
 ::testing::AssertionResult same_window(const SlidingWindowMetrics& live,
-                                       const testing::HeapWindowOracle& oracle) {
-  if (live.accesses() != oracle.accesses() || live.blocks() != oracle.blocks() ||
-      live.io_time().ns() != oracle.io_time().ns() ||
+                                       const testing::TickOracle& oracle) {
+  const WindowFigures got = live.figures();
+  const WindowFigures want = oracle.figures();
+  if (got.count != want.count || got.blocks != want.blocks ||
+      got.busy_ns != want.busy_ns ||
+      got.response_sum_ns != want.response_sum_ns ||
       live.now().ns() != oracle.now().ns() ||
-      // Bit-identical, not merely close: both divide the same integers.
-      live.arpt_s() != oracle.arpt_s()) {
+      live.window_start_ns() != oracle.edge_ns()) {
     return ::testing::AssertionFailure()
-           << "store {n=" << live.accesses() << " B=" << live.blocks()
-           << " T=" << live.io_time().ns() << " now=" << live.now().ns()
-           << " arpt=" << live.arpt_s() << "} oracle {n=" << oracle.accesses()
-           << " B=" << oracle.blocks() << " T=" << oracle.io_time().ns()
-           << " now=" << oracle.now().ns() << " arpt=" << oracle.arpt_s()
+           << "store {n=" << got.count << " B=" << got.blocks
+           << " T=" << got.busy_ns << " resp=" << got.response_sum_ns
+           << " now=" << live.now().ns() << " E=" << live.window_start_ns()
+           << "} oracle {n=" << want.count << " B=" << want.blocks
+           << " T=" << want.busy_ns << " resp=" << want.response_sum_ns
+           << " now=" << oracle.now().ns() << " E=" << oracle.edge_ns()
            << "}";
   }
   return ::testing::AssertionSuccess();
 }
 
-TEST(SlidingWindow, MatchesHeapOracleAfterEveryStep) {
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+TEST(SlidingWindow, MatchesTickOracleAfterEveryStep) {
   const DiffCase cases[] = {
-      // 1 ns window: 1 ns buckets, almost every record expires its elders.
+      // tau = 1 ns: the window is 64 ns, and most records expire quickly.
       {"w1ns", 1, -500, 1'000, 3},
-      // 1 ms window across zero: 16 us buckets, negative ends included.
+      // tau = 1 ns from INT64_MIN: now - 63 ticks saturates.
+      {"w1ns-min", 1, kMin, 300, 3},
+      // 1 ms window across zero: 15.625 us ticks, negative ends included.
       {"w1ms", 1'000'000, -2'000'000, 4'000'000, 200'000},
-      // Past 2^38 ns the bucket width caps at 2^32 (more than 64 buckets).
+      // 64 does not divide W: tau = 15,626 ns, 64 tau = W + 61.
+      {"w-odd", 1'000'003, -1'500'000, 4'000'000, 200'000},
+      // tau past 2^32 ns, W not a multiple of 64.
       {"w2^38", (std::int64_t{1} << 38) + 12'345, -(std::int64_t{1} << 39),
        std::int64_t{1} << 40, std::int64_t{1} << 31},
-      // Near the epoch minimum the window start saturates at INT64_MIN.
+      // Near the epoch minimum the edge saturates at INT64_MIN.
       {"near-min", 1'000'000, kMin + 10, 3'000'000, 100'000},
   };
   std::uint64_t checks = 0;
@@ -370,7 +441,7 @@ TEST(SlidingWindow, MatchesHeapOracleAfterEveryStep) {
                       });  // bpsio-lint: allow(iorecord-sort) test fixture ordering
           }
           SlidingWindowMetrics live(SimDuration(c.window_ns));
-          testing::HeapWindowOracle oracle(SimDuration(c.window_ns));
+          testing::TickOracle oracle(SimDuration(c.window_ns));
           Rng steps(seed * 31 + (shuffled ? 1 : 0) + (spans ? 2 : 0));
           std::size_t at = 0;
           while (at < records.size()) {
@@ -399,23 +470,50 @@ TEST(SlidingWindow, MatchesHeapOracleAfterEveryStep) {
             ASSERT_TRUE(same_window(live, oracle))
                 << c.name << " seed " << seed << " shuffled " << shuffled
                 << " spans " << spans << " at " << at;
-            checks += 5;
+            ++checks;
           }
-          // Drain to empty through the edge bucket and the wide list.
-          for (int k = 1; k <= 4; ++k) {
-            const SimTime to(live.now().ns() +
-                             std::max<std::int64_t>(c.window_ns / 2, 1));
+          // Drain to empty a few ticks at a time, then to the end of time.
+          for (int k = 1; k <= 5; ++k) {
+            const SimTime to = k == 5 ? SimTime(kMax)
+                                      : SimTime(live.now().ns() +
+                                                std::max<std::int64_t>(
+                                                    c.window_ns / 2, 1));
             live.advance(to);
             oracle.advance(to);
             ASSERT_TRUE(same_window(live, oracle)) << c.name << " drain " << k;
           }
           EXPECT_EQ(live.accesses(), 0u) << c.name;
           EXPECT_EQ(live.blocks(), 0u) << c.name;
+          EXPECT_EQ(live.io_time().ns(), 0) << c.name;
         }
       }
     }
   }
-  EXPECT_GT(checks, 100'000u);
+  EXPECT_GT(checks, 25'000u);
+}
+
+TEST(SlidingWindow, TickBoundsSaturateAtBothEndsOfTime) {
+  // Ticks that hold INT64_MIN or INT64_MAX reach past them; the store's
+  // bounds saturate there and must still place every record exactly.
+  for (const std::int64_t w : {std::int64_t{1}, std::int64_t{1'000'000},
+                               std::int64_t{1'000'003}}) {
+    const std::vector<trace::IoRecord> feed = {
+        trace::make_record(1, 2, SimTime(kMin), SimTime(kMin)),
+        trace::make_record(1, 3, SimTime(kMin), SimTime(kMin + w / 2)),
+        trace::make_record(1, 5, SimTime(kMin + 1), SimTime(kMin + 2 * w)),
+        trace::make_record(1, 7, SimTime(kMax - 3 * w), SimTime(kMax - w)),
+        trace::make_record(1, 11, SimTime(kMax - 2 * w), SimTime(kMax)),
+        trace::make_record(1, 13, SimTime(kMax - w), SimTime(kMax - w / 2)),
+    };
+    SlidingWindowMetrics live{SimDuration(w)};
+    testing::TickOracle oracle{SimDuration(w)};
+    for (const trace::IoRecord& r : feed) {
+      live.add(r);
+      oracle.add(r);
+      ASSERT_TRUE(same_window(live, oracle)) << "W " << w;
+    }
+    EXPECT_GT(live.accesses(), 0u) << "W " << w;
+  }
 }
 
 }  // namespace
