@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "merge_oracle.hpp"
 #include "trace/mapped_source.hpp"
 #include "trace/merge.hpp"
@@ -331,6 +335,171 @@ TEST(MergedSource, ChildFailureTruncatesAndReports) {
   trace::MergedSource source(std::move(children));
   EXPECT_TRUE(source.next_chunk().empty());
   EXPECT_FALSE(source.status().ok());
+}
+
+// Serves its ordered records in chunks of `chunk` records, then fails after
+// `good_chunks` of them: the stream ends and status() reports an I/O error.
+// Its size is unknown, as a pipe's would be.
+class FailingSource final : public trace::RecordSource {
+ public:
+  FailingSource(std::vector<IoRecord> records, std::size_t chunk,
+                std::size_t good_chunks)
+      : records_(std::move(records)), chunk_(chunk), left_(good_chunks) {}
+
+  std::span<const IoRecord> next_chunk() override {
+    if (left_ == 0 || pos_ == records_.size()) {
+      status_ = Status{Errc::io_error, "child failed mid-stream"};
+      return {};
+    }
+    --left_;
+    const std::size_t take = std::min(chunk_, records_.size() - pos_);
+    const std::span<const IoRecord> out(records_.data() + pos_, take);
+    pos_ += take;
+    return out;
+  }
+  Status status() const override { return status_; }
+
+  /// The records it serves before failing.
+  static std::vector<IoRecord> served(std::vector<IoRecord> records,
+                                      std::size_t chunk,
+                                      std::size_t good_chunks) {
+    records.resize(std::min(records.size(), chunk * good_chunks));
+    return records;
+  }
+
+ private:
+  std::vector<IoRecord> records_;
+  std::size_t chunk_;
+  std::size_t left_;
+  std::size_t pos_ = 0;
+  Status status_;
+};
+
+/// `count` (start, end)-ordered records on a coarse clock, so equal keys
+/// recur within and across children; `blocks` tags each record with its
+/// child and position so any reordering shows. About one child in six
+/// ends in records at (INT64_MAX, INT64_MAX).
+std::vector<IoRecord> tagged_child(Rng& rng, std::size_t child,
+                                   std::size_t count) {
+  std::vector<IoRecord> records;
+  std::int64_t t = static_cast<std::int64_t>(rng.next() % 8);
+  for (std::size_t i = 0; i < count; ++i) {
+    t += static_cast<std::int64_t>(rng.next() % 3);
+    const auto len = static_cast<std::int64_t>(rng.next() % 4);
+    records.push_back(make_record(static_cast<std::uint32_t>(rng.next() % 5),
+                                  child * 100000 + i, SimTime(t),
+                                  SimTime(t + len)));
+  }
+  if (rng.next() % 6 == 0) {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i = 0; i < 2; ++i) {
+      records.push_back(make_record(3, child * 100000 + count + i,
+                                    SimTime(kMax), SimTime(kMax)));
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const IoRecord& a, const IoRecord& b) {
+                     if (a.start_ns != b.start_ns) {
+                       return a.start_ns < b.start_ns;
+                     }
+                     return a.end_ns < b.end_ns;
+                   });
+  return records;
+}
+
+TEST(MergedSourceProperty, MatchesTheMergeOracle) {
+  constexpr std::size_t kDefault = trace::kDefaultSourceChunk;
+  trace::MergeOptions remap;  // stride 1000, timestamps kept
+  trace::MergeOptions plain;
+  plain.pid_stride = 0;
+  trace::MergeOptions aligned;
+  aligned.alignment = trace::TimeAlignment::align_starts;
+  std::uint64_t seed = 0;
+  for (const std::size_t k : {1u, 2u, 3u, 5u, 16u, 17u, 64u}) {
+    for (const std::size_t child_chunk : {std::size_t{1}, std::size_t{7}, kDefault}) {
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, kDefault}) {
+        for (const trace::MergeOptions& options : {remap, plain, aligned}) {
+          ++seed;
+          SCOPED_TRACE("k " + std::to_string(k) + ", child chunk " +
+                       std::to_string(child_chunk) + ", chunk " +
+                       std::to_string(chunk) + ", seed " +
+                       std::to_string(seed));
+          Rng rng(seed);
+          // One child in five is empty; the rest hold up to 60 records,
+          // so children run dry at every point of an output chunk. On odd
+          // seeds one child (k > 1) fails after a chunk or two.
+          const std::size_t failing =
+              k > 1 && seed % 2 == 1 ? rng.next() % k : k;
+          std::vector<std::vector<IoRecord>> expected_traces;
+          std::vector<std::unique_ptr<trace::RecordSource>> children;
+          std::uint64_t total = 0;
+          for (std::size_t c = 0; c < k; ++c) {
+            const std::size_t count =
+                rng.next() % 5 == 0 ? 0 : 1 + rng.next() % 60;
+            auto records = tagged_child(rng, c, count);
+            if (c == failing) {
+              const std::size_t good = 1 + rng.next() % 2;
+              const std::size_t fail_chunk =
+                  std::min<std::size_t>(child_chunk, 13);
+              expected_traces.push_back(
+                  FailingSource::served(records, fail_chunk, good));
+              children.push_back(std::make_unique<FailingSource>(
+                  std::move(records), fail_chunk, good));
+              continue;
+            }
+            total += records.size();
+            expected_traces.push_back(records);
+            children.push_back(std::make_unique<trace::VectorSource>(
+                trace::VectorSource::sorted(std::move(records), child_chunk)));
+          }
+          trace::MergedSource merged(std::move(children), options, chunk);
+          if (failing == k) {
+            ASSERT_TRUE(merged.size_hint().has_value());
+            EXPECT_EQ(*merged.size_hint(), total);
+          } else {
+            EXPECT_FALSE(merged.size_hint().has_value());
+          }
+          std::vector<IoRecord> streamed;
+          for (auto out = merged.next_chunk(); !out.empty();
+               out = merged.next_chunk()) {
+            EXPECT_LE(out.size(), std::max(chunk, child_chunk));
+            streamed.insert(streamed.end(), out.begin(), out.end());
+          }
+          EXPECT_TRUE(merged.next_chunk().empty());
+          EXPECT_EQ(streamed, trace::merge_oracle(expected_traces, options));
+          if (failing == k) {
+            EXPECT_TRUE(merged.status().ok());
+          } else {
+            EXPECT_EQ(merged.status().code(), Errc::io_error);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MergedSource, SoleLiveChildPassesItsSpanThrough) {
+  const auto records = ordered_records(50);
+  const std::vector<IoRecord> none;
+  trace::MergeOptions plain;
+  plain.pid_stride = 0;
+  for (const std::size_t k : {1u, 4u}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    // Child 1 of k holds every record; the others are empty.
+    std::vector<std::unique_ptr<trace::RecordSource>> children;
+    for (std::size_t c = 0; c < k; ++c) {
+      children.push_back(std::make_unique<trace::VectorSource>(
+          trace::VectorSource::view(c == k / 2 ? records : none, 16)));
+    }
+    trace::MergedSource merged(std::move(children), plain, /*chunk=*/4);
+    for (std::size_t at = 0; at < records.size(); at += 16) {
+      const auto out = merged.next_chunk();
+      ASSERT_EQ(out.size(), std::min<std::size_t>(16, records.size() - at));
+      EXPECT_EQ(out.data(), records.data() + at);
+    }
+    EXPECT_TRUE(merged.next_chunk().empty());
+    EXPECT_TRUE(merged.status().ok());
+  }
 }
 
 // ---------------------------------------------------------------------------
