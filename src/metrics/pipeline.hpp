@@ -5,8 +5,8 @@
 // MetricSample in one pass and O(chunk + concurrency) memory. The overlap
 // consumer merges the ordered stream into one open interval (Figure 3's
 // rule, metrics/interval_union.hpp), so T is the exact integer union
-// measure the batch algorithms compute; a pending-ends min-heap gives the
-// peak concurrency; B and ARPT accumulate in integers. Every accumulator is
+// measure the batch algorithms compute; a 4-ary min-heap of pending ends
+// (PendingEnds) gives the peak concurrency; B and ARPT accumulate in integers. Every accumulator is
 // either order-independent (integer sums) or consumes the canonical
 // (start, end) order, which is why the streaming path is bit-identical to the
 // batch path — the differential tests in tests/test_metric_pipeline.cpp
@@ -27,9 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -102,6 +100,76 @@ class ArptConsumer final : public MetricConsumer {
   TotalNs total_ns_ = 0;
 };
 
+/// The ends of the intervals still open at a sweep's position, earliest on
+/// top: a 4-ary min-heap in one vector. Push and pop are O(log4 n); a pop
+/// picks the smallest of four children with selects rather than branches,
+/// and a 4-ary heap is half as deep as a binary one, so its sift-down
+/// takes half the unpredictable branches.
+class PendingEnds {
+ public:
+  bool empty() const { return ends_.empty(); }
+  std::size_t size() const { return ends_.size(); }
+  /// The earliest end; the heap must not be empty.
+  std::int64_t top() const { return ends_.front(); }
+
+  void push(std::int64_t end) {
+    std::size_t i = ends_.size();
+    ends_.push_back(end);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (ends_[parent] <= end) break;
+      ends_[i] = ends_[parent];
+      i = parent;
+    }
+    ends_[i] = end;
+  }
+
+  /// Removes the earliest end; the heap must not be empty.
+  void pop() {
+    const std::int64_t last = ends_.back();
+    ends_.pop_back();
+    if (!ends_.empty()) sift_down(last);
+  }
+
+ private:
+  /// Settles `end` into the root's place, whose old value is discarded.
+  void sift_down(std::int64_t end) {
+    std::vector<std::int64_t>& e = ends_;
+    const std::size_t n = e.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t c = 4 * i + 1;
+      if (c >= n) break;
+      std::size_t m = c;
+      std::int64_t least = e[c];
+      if (c + 3 < n) {
+        // Two rounds of selects, carrying the values so that no round
+        // waits on a reload.
+        const bool odd_lo = e[c + 1] < e[c];
+        const bool odd_hi = e[c + 3] < e[c + 2];
+        const std::int64_t lo = odd_lo ? e[c + 1] : e[c];
+        const std::int64_t hi = odd_hi ? e[c + 3] : e[c + 2];
+        const bool upper = hi < lo;
+        m = upper ? c + 2 + odd_hi : c + odd_lo;
+        least = upper ? hi : lo;
+      } else {
+        for (std::size_t j = c + 1; j < n; ++j) {
+          if (e[j] < least) {
+            least = e[j];
+            m = j;
+          }
+        }
+      }
+      if (end <= least) break;
+      e[i] = least;
+      i = m;
+    }
+    e[i] = end;
+  }
+
+  std::vector<std::int64_t> ends_;
+};
+
 /// T accumulator: exact integer union measure of the access intervals, plus
 /// the span statistics of the same stream (peak and average concurrency,
 /// idle time). When a filter window is given, intervals are clamped to it
@@ -131,8 +199,7 @@ class OverlapConsumer final : public MetricConsumer {
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
   IntervalUnion<> union_;
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>>
-      ends_;  ///< ends of the intervals still open, earliest on top
+  PendingEnds ends_;
   std::size_t peak_ = 0;
   bool any_interval_ = false;
   std::int64_t sum_len_ns_ = 0;
@@ -183,8 +250,7 @@ class ConcurrencyProfileConsumer final : public MetricConsumer {
 
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>>
-      ends_;  ///< ends of the intervals still open, earliest on top
+  PendingEnds ends_;
   std::int64_t prev_ns_ = 0;
   std::vector<double> at_level_;
   double busy_total_ = 0;
