@@ -44,6 +44,7 @@ Server::~Server() {
     }
     if (worker->wake_fd >= 0) ::close(worker->wake_fd);
   }
+  if (poll_wake_fd_ >= 0) ::close(poll_wake_fd_);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(options_.socket_path.c_str());
@@ -127,6 +128,12 @@ Status Server::start() {
       return Error{Errc::io_error, "cannot create a worker eventfd"};
     }
   }
+  if (options_.io_threads > 0) {
+    poll_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (poll_wake_fd_ < 0) {
+      return Error{Errc::io_error, "cannot create the poll thread's eventfd"};
+    }
+  }
   last_csv_ns_ = monotonic_ns();
   started_ = true;
   return {};
@@ -152,8 +159,13 @@ void Server::accept_conns(int listener_fd) {
     connected_total_.fetch_add(1, std::memory_order_relaxed);
     active_.fetch_add(1, std::memory_order_relaxed);
     Worker& worker = *workers_[id % workers_.size()];
-    MutexLock lock(worker.inbox_mu);
-    worker.inbox.emplace_back(fd, id);
+    {
+      MutexLock lock(worker.inbox_mu);
+      worker.inbox.emplace_back(fd, id);
+    }
+    // A worker thread adopts its inbox between poll rounds: wake it, or the
+    // connection's first frame waits out the round.
+    if (worker.wake_fd >= 0) eventfd_write(worker.wake_fd, 1);
   }
 }
 
@@ -302,6 +314,9 @@ void Server::close_conn(Conn& conn, bool record_loss_ok) {
   ::close(conn.fd);
   conn.fd = -1;
   active_.fetch_sub(1, std::memory_order_relaxed);
+  // A worker's close can be the last one run() waits for (expect_clients):
+  // wake the poll thread so it sees the count now, not a round later.
+  if (poll_wake_fd_ >= 0) eventfd_write(poll_wake_fd_, 1);
 }
 
 bool Server::service_at(Worker& worker, std::size_t i) {
@@ -368,6 +383,12 @@ Status Server::run() {
     loop.add_listener(tcp_fd_, [this] { accept_conns(tcp_fd_); });
   }
   if (http_fd_ >= 0) loop.add_listener(http_fd_, [this] { accept_http(); });
+  if (poll_wake_fd_ >= 0) {
+    loop.add_listener(poll_wake_fd_, [this] {
+      eventfd_t ignored = 0;
+      eventfd_read(poll_wake_fd_, &ignored);
+    });
+  }
 
   Status failure;
   for (;;) {

@@ -160,8 +160,9 @@ class Server {
     std::vector<std::pair<int, std::uint64_t>> inbox  // (fd, conn id)
         BPSIO_GUARDED_BY(inbox_mu);
     std::atomic<bool> finish{false};
-    /// An eventfd in the worker thread's poll set: finish_worker() makes it
-    /// readable so an idle round returns at once.
+    /// An eventfd in the worker thread's poll set: accept_conns() makes it
+    /// readable after queueing a connection, finish_worker() after raising
+    /// `finish`, so an idle round returns at once.
     int wake_fd = -1;
     std::vector<Conn> conns;
     std::vector<int> conn_fds;  ///< index-aligned with conns
@@ -203,6 +204,10 @@ class Server {
   int http_fd_ = -1;
   int bound_tcp_port_ = -1;
   int bound_http_port_ = -1;
+  /// An eventfd in the poll thread's set (threaded servers): close_conn()
+  /// on a worker makes it readable, so run() sees expect_clients met at
+  /// once.
+  int poll_wake_fd_ = -1;
   bool spooling_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t conn_serial_ = 0;    ///< poll thread only (accept path)
