@@ -116,16 +116,28 @@ std::size_t FrameDecoder::frame_size(const char* p) {
 
 void FrameDecoder::emit(const char* payload, std::uint32_t count,
                         std::uint64_t stream, const TaggedFrameSink& sink) {
+  std::span<const IoRecord> records;
   if (reinterpret_cast<std::uintptr_t>(payload) % alignof(IoRecord) == 0) {
-    sink(stream, {reinterpret_cast<const IoRecord*>(payload), count});
-    return;
+    records = {reinterpret_cast<const IoRecord*>(payload), count};
+  } else {
+    // Misaligned payload (headers keep in-place frames aligned, but a
+    // caller may feed from an offset buffer): one aligned copy, then a span
+    // over the scratch.
+    scratch_.resize(count);
+    std::memcpy(scratch_.data(), payload,
+                std::size_t{count} * sizeof(IoRecord));
+    records = scratch_;
   }
-  // Misaligned payload (headers keep in-place frames aligned, but a caller
-  // may feed from an offset buffer): one aligned copy, then a span over the
-  // scratch.
-  scratch_.resize(count);
-  std::memcpy(scratch_.data(), payload, std::size_t{count} * sizeof(IoRecord));
-  sink(stream, {scratch_.data(), scratch_.size()});
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!records[i].times_in_range()) {
+      poison("frame record " + std::to_string(i) + " has start " +
+             std::to_string(records[i].start_ns) + " and end " +
+             std::to_string(records[i].end_ns) +
+             ", outside 0 <= start <= end; rejecting stream");
+      return;
+    }
+  }
+  sink(stream, records);
 }
 
 void FrameDecoder::dispatch(const char* p, const TaggedFrameSink& sink) {

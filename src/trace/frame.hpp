@@ -118,8 +118,9 @@ void encode_hello(std::string_view tenant, std::vector<char>& out);
 /// as they arrive; each completed data frame's records reach the caller as
 /// one span. Tolerates arbitrary fragmentation (one byte at a time works).
 /// A malformed header (bad magic, oversized count, bad tenant, hello after
-/// data) poisons the decoder: status() reports the error and further bytes
-/// are ignored.
+/// data) or a record outside 0 <= start <= end (IoRecord::times_in_range)
+/// poisons the decoder: status() reports the error, the frame reaches no
+/// sink, and further bytes are ignored.
 ///
 /// Zero-copy contract (DESIGN.md §13): for a frame lying wholly inside the
 /// fed buffer with its payload 8-byte aligned, the span aliases that buffer

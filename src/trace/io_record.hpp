@@ -56,6 +56,14 @@ struct IoRecord {
   /// clock can start and finish inside one tick.
   bool valid() const { return end_ns >= start_ns; }
 
+  /// The time rule for records that enter from outside (frames, trace
+  /// files): 0 <= start <= end. Every writer in the repo meets it — capture
+  /// times are CLOCK_MONOTONIC and the simulator starts at 0 — and under it
+  /// every duration and every distance between two records' times fits in
+  /// int64, so no metric overflows on any one record. FrameDecoder and
+  /// MappedTraceSource refuse a record that breaks it.
+  bool times_in_range() const { return start_ns >= 0 && end_ns >= start_ns; }
+
   friend bool operator==(const IoRecord&, const IoRecord&) = default;
 
   std::string to_string() const;

@@ -33,10 +33,12 @@
 namespace bpsio::trace {
 
 /// Streams a .bpstrace (v2) file as spans over a read-only file mapping.
-/// A file that cannot be opened, stat'ed or mapped, a bad header, or a
-/// truncated payload surfaces through status(); a chunk that cannot be
-/// filled whole delivers nothing and fails the source, so a failed source
-/// never yields a partial silent stream.
+/// A file that cannot be opened, stat'ed or mapped, a bad header, a
+/// truncated payload, or a record outside 0 <= start <= end
+/// (IoRecord::times_in_range; the error names the file and the record's
+/// index) surfaces through status(); a chunk that cannot be filled whole or
+/// holds such a record delivers nothing and fails the source, so a failed
+/// source never yields a partial silent stream.
 class MappedTraceSource final : public RecordSource {
  public:
   explicit MappedTraceSource(std::string path,

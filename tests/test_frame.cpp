@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -172,6 +174,42 @@ TEST(Frame, RejectsOversizedCount) {
   std::vector<IoRecord> out;
   EXPECT_FALSE(feed_collect(decoder, raw, sizeof raw, out).ok());
   EXPECT_FALSE(decoder.status().ok());
+}
+
+TEST(Frame, RecordOutsideTheTimeRulePoisonsTheStream) {
+  // A frame holding one record outside 0 <= start <= end reaches no sink,
+  // aligned or not; the frames before it were delivered whole.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<IoRecord> good = sample_records(2);
+  for (const IoRecord& bad :
+       {make_record(7, 1, SimTime(kMin), SimTime(1000)),
+        make_record(7, 1, SimTime(-1), SimTime(5)),
+        make_record(7, 1, SimTime(20), SimTime(10))}) {
+    std::vector<IoRecord> frame = sample_records(3);
+    frame[1] = bad;
+    std::vector<char> wire;
+    encode_frame(good, wire);
+    encode_frame(frame, wire);
+    for (const std::size_t offset : {0u, 1u}) {
+      SCOPED_TRACE("start " + std::to_string(bad.start_ns) + ", offset " +
+                   std::to_string(offset));
+      std::vector<char> fed(offset + wire.size());
+      std::memcpy(fed.data() + offset, wire.data(), wire.size());
+      FrameDecoder decoder;
+      std::vector<IoRecord> out;
+      EXPECT_FALSE(
+          feed_collect(decoder, fed.data() + offset, wire.size(), out).ok());
+      EXPECT_EQ(out, good);
+      ASSERT_FALSE(decoder.status().ok());
+      EXPECT_NE(decoder.status().error().message.find(
+                    "frame record 1 has start " +
+                    std::to_string(bad.start_ns) + " and end " +
+                    std::to_string(bad.end_ns) +
+                    ", outside 0 <= start <= end"),
+                std::string::npos)
+          << decoder.status().to_string();
+    }
+  }
 }
 
 TEST(Frame, MutationAndTruncationNeverCrashTheDecoder) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "agent/aggregator.hpp"
 #include "collector/tenant_shards.hpp"
+#include "common/wallclock.hpp"
 #include "ingest/server.hpp"
 #include "metrics/pipeline.hpp"
 #include "socket_util.hpp"
@@ -252,6 +254,171 @@ TEST(IngestServer, ShutdownWakesIdleWorkersAtOnce) {
         << " us to stop";
   }
   ::sigaction(SIGUSR1, &saved, nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+/// The collector's store, noting when each frame reaches it.
+class StampingShards final : public collector::TenantShards {
+ public:
+  using TenantShards::TenantShards;
+  void ingest(Slot* slot, std::span<const IoRecord> records) override {
+    TenantShards::ingest(slot, records);
+    frames.fetch_add(1);
+  }
+  std::atomic<std::uint64_t> frames{0};
+};
+
+TEST(IngestServer, AWorkerServesAFreshConnectionAtOnce) {
+  // The collector preset with two I/O workers idle in poll(): a new
+  // connection's first frame must reach the store within a few ms, not
+  // wait out the adopting worker's poll interval (50 ms).
+  const std::filesystem::path dir = make_temp_dir("fresh_conn_test");
+  ASSERT_FALSE(dir.empty());
+  ServerOptions options;
+  options.socket_path = (dir / "ingest.sock").string();
+  options.http_port = -1;
+  options.io_threads = 2;
+  StampingShards shards(2, kWindow, kBlock);
+  Running running(options, shards);
+  ASSERT_TRUE(running.start().ok());
+  const std::vector<IoRecord> one{
+      make_record(7, 4, SimTime(1000), SimTime(1500))};
+  std::vector<char> wire;
+  trace::encode_frame(one, wire);
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    // Let the workers settle into their poll rounds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::uint64_t before = shards.frames.load();
+    const auto sent_at = std::chrono::steady_clock::now();
+    const int client = connect_unix(options.socket_path);
+    ASSERT_GE(client, 0);
+    ASSERT_TRUE(send_all(client, wire));
+    while (shards.frames.load() == before &&
+           std::chrono::steady_clock::now() - sent_at <
+               std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const auto waited = std::chrono::steady_clock::now() - sent_at;
+    EXPECT_LT(waited, std::chrono::milliseconds(10))
+        << "attempt " << attempt << ": the frame took "
+        << std::chrono::duration_cast<std::chrono::microseconds>(waited)
+               .count()
+        << " us to reach the store";
+    ::close(client);
+  }
+  running.stop.store(true);
+  EXPECT_TRUE(running.join().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IngestServer, RunReturnsAtOnceAfterTheLastExpectedClose) {
+  // The collector preset with two I/O workers and expect_clients: once a
+  // worker closes the last expected connection, run() must return within
+  // a few ms, not at the end of the poll thread's round (50 ms).
+  const std::filesystem::path dir = make_temp_dir("last_close_test");
+  ASSERT_FALSE(dir.empty());
+  const std::vector<IoRecord> one{
+      make_record(7, 4, SimTime(1000), SimTime(1500))};
+  std::vector<char> wire;
+  trace::encode_frame(one, wire);
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    ServerOptions options;
+    options.socket_path = (dir / "ingest.sock").string();
+    options.http_port = -1;
+    options.io_threads = 2;
+    options.expect_clients = 1;
+    StampingShards shards(2, kWindow, kBlock);
+    Running running(options, shards);
+    ASSERT_TRUE(running.server.start().ok());
+    std::atomic<bool> returned{false};
+    running.thread = std::thread([&] {
+      running.status = running.server.run();
+      returned.store(true);
+    });
+    const int client = connect_unix(options.socket_path);
+    ASSERT_GE(client, 0);
+    ASSERT_TRUE(send_all(client, wire));
+    while (shards.frames.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    // Let the poll thread settle into its round.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto closed_at = std::chrono::steady_clock::now();
+    ::close(client);
+    while (!returned.load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    const auto waited = std::chrono::steady_clock::now() - closed_at;
+    EXPECT_TRUE(running.join().ok());
+    EXPECT_LT(waited, std::chrono::milliseconds(10))
+        << "attempt " << attempt << ": run() took "
+        << std::chrono::duration_cast<std::chrono::microseconds>(waited)
+               .count()
+        << " us to return";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IngestServer, RecordOutsideTheTimeRuleDropsOnlyItsConnection) {
+  // The agent preset. Unchecked, one record starting at INT64_MIN
+  // overflowed the window's response-time sum, and /metrics showed a
+  // negative ARPT for every pid.
+  const std::filesystem::path dir = make_temp_dir("time_rule_test");
+  ASSERT_FALSE(dir.empty());
+  ServerOptions options;
+  options.socket_path = (dir / "ingest.sock").string();
+  options.http_port = 0;
+  options.expect_clients = 2;
+  agent::MetricAggregator aggregator(kWindow, kBlock);
+  Running running(options, aggregator);
+  ASSERT_TRUE(running.start().ok());
+
+  const int good = connect_unix(options.socket_path);
+  ASSERT_GE(good, 0);
+  // Times near now, so the window still holds the records when scraped.
+  const std::int64_t now = monotonic_ns();
+  const std::vector<IoRecord> two{
+      make_record(7, 4, SimTime(now - 1'000'000), SimTime(now - 500'000)),
+      make_record(7, 4, SimTime(now - 400'000), SimTime(now - 100'000))};
+  std::vector<char> wire;
+  trace::encode_frame(two, wire);
+  ASSERT_TRUE(send_all(good, wire));
+
+  const int wild = connect_unix(options.socket_path);
+  ASSERT_GE(wild, 0);
+  const std::vector<IoRecord> wild_record{
+      make_record(8, 4, SimTime(std::numeric_limits<std::int64_t>::min()),
+                  SimTime(now))};
+  wire.clear();
+  trace::encode_frame(wild_record, wire);
+  ASSERT_TRUE(send_all(wild, wire));
+  // The server drops the wild connection: its client reads EOF.
+  const timeval limit{10, 0};
+  ASSERT_EQ(::setsockopt(wild, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit),
+            0);
+  char byte = 0;
+  EXPECT_EQ(::read(wild, &byte, 1), 0);
+  ::close(wild);
+
+  std::string metrics;
+  for (int attempt = 0; attempt < 250; ++attempt) {
+    metrics = http_get(running.server.http_port(), "/metrics");
+    if (metrics.find("bpsio_records_total 2\n") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_NE(metrics.find("bpsio_records_total 2\n"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("bpsio_bad_frames_total 1\n"), std::string::npos)
+      << metrics;
+  // (500 + 300) / 2 us.
+  EXPECT_NE(metrics.find("bpsio_window_arpt_seconds{pid=\"all\"} "
+                         "0.000400000\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("pid=\"8\""), std::string::npos) << metrics;
+
+  ::close(good);
+  EXPECT_TRUE(running.join().ok());
   std::filesystem::remove_all(dir);
 }
 
