@@ -2,7 +2,8 @@
 //
 // Stable entry points re-exported here:
 //   * metrics::measure_stream / MetricPipeline / MetricSample — one pass
-//     over a trace::RecordSource computing B, T, BPS, IOPS, BW, ARPT
+//     over an ordered trace::RecordSource computing B, T, BPS, IOPS, BW,
+//     ARPT and peak concurrency; every run checks the order
 //                                          (metrics/pipeline.hpp)
 //   * metrics::overlap_time_paper — the Figure-3 interval-union T, the
 //     reference OverlapConsumer's T is tested against; overlap_time_merged

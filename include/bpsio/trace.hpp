@@ -4,7 +4,8 @@
 // Stable entry points re-exported here:
 //   * trace::IoRecord / make_record        (trace/io_record.hpp)
 //   * trace::RecordSource and its family — VectorSource, MergedSource,
-//     FilteredSource, collector_source/collector_view
+//     collector_source (a collector's records, RecordFilter applied,
+//     (start, end)-ordered); every source is ordered
 //                                          (trace/record_source.hpp)
 //   * trace::MappedTraceSource / open_trace_source — the one .bpstrace
 //     reader, zero-copy spans over the file mapping (trace/mapped_source.hpp);

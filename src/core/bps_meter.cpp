@@ -20,17 +20,11 @@ std::string BpsReading::to_string() const {
 }
 
 BpsReading BpsMeter::measure(const trace::RecordFilter& filter) const {
-  // One unfiltered pass: the filtered accumulators sit behind consumer-side
-  // filters because the process count is deliberately unfiltered (it reports
-  // the whole collection, matching TraceCollector::process_count()).
   metrics::BlocksConsumer acc;
-  metrics::FilteredConsumer filtered_acc(filter, acc);
   metrics::OverlapConsumer overlap(filter);
-  metrics::FilteredConsumer filtered_overlap(filter, overlap);
-  metrics::ProcessCountConsumer processes;
-  auto source = trace::collector_source(collector_);
+  auto source = trace::collector_source(collector_, filter);
   metrics::MetricPipeline pipeline;
-  pipeline.attach(filtered_acc).attach(filtered_overlap).attach(processes);
+  pipeline.attach(acc).attach(overlap);
   const Status run = pipeline.run(source);
   BPSIO_CHECK(run.ok(), "meter pipeline failed: %s",
               run.error().message.c_str());
@@ -43,7 +37,8 @@ BpsReading BpsMeter::measure(const trace::RecordFilter& filter) const {
   r.io_time_s = t.seconds();
   r.bps = t.ns() > 0 ? static_cast<double>(r.blocks) / t.seconds() : 0.0;
   r.accesses = acc.record_count();
-  r.processes = processes.process_count();
+  // Deliberately unfiltered: the process count reports the whole collection.
+  r.processes = collector_.process_count();
   r.idle_time_s = overlap.idle_time().seconds();
   r.avg_concurrency = overlap.avg_concurrency();
   return r;

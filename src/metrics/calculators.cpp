@@ -1,6 +1,7 @@
 #include "metrics/calculators.hpp"
 
 #include <cstdio>
+#include <initializer_list>
 
 #include "common/check.hpp"
 #include "metrics/pipeline.hpp"
@@ -8,27 +9,35 @@
 
 namespace bpsio::metrics {
 
+namespace {
+
+/// Drives `consumers` over the collector's records that `filter` selects,
+/// in (start, end) order.
+void run_filtered(const trace::TraceCollector& collector,
+                  const trace::RecordFilter& filter,
+                  std::initializer_list<MetricConsumer*> consumers) {
+  auto source = trace::collector_source(collector, filter);
+  MetricPipeline pipeline;
+  for (MetricConsumer* c : consumers) pipeline.attach(*c);
+  const Status run = pipeline.run(source);
+  BPSIO_CHECK(run.ok(), "metric pipeline failed: %s",
+              run.error().message.c_str());
+}
+
+}  // namespace
+
 SimDuration overlapped_io_time(const trace::TraceCollector& collector,
                                const trace::RecordFilter& filter) {
-  auto source = trace::collector_source(collector, filter);
   OverlapConsumer overlap(filter);
-  MetricPipeline pipeline;
-  pipeline.attach(overlap);
-  const Status run = pipeline.run(source);
-  BPSIO_CHECK(run.ok(), "overlap pipeline failed: %s",
-              run.error().message.c_str());
+  run_filtered(collector, filter, {&overlap});
   return overlap.io_time();
 }
 
 double bps(const trace::TraceCollector& collector, Bytes block_size,
            const trace::RecordFilter& filter) {
-  auto source = trace::collector_source(collector, filter);
   BlocksConsumer acc;
   OverlapConsumer overlap(filter);
-  MetricPipeline pipeline;
-  pipeline.attach(acc).attach(overlap);
-  const Status run = pipeline.run(source);
-  BPSIO_CHECK(run.ok(), "bps pipeline failed: %s", run.error().message.c_str());
+  run_filtered(collector, filter, {&acc, &overlap});
   const SimDuration t = overlap.io_time();
   if (t.ns() <= 0) return 0.0;
   // Records store blocks in the collector's native block unit (512 B). If a
@@ -47,16 +56,8 @@ double iops(std::size_t access_count, SimDuration period) {
 
 double iops(const trace::TraceCollector& collector, SimDuration period,
             const trace::RecordFilter& filter) {
-  // Counting is order-independent: stream the collector's gather order
-  // without the sorted snapshot.
-  auto source = trace::collector_view(collector);
   BlocksConsumer acc;
-  FilteredConsumer filtered(filter, acc);
-  MetricPipeline pipeline;
-  pipeline.attach(filtered).check_order(false);
-  const Status run = pipeline.run(source);
-  BPSIO_CHECK(run.ok(), "iops pipeline failed: %s",
-              run.error().message.c_str());
+  run_filtered(collector, filter, {&acc});
   return iops(static_cast<std::size_t>(acc.record_count()), period);
 }
 
@@ -67,14 +68,8 @@ double bandwidth(Bytes moved_bytes, SimDuration period) {
 
 double arpt(const trace::TraceCollector& collector,
             const trace::RecordFilter& filter) {
-  auto source = trace::collector_view(collector);
   ArptConsumer acc;
-  FilteredConsumer filtered(filter, acc);
-  MetricPipeline pipeline;
-  pipeline.attach(filtered).check_order(false);
-  const Status run = pipeline.run(source);
-  BPSIO_CHECK(run.ok(), "arpt pipeline failed: %s",
-              run.error().message.c_str());
+  run_filtered(collector, filter, {&acc});
   return acc.arpt_s();
 }
 

@@ -76,42 +76,4 @@ SimDuration idle_time(const std::vector<TimeInterval>& col_time) {
   return SimDuration(hi - lo) - overlap_time_merged(col_time);
 }
 
-std::size_t peak_concurrency(const std::vector<TimeInterval>& col_time) {
-  // Sweep over sorted boundary events. Zero-length intervals contribute no
-  // measure, so end events at time t are processed before start events at t.
-  std::vector<std::pair<std::int64_t, int>> events;
-  events.reserve(col_time.size() * 2);
-  for (const auto& iv : col_time) {
-    if (iv.end_ns <= iv.start_ns) continue;
-    events.emplace_back(iv.start_ns, +1);
-    events.emplace_back(iv.end_ns, -1);
-  }
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;  // -1 before +1 at the same time
-            });
-  std::size_t active = 0, peak = 0;
-  for (const auto& [t, delta] : events) {
-    (void)t;
-    if (delta > 0) {
-      ++active;
-      peak = std::max(peak, active);
-    } else {
-      --active;
-    }
-  }
-  return peak;
-}
-
-double average_concurrency(const std::vector<TimeInterval>& col_time) {
-  std::int64_t total = 0;
-  for (const auto& iv : col_time) {
-    if (iv.end_ns > iv.start_ns) total += iv.end_ns - iv.start_ns;
-  }
-  const auto uni = overlap_time_merged(col_time);
-  if (uni.ns() <= 0) return 0.0;
-  return static_cast<double>(total) / static_cast<double>(uni.ns());
-}
-
 }  // namespace bpsio::metrics

@@ -46,7 +46,7 @@ SimDuration overlap_time_merged(std::vector<TimeInterval> col_time);
 
 /// The disjoint union runs, sorted: touching intervals merge, and a
 /// zero-length interval apart from every other is a run of its own. Useful
-/// for visualizing busy/idle phases (see examples/trace_tools).
+/// for visualizing busy/idle phases (see examples/metric_pitfalls).
 std::vector<TimeInterval> merge_intervals(std::vector<TimeInterval> col_time);
 
 /// Sharded union measure: partition col_time into one shard per pool worker,
@@ -66,11 +66,5 @@ SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
 
 /// Idle time inside the span of the collection: span length minus union.
 SimDuration idle_time(const std::vector<TimeInterval>& col_time);
-
-/// Maximum number of simultaneously-active intervals (peak I/O concurrency).
-std::size_t peak_concurrency(const std::vector<TimeInterval>& col_time);
-
-/// Average concurrency over busy time: sum(lengths) / union. 0 if union is 0.
-double average_concurrency(const std::vector<TimeInterval>& col_time);
 
 }  // namespace bpsio::metrics

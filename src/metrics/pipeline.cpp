@@ -34,18 +34,6 @@ void ProcessCountConsumer::consume(std::span<const trace::IoRecord> chunk) {
   for (const auto& r : chunk) pids_.insert(r.pid);
 }
 
-void HistogramConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  for (const auto& r : chunk) hist_->add(r.response_time().seconds());
-}
-
-void FilteredConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  buf_.clear();
-  for (const auto& r : chunk) {
-    if (filter_.matches(r)) buf_.push_back(r);
-  }
-  if (!buf_.empty()) inner_->consume({buf_.data(), buf_.size()});
-}
-
 // ---------------------------------------------------------------------------
 // OverlapConsumer
 // ---------------------------------------------------------------------------
@@ -278,11 +266,6 @@ MetricPipeline& MetricPipeline::attach(MetricConsumer& consumer) {
   return *this;
 }
 
-MetricPipeline& MetricPipeline::check_order(bool enabled) {
-  check_order_ = enabled;
-  return *this;
-}
-
 Status MetricPipeline::run(trace::RecordSource& source) {
   bool have_prev = false;
   std::int64_t prev_start = 0;
@@ -290,26 +273,24 @@ Status MetricPipeline::run(trace::RecordSource& source) {
   for (;;) {
     const auto chunk = source.next_chunk();
     if (chunk.empty()) break;
-    if (check_order_) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        const trace::IoRecord& r = chunk[i];
-        if (have_prev &&
-            (r.start_ns < prev_start ||
-             (r.start_ns == prev_start && r.end_ns < prev_end))) {
-          return Status{
-              Errc::invalid_argument,
-              "record stream unordered at record #" +
-                  std::to_string(processed_ + i) + ": (start " +
-                  std::to_string(r.start_ns) + ", end " +
-                  std::to_string(r.end_ns) + ") after (start " +
-                  std::to_string(prev_start) + ", end " +
-                  std::to_string(prev_end) +
-                  ") — sort the source or use collector_source()"};
-        }
-        prev_start = r.start_ns;
-        prev_end = r.end_ns;
-        have_prev = true;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const trace::IoRecord& r = chunk[i];
+      if (have_prev &&
+          (r.start_ns < prev_start ||
+           (r.start_ns == prev_start && r.end_ns < prev_end))) {
+        return Status{
+            Errc::invalid_argument,
+            "record stream unordered at record #" +
+                std::to_string(processed_ + i) + ": (start " +
+                std::to_string(r.start_ns) + ", end " +
+                std::to_string(r.end_ns) + ") after (start " +
+                std::to_string(prev_start) + ", end " +
+                std::to_string(prev_end) +
+                ") — sort the source or use collector_source()"};
       }
+      prev_start = r.start_ns;
+      prev_end = r.end_ns;
+      have_prev = true;
     }
     for (MetricConsumer* c : consumers_) {
       c->consume(chunk);

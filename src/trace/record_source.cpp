@@ -63,11 +63,6 @@ VectorSource collector_source(const TraceCollector& collector,
   return VectorSource::sorted(std::move(snapshot), chunk_records);
 }
 
-VectorSource collector_view(const TraceCollector& collector,
-                            std::size_t chunk_records) {
-  return VectorSource::view(collector.records(), chunk_records);
-}
-
 // ---------------------------------------------------------------------------
 // MergedSource
 // ---------------------------------------------------------------------------
@@ -222,25 +217,6 @@ std::span<const IoRecord> MergedSource::next_chunk() {
   }
   winner_ = win;
   return {out_.data(), n};
-}
-
-// ---------------------------------------------------------------------------
-// FilteredSource
-// ---------------------------------------------------------------------------
-
-FilteredSource::FilteredSource(RecordSource& inner, RecordFilter filter)
-    : inner_(&inner), filter_(std::move(filter)) {}
-
-std::span<const IoRecord> FilteredSource::next_chunk() {
-  buf_.clear();
-  while (buf_.empty()) {
-    const auto chunk = inner_->next_chunk();
-    if (chunk.empty()) return {};
-    for (const IoRecord& r : chunk) {
-      if (filter_.matches(r)) buf_.push_back(r);
-    }
-  }
-  return {buf_.data(), buf_.size()};
 }
 
 }  // namespace bpsio::trace

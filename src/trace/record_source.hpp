@@ -6,18 +6,18 @@
 // chunks so the metric layer never has to materialize a whole trace:
 //
 //   * VectorSource         — view over in-memory records (or an owned,
-//                            sorted snapshot of a TraceCollector).
+//                            sorted snapshot of a TraceCollector:
+//                            collector_source, the one place a pipeline
+//                            run applies a RecordFilter).
 //   * MappedTraceSource    — streams a .bpstrace file as spans over its
 //                            mapping (trace/mapped_source.hpp).
 //   * MergedSource         — deterministic k-way merge over per-process /
 //                            per-application sources (merge_traces drains
 //                            one into a vector).
-//   * FilteredSource       — RecordFilter::matches() applied on the fly.
 //
-// Ordering contract: a RecordSource yields records in nondecreasing
-// (start_ns, end_ns) order unless documented otherwise (collector_view).
-// The MetricPipeline verifies this and refuses unordered streams, because
-// the single-pass overlap merge depends on it.
+// Ordering contract: every RecordSource yields records in nondecreasing
+// (start_ns, end_ns) order. The MetricPipeline verifies this and refuses
+// unordered streams, because the single-pass overlap merge depends on it.
 #pragma once
 
 #include <cstdint>
@@ -84,18 +84,14 @@ class VectorSource final : public RecordSource {
 };
 
 /// Snapshot a collector into an owned, filtered, (start, end)-ordered source.
-/// This is the batch-compat adapter: every legacy entry point funnels its
+/// This is the batch-compat adapter: every batch entry point funnels its
 /// records through here so batch and streaming runs execute the same code.
+/// Window filters select overlapping records whole; clamping their time to
+/// the window stays in the overlap consumer, exactly as TraceCollector::
+/// col_time() clamps but total_blocks() does not.
 VectorSource collector_source(const TraceCollector& collector,
                               const RecordFilter& filter = {},
                               std::size_t chunk_records = kDefaultSourceChunk);
-
-/// Zero-copy view over a collector's records in GATHER order (unsorted).
-/// Only for order-insensitive consumers (counts, ARPT, latency); drive it
-/// with the pipeline's order check disabled. Quiescent-read contract: the
-/// collector must outlive the source and see no concurrent gather.
-VectorSource collector_view(const TraceCollector& collector,
-                            std::size_t chunk_records = kDefaultSourceChunk);
 
 /// Deterministic k-way merge over ordered child sources, and the only trace
 /// merge (merge_traces drains one): output is ordered by (start, end), equal
@@ -221,30 +217,6 @@ class MergedSource final : public RecordSource {
   std::size_t chunk_;
   std::optional<std::uint64_t> hint_;
   Status status_;
-};
-
-/// Applies RecordFilter::matches() on the fly, preserving order. Window
-/// filters select overlapping records whole — interval clamping to the
-/// window stays in the overlap consumer, exactly as TraceCollector::
-/// col_time() clamps but total_blocks() does not.
-class FilteredSource final : public RecordSource {
- public:
-  FilteredSource(RecordSource& inner, RecordFilter filter);
-
-  std::span<const IoRecord> next_chunk() override;
-  /// Forwards the inner source's hint, which is an UPPER bound here: the
-  /// filter can only drop records. That is exactly what the contract allows
-  /// (reserve with it, never terminate on it), and it lets downstream
-  /// reserve() calls keep working through a filter.
-  std::optional<std::uint64_t> size_hint() const override {
-    return inner_->size_hint();
-  }
-  Status status() const override { return inner_->status(); }
-
- private:
-  RecordSource* inner_;
-  RecordFilter filter_;
-  std::vector<IoRecord> buf_;
 };
 
 }  // namespace bpsio::trace

@@ -48,11 +48,6 @@ std::uint64_t TraceCollector::total_blocks(const RecordFilter& filter) const {
   return sum;
 }
 
-Bytes TraceCollector::total_bytes(Bytes block_size,
-                                  const RecordFilter& filter) const {
-  return blocks_to_bytes(total_blocks(filter), block_size);
-}
-
 std::vector<TimeInterval> TraceCollector::col_time(
     const RecordFilter& filter) const {
   std::vector<TimeInterval> out;
@@ -75,16 +70,6 @@ std::size_t TraceCollector::process_count() const {
   std::unordered_set<std::uint32_t> pids;
   for (const auto& r : records()) pids.insert(r.pid);
   return pids.size();
-}
-
-std::optional<TimeInterval> TraceCollector::span() const {
-  if (records().empty()) return std::nullopt;
-  TimeInterval s{records().front().start_ns, records().front().end_ns};
-  for (const auto& r : records()) {
-    s.start_ns = std::min(s.start_ns, r.start_ns);
-    s.end_ns = std::max(s.end_ns, r.end_ns);
-  }
-  return s;
 }
 
 }  // namespace bpsio::trace

@@ -44,7 +44,7 @@ struct RecordFilter {
 
 /// Threading contract: mutators (gather / add / clear) are serialized by an
 /// internal annotated mutex, so concurrent processes may gather their buffers
-/// directly. Readers (records(), col_time(), total_blocks*, ...) take no lock
+/// directly. Readers (records(), col_time(), total_blocks(), ...) take no lock
 /// — analysis runs on a quiescent collection (all gathering finished), which
 /// is how the Figure-3 pipeline is specified. Do not read while a gather is
 /// in flight.
@@ -87,19 +87,12 @@ class TraceCollector {
   /// (all processes, successful or not, concurrent or not).
   std::uint64_t total_blocks(const RecordFilter& filter = {}) const;
 
-  /// Total bytes implied by B under the given block size.
-  Bytes total_bytes(Bytes block_size = kDefaultBlockSize,
-                    const RecordFilter& filter = {}) const;
-
   /// col_time — the (start, end) pairs of all matching accesses, in
   /// gathered order (the overlap algorithms sort as needed).
   std::vector<TimeInterval> col_time(const RecordFilter& filter = {}) const;
 
   /// Number of distinct pids seen.
   std::size_t process_count() const;
-
-  /// Earliest start / latest end over all records (nullopt when empty).
-  std::optional<TimeInterval> span() const;
 
  private:
   /// Quiescent readers go through records(); every mutation locks mu_.

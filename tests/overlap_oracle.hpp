@@ -1,12 +1,14 @@
-// Reference unions for the overlap tests.
+// Reference unions and concurrency sweeps for the overlap tests.
 //
 // Slow and simple on purpose: the tests check the library's T (the
 // streaming OverlapConsumer and the Figure-3 transcription in
-// metrics/overlap.hpp) against these, never the other way round.
+// metrics/overlap.hpp) and its concurrency figures against these, never
+// the other way round.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -82,6 +84,42 @@ inline SimDuration overlap_time_windowed(
     if (s < e) clipped.push_back({s, e});
   }
   return overlap_time_merged(std::move(clipped));
+}
+
+/// Maximum number of simultaneously-active intervals (peak I/O concurrency),
+/// by a sweep over the sorted boundary events. Zero-length intervals
+/// contribute no measure, so end events at time t come before starts at t.
+inline std::size_t peak_concurrency(const std::vector<TimeInterval>& col_time) {
+  std::vector<std::pair<std::int64_t, int>> events;
+  events.reserve(col_time.size() * 2);
+  for (const auto& iv : col_time) {
+    if (iv.end_ns <= iv.start_ns) continue;
+    events.emplace_back(iv.start_ns, +1);
+    events.emplace_back(iv.end_ns, -1);
+  }
+  std::sort(events.begin(), events.end());  // -1 before +1 at the same time
+  std::size_t active = 0, peak = 0;
+  for (const auto& [t, delta] : events) {
+    (void)t;
+    if (delta > 0) {
+      ++active;
+      peak = std::max(peak, active);
+    } else {
+      --active;
+    }
+  }
+  return peak;
+}
+
+/// Average concurrency over busy time: sum(lengths) / union. 0 if union is 0.
+inline double average_concurrency(const std::vector<TimeInterval>& col_time) {
+  std::int64_t total = 0;
+  for (const auto& iv : col_time) {
+    if (iv.end_ns > iv.start_ns) total += iv.end_ns - iv.start_ns;
+  }
+  const auto uni = overlap_time_merged(col_time);
+  if (uni.ns() <= 0) return 0.0;
+  return static_cast<double>(total) / static_cast<double>(uni.ns());
 }
 
 }  // namespace bpsio::metrics

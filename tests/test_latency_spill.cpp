@@ -2,59 +2,14 @@
 
 #include <cstdio>
 
-#include "metrics/latency.hpp"
+#include "trace/io_record.hpp"
 #include "trace/serialize.hpp"
 #include "trace/spill_writer.hpp"
-#include "trace/trace_collector.hpp"
 
 namespace bpsio {
 namespace {
 
 using trace::make_record;
-
-TEST(LatencySummary, PercentilesOfKnownDistribution) {
-  trace::TraceCollector c;
-  // 100 records with response times 1..100 ms.
-  for (int i = 1; i <= 100; ++i) {
-    c.add(make_record(1, 1, SimTime(0),
-                      SimTime(static_cast<std::int64_t>(i) * 1'000'000)));
-  }
-  const auto s = metrics::latency_summary(c);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean_s, 0.0505, 1e-9);
-  EXPECT_NEAR(s.p50_s, 0.0505, 1e-4);
-  EXPECT_NEAR(s.p95_s, 0.095, 1e-3);
-  EXPECT_NEAR(s.p99_s, 0.099, 1e-3);
-  EXPECT_NEAR(s.max_s, 0.100, 1e-9);
-  EXPECT_FALSE(s.to_string().empty());
-}
-
-TEST(LatencySummary, EmptyTrace) {
-  const auto s = metrics::latency_summary(trace::TraceCollector{});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean_s, 0.0);
-}
-
-TEST(LatencySummary, FilterRestrictsPopulation) {
-  trace::TraceCollector c;
-  c.add(make_record(1, 1, SimTime(0), SimTime(1'000'000)));    // 1 ms
-  c.add(make_record(2, 1, SimTime(0), SimTime(100'000'000)));  // 100 ms
-  trace::RecordFilter f;
-  f.pid = 1;
-  const auto s = metrics::latency_summary(c, f);
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_NEAR(s.max_s, 0.001, 1e-12);
-}
-
-TEST(LatencyHistogram, BucketsResponseTimes) {
-  trace::TraceCollector c;
-  for (int i = 0; i < 64; ++i) {
-    c.add(make_record(1, 1, SimTime(0), SimTime(1'000'000)));  // 1 ms each
-  }
-  const auto hist = metrics::latency_histogram(c);
-  EXPECT_EQ(hist.count(), 64u);
-  EXPECT_NEAR(hist.quantile(0.5), 1e-3, 1e-3);
-}
 
 TEST(SpillWriter, RoundTripsThroughTheStandardFormat) {
   const std::string path = "/tmp/bpsio_spill_test.bpstrace";

@@ -102,16 +102,6 @@ TEST(CollectorSource, FiltersAndSorts) {
   EXPECT_EQ(all[1].start_ns, 500);
 }
 
-TEST(CollectorSource, ViewPreservesGatherOrder) {
-  trace::TraceCollector c;
-  c.add(make_record(1, 1, SimTime(500), SimTime(600)));
-  c.add(make_record(1, 1, SimTime(0), SimTime(100)));
-  auto source = trace::collector_view(c);
-  const auto all = drain(source);
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].start_ns, 500);  // unsorted: gather order
-}
-
 // ---------------------------------------------------------------------------
 // Trace files (open_trace_source)
 // ---------------------------------------------------------------------------
@@ -500,90 +490,6 @@ TEST(MergedSource, SoleLiveChildPassesItsSpanThrough) {
     EXPECT_TRUE(merged.next_chunk().empty());
     EXPECT_TRUE(merged.status().ok());
   }
-}
-
-// ---------------------------------------------------------------------------
-// FilteredSource (RecordFilter on streams)
-// ---------------------------------------------------------------------------
-
-TEST(FilteredSource, FilterThenMergeEqualsMergeThenFilter) {
-  const auto traces = three_traces();
-  trace::MergeOptions options;
-  options.pid_stride = 0;  // keep pids stable so the filter sees them
-  trace::RecordFilter f;
-  f.pid = 7;
-
-  // Merge, then filter the merged stream.
-  auto merged = merged_source(traces, options);
-  trace::FilteredSource merge_then_filter(merged, f);
-  const auto a = drain(merge_then_filter);
-
-  // Filter each child, then merge the filtered streams.
-  std::vector<std::unique_ptr<trace::RecordSource>> children;
-  for (const auto& t : traces) {
-    std::vector<IoRecord> kept;
-    for (const auto& r : t) {
-      if (f.matches(r)) kept.push_back(r);
-    }
-    children.push_back(std::make_unique<trace::VectorSource>(
-        trace::VectorSource::sorted(std::move(kept))));
-  }
-  trace::MergedSource filter_then_merge(std::move(children), options);
-  const auto b = drain(filter_then_merge);
-
-  EXPECT_EQ(a, b);
-  ASSERT_FALSE(a.empty());
-  for (const auto& r : a) EXPECT_EQ(r.pid, 7u);
-}
-
-TEST(FilteredSource, EmptyInnerSourceYieldsNothing) {
-  auto inner = trace::VectorSource::sorted({});
-  trace::FilteredSource source(inner, trace::RecordFilter{});
-  EXPECT_TRUE(source.next_chunk().empty());
-}
-
-TEST(FilteredSource, SingleRecordPassesOrDrops) {
-  std::vector<IoRecord> one{make_record(5, 2, SimTime(10), SimTime(20))};
-  {
-    auto inner = trace::VectorSource::view(one);
-    trace::RecordFilter f;
-    f.pid = 5;
-    trace::FilteredSource source(inner, f);
-    const auto all = drain(source);
-    ASSERT_EQ(all.size(), 1u);
-    EXPECT_EQ(all[0].blocks, 2u);
-  }
-  {
-    auto inner = trace::VectorSource::view(one);
-    trace::RecordFilter f;
-    f.pid = 6;
-    trace::FilteredSource source(inner, f);
-    EXPECT_TRUE(source.next_chunk().empty());
-  }
-}
-
-TEST(FilteredSource, WindowFilterAcrossSpilledChunkBoundaries) {
-  // A window that selects records straddling several small spill chunks:
-  // the filtered stream must equal the filtered whole-file load.
-  const auto records = ordered_records(64);
-  const std::string path =
-      write_spill("/tmp/bpsio_src_winfilter.bpstrace", records);
-  trace::RecordFilter f;
-  f.window_start_ns = 95;   // drops records ending before 95
-  f.window_end_ns = 400;    // drops records starting at/after 400
-  std::vector<IoRecord> expected;
-  for (const auto& r : records) {
-    if (f.matches(r)) expected.push_back(r);
-  }
-  ASSERT_FALSE(expected.empty());
-  ASSERT_LT(expected.size(), records.size());
-
-  trace::MappedTraceSource spilled(path, /*chunk_records=*/5);
-  trace::FilteredSource source(spilled, f);
-  const auto streamed = drain(source);
-  EXPECT_EQ(streamed, expected);
-  EXPECT_TRUE(source.status().ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

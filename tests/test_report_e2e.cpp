@@ -437,24 +437,6 @@ TEST(ReportE2E, OversizedTimelineStopsCleanly) {
 }
 
 TEST(ExamplesE2E, TimelinesPastTheWindowCapFail) {
-  // Just over 2^20 windows, so a build without the cap allocates about
-  // 100 MiB of windows rather than billions.
-  const TempDir dir;
-  const std::string path = dir.path() + "/wide.bpstrace";
-  trace::SpillWriter writer(path);
-  writer.append(trace::make_record(1, 8, SimTime(0), SimTime(10)));
-  writer.append(trace::make_record(1, 8, SimTime(10), SimTime(1'048'577)));
-  ASSERT_TRUE(writer.close().ok());
-  const auto tools = run_tool("BPSIO_TRACE_TOOLS_BIN",
-                              "timeline '" + path + "' --window=0.000000001");
-  if (!tools) GTEST_SKIP() << "BPSIO_TRACE_TOOLS_BIN not in environment";
-  EXPECT_EQ(tools->exit_code, 1) << tools->out.substr(0, 400);
-  EXPECT_NE(tools->out.find("out_of_range: the timeline needs 1048577 "
-                            "windows of 0.000001 ms, over the limit of "
-                            "1048576"),
-            std::string::npos)
-      << tools->out.substr(0, 400);
-
   // phase_analysis's run spans about 4.76 s: 4.5 us windows need ~1.06M.
   const auto phases =
       run_tool("BPSIO_PHASE_ANALYSIS_BIN", "--window=0.0000045");

@@ -62,18 +62,13 @@ TEST(TraceCollector, GathersAcrossProcesses) {
   c.gather(b);
   EXPECT_EQ(c.record_count(), 2u);
   EXPECT_EQ(c.total_blocks(), 30u);
-  EXPECT_EQ(c.total_bytes(), 30u * 512);
   EXPECT_EQ(c.process_count(), 2u);
-  const auto span = c.span();
-  ASSERT_TRUE(span.has_value());
-  EXPECT_EQ(span->start_ns, 0);
-  EXPECT_EQ(span->end_ns, 150);
 }
 
-TEST(TraceCollector, EmptySpanIsNull) {
+TEST(TraceCollector, EmptyCollectorCountsNothing) {
   TraceCollector c;
-  EXPECT_FALSE(c.span().has_value());
   EXPECT_EQ(c.total_blocks(), 0u);
+  EXPECT_EQ(c.process_count(), 0u);
 }
 
 TEST(TraceCollector, FailedAccessesStillCountInB) {

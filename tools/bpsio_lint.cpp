@@ -278,9 +278,9 @@ void rule_mutable_global(const SourceFile& src, std::vector<Finding>& out) {
 
 // Bounded-memory contract (streaming pipeline): iterating a collector's or
 // buffer's .records() vector materializes the whole trace, capping analyzable
-// sizes at RAM. Only the source adapters in trace/ (collector_source,
-// collector_view, the buffers they wrap) may touch it; metric code pulls
-// chunks from a trace::RecordSource.
+// sizes at RAM. Only the source adapters in trace/ (collector_source, which
+// filters and sorts a snapshot, and the buffers it wraps) may touch it;
+// metric code pulls chunks from a trace::RecordSource.
 void rule_records_materialize(const SourceFile& src,
                               std::vector<Finding>& out) {
   if (path_contains(src.path, "src/trace/")) return;
@@ -607,7 +607,7 @@ struct SelfCase {
 };
 
 const SelfCase kSelfCases[] = {
-    {"iorecord-sort", "src/metrics/latency.cpp",
+    {"iorecord-sort", "src/metrics/calculators.cpp",
      "void f(std::vector<IoRecord>& v) {\n"
      "  std::sort(v.begin(), v.end(),\n"
      "            [](const IoRecord& a, const IoRecord& b) {\n"
@@ -806,7 +806,7 @@ int self_test() {
   // Comments and strings never trigger rules.
   {
     const SourceFile quiet = load_source(
-        "src/metrics/latency.cpp",
+        "src/metrics/calculators.cpp",
         "// assert(false) and rand() in a comment\n"
         "const char* kDoc = \"assert(rand())\";\n");
     if (!lint_source(quiet).empty()) {
