@@ -3,18 +3,21 @@
 // Table 2 (the experiment sets), the per-set normalized CC values, and the
 // paper's headline claim — BPS is the only metric with the correct
 // correlation direction in every scenario, with |CC| ~0.9 on average.
+// --csv prints only the per-set CC summary as CSV, --markdown only that
+// summary as a markdown table.
 #include "figure_bench.hpp"
 
 using namespace bpsio;
 
 int main(int argc, char** argv) {
-  const auto d = bench::defaults_from_args(argc, argv);
+  const bench::FigureArgs& args = bench::figure_args(argc, argv);
+  const auto& d = args.defaults;
 
-  std::printf("=== Table 1: expected correlation directions ===\n");
-  bench::print_expected_directions();
+  if (!args.csv && !args.markdown) {
+    std::printf("=== Table 1: expected correlation directions ===\n");
+    bench::print_expected_directions();
 
-  std::printf("=== Table 2: I/O access cases ===\n");
-  {
+    std::printf("=== Table 2: I/O access cases ===\n");
     TextTable t({"experiments", "description", "figure(s)"});
     t.add_row({"Set1", "various storage device", "Fig 4"});
     t.add_row({"Set2", "various I/O request size", "Fig 5, 6, 7, 8"});
@@ -59,6 +62,14 @@ int main(int argc, char** argv) {
     arpt_wrong += sweep.report.of(metrics::MetricKind::arpt).direction_correct ? 0 : 1;
   }
 
+  if (args.csv) {
+    std::printf("%s", summary.to_csv().c_str());
+    return 0;
+  }
+  if (args.markdown) {
+    std::printf("%s", summary.to_markdown().c_str());
+    return 0;
+  }
   std::printf("=== Normalized CC values per experiment set ===\n%s\n",
               summary.to_string().c_str());
   std::printf("BPS correct in all sets: %s (paper: yes)\n",

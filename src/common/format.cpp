@@ -106,4 +106,17 @@ std::string TextTable::to_csv() const {
   return out;
 }
 
+std::string TextTable::to_markdown() const {
+  std::string out;
+  auto emit_row = [&](const std::vector<std::string>& row) {
+    out += '|';
+    for (const auto& cell : row) out += ' ' + cell + " |";
+    out += '\n';
+  };
+  emit_row(header_);
+  emit_row(std::vector<std::string>(header_.size(), "---"));
+  for (const auto& row : rows_) emit_row(row);
+  return out;
+}
+
 }  // namespace bpsio

@@ -32,6 +32,8 @@ class TextTable {
   std::string to_string() const;
   /// Render as CSV (no padding).
   std::string to_csv() const;
+  /// Render as a markdown table (header, rule, rows).
+  std::string to_markdown() const;
 
  private:
   std::vector<std::string> header_;
