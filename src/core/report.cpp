@@ -4,18 +4,6 @@
 
 namespace bpsio::core {
 
-namespace {
-
-std::string md_row(std::initializer_list<std::string> cells) {
-  std::string out = "|";
-  for (const auto& c : cells) {
-    out += " " + c + " |";
-  }
-  return out + "\n";
-}
-
-}  // namespace
-
 std::string to_markdown(const SweepResult& sweep,
                         const ReportOptions& options) {
   std::string out;
@@ -27,45 +15,41 @@ std::string to_markdown(const SweepResult& sweep,
   }
 
   if (options.include_samples) {
-    out += md_row({"point", "exec (s)", "IOPS", "BW (MB/s)", "ARPT (ms)",
-                   "BPS"});
-    out += md_row({"---", "---", "---", "---", "---", "---"});
+    TextTable samples(
+        {"point", "exec (s)", "IOPS", "BW (MB/s)", "ARPT (ms)", "BPS"});
     for (std::size_t i = 0; i < sweep.samples.size(); ++i) {
       const auto& s = sweep.samples[i];
-      out += md_row({i < sweep.labels.size() ? sweep.labels[i]
-                                             : std::to_string(i),
-                     fmt_double(s.exec_time_s, 3), fmt_double(s.iops, 1),
-                     fmt_double(s.bandwidth_bps / 1e6, 2),
-                     fmt_double(s.arpt_s * 1e3, 3), fmt_double(s.bps, 1)});
+      samples.add_row({i < sweep.labels.size() ? sweep.labels[i]
+                                               : std::to_string(i),
+                       fmt_double(s.exec_time_s, 3), fmt_double(s.iops, 1),
+                       fmt_double(s.bandwidth_bps / 1e6, 2),
+                       fmt_double(s.arpt_s * 1e3, 3), fmt_double(s.bps, 1)});
     }
-    out += "\n";
+    out += samples.to_markdown() + "\n";
   }
 
-  out += md_row(options.include_confidence
-                    ? std::initializer_list<std::string>{
-                          "metric", "CC", "normalized", "95% CI", "direction"}
-                    : std::initializer_list<std::string>{
-                          "metric", "CC", "normalized", "direction"});
-  out += md_row(options.include_confidence
-                    ? std::initializer_list<std::string>{"---", "---", "---",
-                                                         "---", "---"}
-                    : std::initializer_list<std::string>{"---", "---", "---",
-                                                         "---"});
+  TextTable verdicts(options.include_confidence
+                         ? std::vector<std::string>{"metric", "CC",
+                                                    "normalized", "95% CI",
+                                                    "direction"}
+                         : std::vector<std::string>{"metric", "CC",
+                                                    "normalized",
+                                                    "direction"});
   for (const auto& m : sweep.report.metrics) {
     const std::string verdict =
         m.direction_correct ? "correct" : "**WRONG**";
     if (options.include_confidence) {
-      out += md_row({metrics::metric_name(m.kind), fmt_double(m.cc, 3),
-                     fmt_double(m.normalized_cc, 3),
-                     "[" + fmt_double(m.ci95.lo, 2) + ", " +
-                         fmt_double(m.ci95.hi, 2) + "]",
-                     verdict});
+      verdicts.add_row({metrics::metric_name(m.kind), fmt_double(m.cc, 3),
+                        fmt_double(m.normalized_cc, 3),
+                        "[" + fmt_double(m.ci95.lo, 2) + ", " +
+                            fmt_double(m.ci95.hi, 2) + "]",
+                        verdict});
     } else {
-      out += md_row({metrics::metric_name(m.kind), fmt_double(m.cc, 3),
-                     fmt_double(m.normalized_cc, 3), verdict});
+      verdicts.add_row({metrics::metric_name(m.kind), fmt_double(m.cc, 3),
+                        fmt_double(m.normalized_cc, 3), verdict});
     }
   }
-  return out;
+  return out + verdicts.to_markdown();
 }
 
 }  // namespace bpsio::core

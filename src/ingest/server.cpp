@@ -481,8 +481,8 @@ Status Server::drain() {
     std::vector<std::string> paths;
     paths.reserve(spools.size());
     for (const ClosedSpool& s : spools) paths.push_back(s.path);
-    if (const Status merged =
-            trace::merge_trace_files(std::move(paths), options_.drain_path);
+    if (const Status merged = trace::merge_trace_files(
+            paths, options_.drain_path, trace::kDrainMerge);
         !merged.ok()) {
       return Error{Errc::io_error, "drain failed: " + merged.to_string()};
     }
@@ -499,7 +499,8 @@ Status Server::drain() {
     for (auto& [tenant, paths] : by_tenant) {
       const std::string out = in_dir(options_.drain_tenant_dir,
                                      "tenant-" + tenant + ".bpstrace");
-      if (const Status merged = trace::merge_trace_files(paths, out);
+      if (const Status merged =
+              trace::merge_trace_files(paths, out, trace::kDrainMerge);
           !merged.ok()) {
         return Error{Errc::io_error, "tenant drain failed for " + tenant +
                                          ": " + merged.to_string()};

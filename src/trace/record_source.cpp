@@ -20,6 +20,15 @@ void sort_records(std::vector<IoRecord>& records) {
 
 }  // namespace
 
+Status OrderCheck::inversion(const IoRecord& r, std::uint64_t index) const {
+  return Status{Errc::invalid_argument,
+                "unordered at record #" + std::to_string(index) + ": (start " +
+                    std::to_string(r.start_ns) + ", end " +
+                    std::to_string(r.end_ns) + ") after (start " +
+                    std::to_string(prev_start_) + ", end " +
+                    std::to_string(prev_end_) + ")"};
+}
+
 // ---------------------------------------------------------------------------
 // VectorSource
 // ---------------------------------------------------------------------------

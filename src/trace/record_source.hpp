@@ -57,6 +57,37 @@ class RecordSource {
   virtual Status status() const { return {}; }
 };
 
+/// Follows a record stream chunk by chunk and finds the first record out of
+/// the ordering contract: MetricPipeline::run and merge_trace_files check
+/// their streams with it.
+class OrderCheck {
+ public:
+  /// Checks the stream's next chunk: fails (Errc::invalid_argument) at a
+  /// record that precedes the one before it, naming its index in the
+  /// stream and both records' times.
+  Status check(std::span<const IoRecord> chunk) {
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const IoRecord& r = chunk[i];
+      if (r.start_ns < prev_start_ ||
+          (r.start_ns == prev_start_ && r.end_ns < prev_end_)) {
+        return inversion(r, checked_ + i);
+      }
+      prev_start_ = r.start_ns;
+      prev_end_ = r.end_ns;
+    }
+    checked_ += chunk.size();
+    return {};
+  }
+
+ private:
+  Status inversion(const IoRecord& r, std::uint64_t index) const;
+
+  // No record precedes (INT64_MIN, INT64_MIN), so the first always passes.
+  std::int64_t prev_start_ = std::numeric_limits<std::int64_t>::min();
+  std::int64_t prev_end_ = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t checked_ = 0;
+};
+
 /// In-memory source over a span or an owned vector of records.
 class VectorSource final : public RecordSource {
  public:

@@ -6,6 +6,7 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -189,6 +190,65 @@ TEST(IngestServer, RelayKeepsEveryDrainOrdered) {
   expect_ordered_drain((dir / "tenants" / "tenant-beta.bpstrace").string(),
                        sent);
 
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IngestServer, DrainsMoreSpoolsThanTheSoftDescriptorLimit) {
+  // A daemon keeps a spool for every (connection, stream) it served, and
+  // its drain reads them all at once, one descriptor each: 96 spools must
+  // drain, into the trace and the tenant file, under a soft limit of 48
+  // descriptors.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  if (saved.rlim_max < 256) GTEST_SKIP() << "hard descriptor limit below 256";
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+  const std::filesystem::path dir = make_temp_dir("many_spools_test");
+  ASSERT_FALSE(dir.empty());
+  constexpr std::uint64_t kSpools = 96;
+  ServerOptions options;
+  options.socket_path = (dir / "ingest.sock").string();
+  options.http_port = -1;
+  options.drain_path = (dir / "drain.bpstrace").string();
+  options.drain_tenant_dir = (dir / "tenants").string();
+  options.spool_dir = (dir / "spool.d").string();
+  options.expect_clients = kSpools;
+  agent::MetricAggregator aggregator(kWindow, kBlock);
+  Running running(options, aggregator);
+  ASSERT_TRUE(running.start().ok());
+  rlimit low = saved;
+  low.rlim_cur = 48;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  std::vector<IoRecord> sent;
+  for (std::uint64_t c = 0; c < kSpools; ++c) {
+    const auto start = static_cast<std::int64_t>(c) * 1000;
+    const std::vector<IoRecord> one{make_record(
+        static_cast<std::uint32_t>(c + 1), 4, SimTime(start),
+        SimTime(start + 1500))};
+    std::vector<char> wire;
+    trace::encode_frame(one, wire);
+    const int client = connect_unix(options.socket_path);
+    ASSERT_GE(client, 0) << "client " << c;
+    ASSERT_TRUE(send_all(client, wire));
+    ::close(client);
+    sent.push_back(one.front());
+    // One connection at a time, so that the run itself needs few
+    // descriptors: the drain is what must pass the limit.
+    for (Transport t = running.server.transport();
+         t.connected_total <= c || t.active != 0;
+         t = running.server.transport()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  const Status ran = running.join();
+  ASSERT_TRUE(ran.ok()) << ran.to_string();
+  EXPECT_EQ(running.server.transport().streams_total, kSpools);
+  expect_ordered_drain(options.drain_path, sent);
+  expect_ordered_drain((dir / "tenants" / "tenant-default.bpstrace").string(),
+                       sent);
   std::filesystem::remove_all(dir);
 }
 

@@ -88,6 +88,25 @@ TEST(VectorSource, EmptySourceYieldsNothing) {
   EXPECT_EQ(*source.size_hint(), 0u);
 }
 
+TEST(OrderCheck, NamesTheFirstInversionAcrossChunks) {
+  // An equal start with an earlier end breaks the order too; the index
+  // counts from the stream's first record, across chunks.
+  const std::vector<IoRecord> first{
+      make_record(1, 1, SimTime(0), SimTime(5)),
+      make_record(1, 1, SimTime(10), SimTime(20))};
+  const std::vector<IoRecord> second{
+      make_record(2, 1, SimTime(10), SimTime(20)),
+      make_record(2, 1, SimTime(10), SimTime(15))};
+  trace::OrderCheck order;
+  EXPECT_TRUE(order.check(first).ok());
+  const Status checked = order.check(second);
+  ASSERT_FALSE(checked.ok());
+  EXPECT_EQ(checked.error().code, Errc::invalid_argument);
+  EXPECT_EQ(checked.error().message,
+            "unordered at record #3: (start 10, end 15) after (start 10, end "
+            "20)");
+}
+
 TEST(CollectorSource, FiltersAndSorts) {
   trace::TraceCollector c;
   c.add(make_record(2, 2, SimTime(500), SimTime(600)));
