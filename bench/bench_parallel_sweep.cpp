@@ -100,18 +100,18 @@ int main(int argc, char** argv) {
 
   TextTable table({"threads", "wall(s)", "speedup", "bit-identical"});
   table.add_row({"1", fmt_double(t_serial, 3), "1.00", "baseline"});
-  for (std::size_t threads = 2; threads <= max_threads; threads *= 2) {
+  for (std::size_t width = 2; width <= max_threads; width *= 2) {
     core::SweepOptions opt = base;
-    opt.threads = threads;
+    opt.threads = width;
     core::SweepResult parallel;
     const double t =
         wall_seconds([&] { parallel = core::run_sweep(specs, opt); });
     const bool same = samples_identical(serial.samples, parallel.samples);
-    table.add_row({std::to_string(threads), fmt_double(t, 3),
+    table.add_row({std::to_string(width), fmt_double(t, 3),
                    fmt_double(t_serial / t, 2), same ? "yes" : "NO !!"});
     if (!same) {
       std::printf("ERROR: threads=%zu diverged from the serial sweep\n",
-                  threads);
+                  width);
       return 1;
     }
   }

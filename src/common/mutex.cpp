@@ -47,7 +47,7 @@ std::map<const void*, std::set<const void*>>& graph() {
 }
 
 void default_handler(const char* message) {
-  BPSIO_CHECK(false, "lock-order violation: {}", message);
+  BPSIO_CHECK(false, "lock-order violation: %s", message);
 }
 
 ViolationHandler g_handler = default_handler;

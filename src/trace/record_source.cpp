@@ -1,6 +1,7 @@
 #include "trace/record_source.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -16,6 +17,26 @@ void sort_records(std::vector<IoRecord>& records) {
                      if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
                      return a.end_ns < b.end_ns;
                    });
+}
+
+// The merge key (start, end) as one 128-bit word, each half's sign bit
+// flipped so that unsigned order is signed order: in-memory children may
+// hold negative times.
+__extension__ typedef unsigned __int128 uint128;
+uint128 key(const IoRecord& r) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return uint128{static_cast<std::uint64_t>(r.start_ns) ^ kSign} << 64 |
+         (static_cast<std::uint64_t>(r.end_ns) ^ kSign);
+}
+
+// `b` where `mask` is all ones, `a` where it is zero. A mask, not a `?:`:
+// the compiler makes that a branch, which mispredicts whenever the merged
+// inputs interleave.
+const IoRecord* pick(std::uintptr_t mask, const IoRecord* a,
+                     const IoRecord* b) {
+  const auto ia = reinterpret_cast<std::uintptr_t>(a);
+  return reinterpret_cast<const IoRecord*>(
+      ia ^ ((ia ^ reinterpret_cast<std::uintptr_t>(b)) & mask));
 }
 
 }  // namespace
@@ -99,17 +120,20 @@ MergedSource::MergedSource(std::vector<std::unique_ptr<RecordSource>> children,
     children_.push_back(std::move(c));
   }
   if (all_known) hint_ = total;
+  leaves_ = std::bit_ceil(std::max<std::size_t>(children_.size(), 1));
+  nodes_.resize(2 * leaves_);
+  for (std::size_t i = children_.size(); i < leaves_; ++i) {
+    nodes_[leaves_ + i].dry = true;
+  }
 }
 
-const IoRecord* MergedSource::refill(Child& child) {
-  if (child.done) return nullptr;
+std::span<const IoRecord> MergedSource::refill(Child& child) {
   const auto chunk = child.src->next_chunk();
   if (chunk.empty()) {
-    child.done = true;
     if (const Status s = child.src->status(); !s.ok() && status_.ok()) {
       status_ = s;
     }
-    return nullptr;
+    return {};
   }
   if (child.first) {
     child.first = false;
@@ -129,18 +153,15 @@ const IoRecord* MergedSource::refill(Child& child) {
       r.start_ns += child.shift;
       r.end_ns += child.shift;
     }
-    child.stop = child.buf.data() + child.buf.size();
-    return child.buf.data();
+    return child.buf;
   }
   // No transform: serve the child's span directly (for an mmap child this
   // is a window straight over the file mapping — zero copies so far).
-  child.stop = chunk.data() + chunk.size();
-  return chunk.data();
+  return chunk;
 }
 
-const IoRecord* MergedSource::fail_remap(Child& child, std::uint32_t pid) {
-  child.done = true;
-  child.stop = nullptr;
+std::span<const IoRecord> MergedSource::fail_remap(Child& child,
+                                                   std::uint32_t pid) {
   if (status_.ok()) {
     status_ = Status{Errc::out_of_range,
                      "pid stride " + std::to_string(options_.pid_stride) +
@@ -148,84 +169,87 @@ const IoRecord* MergedSource::fail_remap(Child& child, std::uint32_t pid) {
                          std::to_string(child.index + 1) + " past " +
                          std::to_string(UINT32_MAX)};
   }
-  return nullptr;
+  return {};
 }
 
-MergedSource::Key MergedSource::next_head(Child& child) {
-  const IoRecord* at = refill(child);
-  if (at == nullptr) return Key{kMaxNs, kMaxNs, kDry | child.index, nullptr};
-  return Key{at->start_ns, at->end_ns, child.index, at};
-}
-
-void MergedSource::build() {
-  const std::size_t k = children_.size();
-  built_ = true;
-  if (k == 0) return;  // winner_ stays dry
-  // Play the first heads bottom-up: won[n] is the winner at node n.
-  std::vector<Key> won(2 * k);
-  for (std::size_t i = 0; i < k; ++i) won[k + i] = next_head(children_[i]);
-  losers_.assign(k, Key{kMaxNs, kMaxNs, kDry, nullptr});
-  for (std::size_t n = k - 1; n > 0; --n) {
-    const bool right = before(won[2 * n + 1], won[2 * n]);
-    won[n] = won[2 * n + right];
-    losers_[n] = won[2 * n + !right];
+bool MergedSource::pull(std::size_t n) {
+  Node& node = nodes_[n];
+  if (node.at != node.stop) return true;
+  if (node.dry) return false;
+  if (n < leaves_) {
+    fill(n);
+  } else {
+    const auto run = refill(children_[n - leaves_]);
+    node.at = run.data();
+    node.stop = run.data() + run.size();
+    node.dry = run.empty();
   }
-  winner_ = won[1];
+  return !node.dry;
+}
+
+void MergedSource::fill(std::size_t n) {
+  Node& node = nodes_[n];
+  Node& l = nodes_[2 * n];
+  Node& r = nodes_[2 * n + 1];
+  const bool live_l = pull(2 * n);
+  const bool live_r = pull(2 * n + 1);
+  // Hand a run up whole when the other input is dry or its head follows
+  // the run's last record (a tie goes left).
+  Node* pass = live_l ? &l : &r;
+  if (live_l && live_r) {
+    pass = key(l.stop[-1]) <= key(*r.at)  ? &l
+           : key(r.stop[-1]) < key(*l.at) ? &r
+                                          : nullptr;
+  } else if (!live_l && !live_r) {
+    node.dry = true;
+    return;
+  }
+  if (pass != nullptr) {
+    node.at = pass->at;
+    node.stop = pass->stop;
+    pass->at = pass->stop;
+    return;
+  }
+
+  IoRecord* begin = nullptr;
+  std::size_t room = chunk_;
+  if (n == 1) {
+    if (out_.empty()) out_.resize(chunk_);
+    begin = out_.data();
+  } else {
+    if (bufs_.empty()) bufs_.resize((leaves_ - 2) * kNodeRecords);
+    begin = bufs_.data() + (n - 2) * kNodeRecords;
+    // Capped by the chunk too, so a buffer handed up through the root is
+    // never longer than an output chunk.
+    room = std::min(room, kNodeRecords);
+  }
+  IoRecord* out = begin;
+  IoRecord* const end = begin + room;
+  do {
+    // Neither input runs out within `steps`, so the loop takes the earlier
+    // head and advances its input without a branch.
+    const auto steps = std::min({l.stop - l.at, r.stop - r.at, end - out});
+    const IoRecord* a = l.at;
+    const IoRecord* b = r.at;
+    for (std::ptrdiff_t i = 0; i < steps; ++i) {
+      const std::uintptr_t right = 0 - std::uintptr_t{key(*b) < key(*a)};
+      *out++ = *pick(right, a, b);
+      a = pick(right, a + 1, a);
+      b = pick(right, b, b + 1);
+    }
+    l.at = a;
+    r.at = b;
+  } while (out != end && pull(2 * n) && pull(2 * n + 1));
+  node.at = begin;
+  node.stop = out;
 }
 
 std::span<const IoRecord> MergedSource::next_chunk() {
-  if (!built_) {
-    build();
-  } else if (!dry(winner_)) {
-    // Only a wholesale pass leaves the winner's chunk used up with its
-    // key still in place: refill it now that its span has been consumed.
-    Child& c = children_[child_of(winner_)];
-    if (winner_.at == c.stop) {
-      winner_ = replay(losers_, children_.size(), next_head(c));
-    }
-  }
-  if (dry(winner_)) return {};  // all children exhausted (or failed)
-
-  // Fast path: when the winner's ENTIRE remaining chunk precedes every
-  // other head, the merge would copy it out record by record only to
-  // reproduce it verbatim — pass the span through instead. This is the
-  // single-source case always, and the common case for drains whose spools
-  // barely interleave. The runner-up lost to the winner on its path, so
-  // checking those losers checks every other head.
-  Child& best = children_[child_of(winner_)];
-  const IoRecord& last = best.stop[-1];
-  const Key last_key{last.start_ns, last.end_ns, winner_.rank};
-  bool wholesale = true;
-  for (std::size_t n = (children_.size() + child_of(winner_)) >> 1; n > 0;
-       n >>= 1) {
-    if (!before(last_key, losers_[n])) {
-      wholesale = false;
-      break;
-    }
-  }
-  if (wholesale) {
-    const std::span<const IoRecord> pass(winner_.at, best.stop);
-    winner_.at = best.stop;
-    return pass;
-  }
-
-  if (out_.empty()) out_.resize(chunk_);
-  // Locals, so that the loop keeps them in registers across its stores.
-  const std::size_t k = children_.size();
-  Key win = winner_;
-  std::size_t n = 0;
-  while (n < chunk_ && !dry(win)) {
-    out_[n++] = *win.at;
-    // The winner's next head keeps its rank; only a used-up chunk needs
-    // a refill.
-    const IoRecord* at = win.at + 1;
-    Child& c = children_[child_of(win)];
-    const Key key = at != c.stop ? Key{at->start_ns, at->end_ns, win.rank, at}
-                                 : next_head(c);
-    win = replay(losers_, k, key);
-  }
-  winner_ = win;
-  return {out_.data(), n};
+  if (!pull(1)) return {};  // all children exhausted (or failed)
+  Node& root = nodes_[1];
+  const std::span<const IoRecord> run(root.at, root.stop);
+  root.at = root.stop;
+  return run;
 }
 
 }  // namespace bpsio::trace

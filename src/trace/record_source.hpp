@@ -132,12 +132,14 @@ VectorSource collector_source(const TraceCollector& collector,
 /// truncates the stream and surfaces through status(); so does a pid the
 /// remap would carry past UINT32_MAX (Errc::out_of_range).
 ///
-/// The heads meet in a loser tree: each internal node keeps the key of the
-/// head that lost the match there, so emitting a record replays one
-/// leaf-to-root path, at most ceil(log2 k) key compares, and reads no other
-/// record. When the winner's whole remaining chunk precedes the runner-up
-/// (one of the losers on its path), the chunk is returned as the child's
-/// own span instead of being copied.
+/// The children meet in a fixed binary tree of two-way merges, its leaves
+/// padded with dry children to a power of two so that a node's left input
+/// holds the lower child indices. Each internal node merges its inputs'
+/// runs into a buffer of kNodeRecords (the root into the output chunk) with
+/// a branch-free loop that gives ties to the left input. A node whose other
+/// input is dry, or whose input's run precedes the other input's head,
+/// hands that run up by pointer instead: a sole live child, and children
+/// that do not interleave, come out as the children's own spans.
 class MergedSource final : public RecordSource {
  public:
   explicit MergedSource(std::vector<std::unique_ptr<RecordSource>> children,
@@ -150,11 +152,6 @@ class MergedSource final : public RecordSource {
 
  private:
   struct Child {
-    /// The end of the current chunk, which aliases the child source's span
-    /// directly when no transform applies (zero copy), `buf` otherwise, and
-    /// stays valid until the child's next refill. The read position is the
-    /// `at` of the child's key in the tree.
-    const IoRecord* stop = nullptr;
     std::unique_ptr<RecordSource> src;
     std::vector<IoRecord> buf;  // transform scratch (shift/remap applied)
     std::int64_t shift = 0;
@@ -163,86 +160,37 @@ class MergedSource final : public RecordSource {
     std::int64_t pid_room = 0;
     std::uint32_t index = 0;
     bool first = true;
-    bool done = false;
   };
 
-  /// A child's head as the tree orders it: (start, end), then `rank`, the
-  /// child index with kDry set once the child has run dry. A dry child's
-  /// times read (INT64_MAX, INT64_MAX), so the flag sorts it after every
-  /// live head and a live record at (INT64_MAX, INT64_MAX) still merges.
-  /// `at` is the head record itself, so the winner's next record is found
-  /// without a lookup.
-  struct Key {
-    std::int64_t start = 0;
-    std::int64_t end = 0;
-    std::uint64_t rank = 0;
+  /// The ordered run a node hands its parent, [at, stop): in the node's
+  /// buffer, or handed up from below. A node refills only once its parent
+  /// has used the run up, so the storage stays valid until then.
+  struct Node {
     const IoRecord* at = nullptr;
+    const IoRecord* stop = nullptr;
+    bool dry = false;
   };
-  static constexpr std::uint64_t kDry = std::uint64_t{1} << 32;
-  static constexpr std::int64_t kMaxNs =
-      std::numeric_limits<std::int64_t>::max();
 
-  static bool dry(const Key& k) { return k.rank >= kDry; }
-  static std::uint32_t child_of(const Key& k) {
-    return static_cast<std::uint32_t>(k.rank);
-  }
-  /// True when `a` merges strictly before `b`. Bitwise, not short-circuit,
-  /// so that the result feeds swap_if's masks without a branch.
-  static bool before(const Key& a, const Key& b) {
-    return (a.start < b.start) |
-           ((a.start == b.start) &
-            ((a.end < b.end) | ((a.end == b.end) & (a.rank < b.rank))));
-  }
+  /// Records in an internal node's buffer (8 KiB).
+  static constexpr std::size_t kNodeRecords = 256;
 
-  /// Pulls `child`'s next chunk; returns its first record, or null once
-  /// the child is exhausted or failed.
-  const IoRecord* refill(Child& child);
-  /// Ends `child` on a pid the remap cannot represent; returns null.
-  const IoRecord* fail_remap(Child& child, std::uint32_t pid);
-  /// Refills `child` and returns the key of its new chunk's first record.
-  Key next_head(Child& child);
-  /// Plays every child's first head into the tree.
-  void build();
-  /// Exchanges `a` and `b` when `c`, through masks: a branch on a tree
-  /// compare would mispredict whenever the children's heads interleave.
-  static void swap_if(bool c, Key& a, Key& b) {
-    const std::int64_t mask = -static_cast<std::int64_t>(c);
-    const std::int64_t start = (a.start ^ b.start) & mask;
-    const std::int64_t end = (a.end ^ b.end) & mask;
-    const std::uint64_t rank =
-        (a.rank ^ b.rank) & static_cast<std::uint64_t>(mask);
-    const auto at = (reinterpret_cast<std::uintptr_t>(a.at) ^
-                     reinterpret_cast<std::uintptr_t>(b.at)) &
-                    static_cast<std::uintptr_t>(mask);
-    a.start ^= start;
-    b.start ^= start;
-    a.end ^= end;
-    b.end ^= end;
-    a.rank ^= rank;
-    b.rank ^= rank;
-    a.at = reinterpret_cast<const IoRecord*>(
-        reinterpret_cast<std::uintptr_t>(a.at) ^ at);
-    b.at = reinterpret_cast<const IoRecord*>(
-        reinterpret_cast<std::uintptr_t>(b.at) ^ at);
-  }
-
-  /// Carries `key`, the new head of the last winner, from its leaf to the
-  /// root of the tree over `k` children and returns the new winner: at each
-  /// node the earlier key moves up and the later one stays.
-  static Key replay(std::vector<Key>& losers, std::size_t k, Key key) {
-    for (std::size_t n = (k + child_of(key)) >> 1; n > 0; n >>= 1) {
-      swap_if(before(losers[n], key), losers[n], key);
-    }
-    return key;
-  }
+  /// Pulls `child`'s next chunk, shifted and remapped when the options ask;
+  /// empty once the child is exhausted or failed.
+  std::span<const IoRecord> refill(Child& child);
+  /// Ends `child` on a pid the remap cannot represent.
+  std::span<const IoRecord> fail_remap(Child& child, std::uint32_t pid);
+  /// Leaves node `n` with a nonempty run; false once it has run dry.
+  bool pull(std::size_t n);
+  /// Refills internal node `n` from nodes 2n and 2n + 1.
+  void fill(std::size_t n);
 
   std::vector<Child> children_;
-  /// losers_[n], n in [1, k), is the key that lost the match at node n;
-  /// node n plays nodes 2n and 2n + 1, and child i's leaf is node k + i.
-  std::vector<Key> losers_;
-  /// The earliest head; dry once every child is.
-  Key winner_{kMaxNs, kMaxNs, kDry, nullptr};
-  bool built_ = false;
+  /// nodes_[n], n in [1, 2 * leaves_): node n merges nodes 2n and 2n + 1,
+  /// and child i's leaf is node leaves_ + i.
+  std::vector<Node> nodes_;
+  std::size_t leaves_ = 1;  ///< the child count padded to a power of two
+  /// kNodeRecords for each node in [2, leaves_); the root fills out_.
+  std::vector<IoRecord> bufs_;
   MergeOptions options_;
   std::vector<IoRecord> out_;
   std::size_t chunk_;

@@ -139,6 +139,25 @@ TEST_F(LockOrderTest, CrossThreadOrderIsShared) {
   EXPECT_EQ(violations(), 1);
 }
 
+TEST_F(LockOrderTest, DefaultHandlerAbortsWithTheDescription) {
+  // The default handler is BPSIO_CHECK: its abort text must carry the
+  // detector's description of the inverted pair, not a bare placeholder.
+  EXPECT_DEATH(
+      {
+        lock_order::set_violation_handler(nullptr);
+        Mutex a;
+        Mutex b;
+        {
+          MutexLock la(a);
+          MutexLock lb(b);
+        }
+        MutexLock lb(b);
+        MutexLock la(a);
+      },
+      "lock-order violation: acquiring 0x[0-9a-f]+ while holding "
+      "0x[0-9a-f]+ inverts the established order");
+}
+
 TEST_F(LockOrderTest, DestroyedMutexLeavesNoStaleEdges) {
   // Address reuse cannot be forced portably (sanitizers deliberately stagger
   // stack and heap slots), so drive the hooks with fixed fake addresses: the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -424,7 +425,7 @@ TEST(MergedSourceProperty, MatchesTheMergeOracle) {
   trace::MergeOptions aligned;
   aligned.alignment = trace::TimeAlignment::align_starts;
   std::uint64_t seed = 0;
-  for (const std::size_t k : {1u, 2u, 3u, 5u, 16u, 17u, 64u}) {
+  for (const std::size_t k : {1u, 2u, 3u, 5u, 16u, 17u, 33u, 64u}) {
     for (const std::size_t child_chunk : {std::size_t{1}, std::size_t{7}, kDefault}) {
       for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, kDefault}) {
         for (const trace::MergeOptions& options : {remap, plain, aligned}) {
@@ -487,6 +488,34 @@ TEST(MergedSourceProperty, MatchesTheMergeOracle) {
   }
 }
 
+TEST(MergedSourceProperty, EqualKeysComeInChildOrder) {
+  // Every child holds the same (start, end) keys, so only the tie rule
+  // orders the stream: by child index, then in each child's own order.
+  trace::MergeOptions plain;
+  plain.pid_stride = 0;
+  for (const std::size_t k : {2u, 3u, 16u, 33u}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    trace::kDefaultSourceChunk}) {
+      SCOPED_TRACE("k " + std::to_string(k) + ", chunk " +
+                   std::to_string(chunk));
+      std::vector<std::vector<IoRecord>> traces(k);
+      std::vector<std::unique_ptr<trace::RecordSource>> children;
+      for (std::size_t c = 0; c < k; ++c) {
+        for (std::size_t i = 0; i < 40; ++i) {
+          const auto s = static_cast<std::int64_t>(i / 10);
+          traces[c].push_back(make_record(1, c * 1000 + i, SimTime(s),
+                                          SimTime(s + 5)));
+        }
+        children.push_back(std::make_unique<trace::VectorSource>(
+            trace::VectorSource::view(traces[c], 3)));
+      }
+      trace::MergedSource merged(std::move(children), plain, chunk);
+      EXPECT_EQ(drain(merged), trace::merge_oracle(traces, plain));
+      EXPECT_TRUE(merged.status().ok());
+    }
+  }
+}
+
 TEST(MergedSource, SoleLiveChildPassesItsSpanThrough) {
   const auto records = ordered_records(50);
   const std::vector<IoRecord> none;
@@ -508,6 +537,50 @@ TEST(MergedSource, SoleLiveChildPassesItsSpanThrough) {
     }
     EXPECT_TRUE(merged.next_chunk().empty());
     EXPECT_TRUE(merged.status().ok());
+  }
+}
+
+TEST(MergedSource, ChildrenDisjointInTimePassTheirSpansThrough) {
+  // As the spools of sequential connections are: each child's records all
+  // precede the next child's (or, reversed, follow them), so no record is
+  // copied and every output span aliases a child's storage.
+  trace::MergeOptions plain;
+  plain.pid_stride = 0;
+  for (const std::size_t k : {2u, 3u, 16u}) {
+    for (const bool reversed : {false, true}) {
+      SCOPED_TRACE("k " + std::to_string(k) +
+                   (reversed ? ", reversed" : ""));
+      std::vector<std::vector<IoRecord>> traces(k);
+      std::vector<std::unique_ptr<trace::RecordSource>> children;
+      for (std::size_t c = 0; c < k; ++c) {
+        const auto base =
+            static_cast<std::int64_t>(reversed ? k - 1 - c : c) * 1000;
+        for (std::size_t i = 0; i < 20; ++i) {
+          const auto s = base + static_cast<std::int64_t>(i) * 10;
+          traces[c].push_back(make_record(static_cast<std::uint32_t>(c),
+                                          i + 1, SimTime(s), SimTime(s + 25)));
+        }
+        children.push_back(std::make_unique<trace::VectorSource>(
+            trace::VectorSource::view(traces[c], 7)));
+      }
+      trace::MergedSource merged(std::move(children), plain, /*chunk=*/4);
+      std::vector<IoRecord> streamed;
+      for (auto out = merged.next_chunk(); !out.empty();
+           out = merged.next_chunk()) {
+        EXPECT_LE(out.size(), 7u);
+        const std::less_equal<const IoRecord*> le;
+        EXPECT_TRUE(std::any_of(traces.begin(), traces.end(),
+                                [&](const std::vector<IoRecord>& t) {
+                                  return le(t.data(), out.data()) &&
+                                         le(out.data() + out.size(),
+                                            t.data() + t.size());
+                                }))
+            << "a span of " << out.size() << " records was copied";
+        streamed.insert(streamed.end(), out.begin(), out.end());
+      }
+      EXPECT_EQ(streamed, trace::merge_oracle(traces, plain));
+      EXPECT_TRUE(merged.status().ok());
+    }
   }
 }
 

@@ -263,8 +263,9 @@ TEST(ReportE2E, PerPidTimelineOutputsArePinned) {
   EXPECT_EQ(csv->out, std::string(kPinnedCsv) + kPinnedTimeline);
 }
 
-// Seventeen files, so the merge's tree over them is not a power of two in
-// size: pid 7 runs in every file, and each file adds a pid of its own.
+// Seventeen files, one past a power of two, so the merge pads its tree with
+// 15 dry leaves: pid 7 runs in every file, and each file adds a pid of its
+// own.
 std::vector<std::vector<std::uint32_t>> seventeen_file_pids() {
   std::vector<std::vector<std::uint32_t>> pids;
   for (std::uint32_t f = 0; f < 17; ++f) pids.push_back({7, 100 + f});
