@@ -1,13 +1,16 @@
 // LD_PRELOAD interposer over the POSIX I/O family — the paper's capture
 // point, realized: "the I/O function library is modified to record the
 // information of each I/O access" (Section III.B), except nothing is
-// modified — the dynamic linker resolves open/read/write/... to the
-// wrappers below, which stamp CLOCK_MONOTONIC around the real call and
-// store a 32-byte IoRecord through a per-thread cursor into a lock-free
-// per-thread buffer. Full buffers ship to bpsio_agentd or spill to
-// per-thread .bpstrace v2 files through SpillWriter; every spill ends in a
-// header checkpoint, so a traced process that dies without running atexit
-// still leaves a readable trace.
+// modified — the dynamic linker resolves open/read/write/... (and the
+// _FORTIFY_SOURCE variants __open_2/__read_chk/...) to the wrappers below,
+// which stamp the real call's start and end and store a 32-byte IoRecord
+// through a per-thread cursor into a lock-free per-thread buffer. The
+// stamps are TSC ticks where the kernel keeps time with the TSC, mapped to
+// CLOCK_MONOTONIC ns one segment at a time before the records leave the
+// thread (tick_segment.hpp), and CLOCK_MONOTONIC ns elsewhere. Full buffers
+// ship to bpsio_agentd or spill to per-thread .bpstrace v2 files through
+// SpillWriter; every spill ends in a header checkpoint, so a traced process
+// that dies without running atexit still leaves a readable trace.
 //
 // Ground rules for code in this file (it runs inside OTHER PEOPLE'S
 // processes):
@@ -40,12 +43,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
+
 #include "capture/capture_config.hpp"
 #include "capture/record_shipper.hpp"
+#include "capture/tick_segment.hpp"
 #include "common/wallclock.hpp"
 #include "trace/io_record.hpp"
 
@@ -60,8 +69,16 @@ using Pread64Fn = ssize_t (*)(int, void*, size_t, off64_t);
 using Pwrite64Fn = ssize_t (*)(int, const void*, size_t, off64_t);
 using OpenFn = int (*)(const char*, int, mode_t);
 using OpenatFn = int (*)(int, const char*, int, mode_t);
+using Open2Fn = int (*)(const char*, int);
+using Openat2Fn = int (*)(int, const char*, int);
+using CreatFn = int (*)(const char*, mode_t);
 using CloseFn = int (*)(int);
 using FsyncFn = int (*)(int);
+// The _FORTIFY_SOURCE reads take the destination's size last and abort on
+// an overflow; the wrappers pass it on, so the check stays glibc's.
+using ReadChkFn = ssize_t (*)(int, void*, size_t, size_t);
+using PreadChkFn = ssize_t (*)(int, void*, size_t, off_t, size_t);
+using Pread64ChkFn = ssize_t (*)(int, void*, size_t, off64_t, size_t);
 
 /// Immutable after init; published through g_runtime with release ordering.
 struct Runtime {
@@ -113,6 +130,11 @@ struct ReentrancyGuard {
 thread_local trace::IoRecord* t_next = nullptr;
 thread_local trace::IoRecord* t_end = nullptr;
 
+/// With tick stamps, the tick after which a record's end closes the open
+/// segment (its opening anchor plus kSegmentTicks); INT64_MAX otherwise, so
+/// the record path's check never fires. Trivially destructible.
+thread_local std::int64_t t_segment_end = INT64_MAX;
+
 /// Set once the current thread's ThreadCapture has been destroyed. A
 /// trivially destructible TLS flag stays readable after complex TLS objects
 /// are torn down, so late I/O during thread exit is dropped instead of
@@ -127,6 +149,74 @@ std::uint32_t cached_pid() {
   return pid != 0 ? pid : static_cast<std::uint32_t>(::getpid());
 }
 
+/// True when records are stamped in TSC ticks: an x86-64 build on a kernel
+/// whose clocksource is `tsc`, which the kernel selects only for a TSC it
+/// trusts as invariant and synchronized across CPUs. Set once in
+/// capture_init, before the runtime is published; false leaves every stamp
+/// a monotonic_ns() read with nothing to convert.
+std::atomic<bool> g_tick_stamps{false};
+
+#if defined(__x86_64__)
+inline std::int64_t read_ticks() { return static_cast<std::int64_t>(__rdtsc()); }
+
+/// The tick read after an anchor's clock read waits for it to finish.
+inline std::int64_t read_ticks_ordered() {
+  _mm_lfence();
+  return read_ticks();
+}
+#else
+inline std::int64_t read_ticks() { return 0; }  // unused: no tick stamps
+inline std::int64_t read_ticks_ordered() { return 0; }
+#endif
+
+/// A record's start or end stamp. A plain rdtsc overlaps with the wrapper's
+/// work where the vDSO's ordered clock read would serialize it.
+[[gnu::always_inline]] inline std::int64_t stamp() {
+  if (g_tick_stamps.load(std::memory_order_relaxed)) return read_ticks();
+  return monotonic_ns();
+}
+
+/// A segment ends on the record path once a record ends this many ticks
+/// (≈ 10–17 ms at 2–3.4 GHz) after its opening anchor, so no stamp sits
+/// far from both of the anchors it is mapped between.
+constexpr std::int64_t kSegmentTicks = std::int64_t{1} << 25;
+
+/// The tightest of four `rdtsc; clock_gettime; rdtsc` brackets, its
+/// midpoint tick beside its clock reading. One bracket is not enough: an
+/// interrupt between its reads skews the whole segment mapped from it.
+TickAnchor take_anchor() {
+  TickAnchor best;
+  std::int64_t best_width = INT64_MAX;
+  for (int i = 0; i < 4; ++i) {
+    const std::int64_t before = read_ticks();
+    const std::int64_t ns = monotonic_ns();
+    const std::int64_t after = read_ticks_ordered();
+    if (after - before < best_width) {
+      best_width = after - before;
+      best = TickAnchor{before + (after - before) / 2, ns};
+    }
+  }
+  return best;
+}
+
+/// Whether the kernel keeps time with the TSC. Read once, at init, from
+/// sysfs; any other answer, an unreadable file or another architecture
+/// keeps the clock_gettime stamps.
+bool kernel_clock_is_tsc() {
+#if defined(__x86_64__)
+  std::FILE* file = std::fopen(
+      "/sys/devices/system/clocksource/clocksource0/current_clocksource", "re");
+  if (file == nullptr) return false;
+  char name[16] = {};
+  const bool tsc = std::fgets(name, sizeof name, file) != nullptr &&
+                   std::strcmp(name, "tsc\n") == 0;
+  std::fclose(file);
+  return tsc;
+#else
+  return false;
+#endif
+}
+
 /// Per-thread capture state: the record buffer the cursor walks plus the
 /// thread's own transport (socket shipping with spill fallback —
 /// record_shipper.hpp). No other thread ever touches an instance.
@@ -135,6 +225,11 @@ struct ThreadCapture {
   trace::IoRecord* buffer = nullptr;
   RecordShipper* shipper = nullptr;
   bool disabled = false;  ///< no buffer, transport failed, or closed: drop
+  /// With tick stamps, the open segment: the slots from `unconverted` to
+  /// the cursor still hold ticks, to be mapped from `anchor` to the
+  /// segment's closing anchor.
+  trace::IoRecord* unconverted = nullptr;
+  TickAnchor anchor;
 
   ThreadCapture();
 
@@ -167,12 +262,36 @@ struct ThreadCapture {
     }
     t_next = buffer;
     t_end = buffer + cfg.buffer_records;
+    unconverted = buffer;
+    if (g_tick_stamps.load(std::memory_order_relaxed)) open_segment(take_anchor());
     return true;
   }
 
   void disarm() {
     t_next = nullptr;
     t_end = nullptr;
+    unconverted = nullptr;
+    t_segment_end = INT64_MAX;
+  }
+
+  void open_segment(TickAnchor opening) {
+    anchor = opening;
+    t_segment_end = opening.tick + kSegmentTicks;
+  }
+
+  /// Map the open segment's stamps to ns with a fresh closing anchor, which
+  /// opens the next segment. Nothing to do without tick stamps.
+  void close_segment() {
+    if (!g_tick_stamps.load(std::memory_order_relaxed)) return;
+    const TickAnchor closing = take_anchor();
+    ticks_to_ns({unconverted, t_next}, anchor, closing);
+    open_segment(closing);
+  }
+
+  /// The record path's segment end: the records stay buffered, in ns.
+  [[gnu::noinline]] void split_segment() {
+    close_segment();
+    unconverted = t_next;
   }
 
   /// Ship the buffered records through the thread's transport and restart
@@ -181,8 +300,10 @@ struct ThreadCapture {
   /// warns once per process).
   void flush(const CaptureConfig& cfg) {
     if (t_next == nullptr) return;  // not armed: nothing buffered
+    close_segment();
     const auto count = static_cast<std::size_t>(t_next - buffer);
     t_next = buffer;
+    unconverted = buffer;
     if (count == 0) return;
     bool shipped = false;
     try {
@@ -279,8 +400,9 @@ ThreadCapture& thread_capture() {
 
 /// Build one record and store it at the cursor. `requested` is the byte
 /// count the application asked for — B counts requested blocks even when
-/// the call came back short or failed (Section III.A). The wrapper saves
-/// errno before and restores it after.
+/// the call came back short or failed (Section III.A). The times are
+/// stamp() values, converted to ns before the records leave the thread.
+/// The wrapper saves errno before and restores it after.
 [[gnu::always_inline]] inline void record_io(trace::IoOpKind op,
                                              std::size_t requested,
                                              ssize_t ret, std::int64_t start_ns,
@@ -303,7 +425,11 @@ ThreadCapture& thread_capture() {
   ReentrancyGuard guard;
   if (t_next == nullptr && !arm_thread(cfg)) return;
   *t_next = record;
-  if (++t_next == t_end) t_capture->flush(cfg);
+  if (++t_next == t_end) {
+    t_capture->flush(cfg);
+  } else if (end_ns > t_segment_end) {
+    t_capture->split_segment();
+  }
 }
 
 /// Successful open through the wrappers stores the fd's verdict.
@@ -362,6 +488,7 @@ __attribute__((constructor)) void capture_init() {
   g_pid.store(static_cast<std::uint32_t>(::getpid()),
               std::memory_order_relaxed);
   if (runtime->cfg.enabled) {
+    g_tick_stamps.store(kernel_clock_is_tsc(), std::memory_order_relaxed);
     ::pthread_atfork(atfork_prepare, nullptr, atfork_child);
     std::atexit(at_exit_flush);
   }
@@ -467,6 +594,93 @@ int openat64(int dirfd, const char* path, int flags, ...) {
   return fd;
 }
 
+// The _FORTIFY_SOURCE opens: a fortified build calls __open_2 and friends
+// for an open whose flags are not a compile-time constant and that passes
+// no mode. They set the fd's verdict as open does, and so does creat.
+int __open_2(const char* path, int flags) {
+  static void* const real = dlsym(RTLD_NEXT, "__open_2");
+  const auto fn = cap::as_fn<cap::Open2Fn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(path, flags);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
+int __open64_2(const char* path, int flags) {
+  static void* const real = dlsym(RTLD_NEXT, "__open64_2");
+  const auto fn = cap::as_fn<cap::Open2Fn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(path, flags);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
+int __openat_2(int dirfd, const char* path, int flags) {
+  static void* const real = dlsym(RTLD_NEXT, "__openat_2");
+  const auto fn = cap::as_fn<cap::Openat2Fn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(dirfd, path, flags);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
+int __openat64_2(int dirfd, const char* path, int flags) {
+  static void* const real = dlsym(RTLD_NEXT, "__openat64_2");
+  const auto fn = cap::as_fn<cap::Openat2Fn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(dirfd, path, flags);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
+int creat(const char* path, mode_t mode) {
+  static void* const real = dlsym(RTLD_NEXT, "creat");
+  const auto fn = cap::as_fn<cap::CreatFn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(path, mode);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
+int creat64(const char* path, mode_t mode) {
+  static void* const real = dlsym(RTLD_NEXT, "creat64");
+  const auto fn = cap::as_fn<cap::CreatFn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  const int fd = fn(path, mode);
+  const int saved_errno = errno;
+  cap::note_open(fd);
+  errno = saved_errno;
+  return fd;
+}
+
 int close(int fd) {
   static void* const real = dlsym(RTLD_NEXT, "close");
   const auto fn = cap::as_fn<cap::CloseFn>(real);
@@ -486,11 +700,11 @@ ssize_t read(int fd, void* buf, size_t count) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -503,11 +717,11 @@ ssize_t write(int fd, const void* buf, size_t count) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::write, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -520,11 +734,11 @@ ssize_t pread(int fd, void* buf, size_t count, off_t offset) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count, offset);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -537,11 +751,11 @@ ssize_t pwrite(int fd, const void* buf, size_t count, off_t offset) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count, offset);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::write, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -554,11 +768,11 @@ ssize_t pread64(int fd, void* buf, size_t count, off64_t offset) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count, offset);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -571,11 +785,67 @@ ssize_t pwrite64(int fd, const void* buf, size_t count, off64_t offset) {
     return -1;
   }
   if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const ssize_t ret = fn(fd, buf, count, offset);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::write, count, ret, start,
-                 bpsio::monotonic_ns());
+                 cap::stamp());
+  errno = saved_errno;
+  return ret;
+}
+
+// The _FORTIFY_SOURCE reads: a fortified build calls these where it knows
+// the destination's size but not the count. Each records as its plain
+// counterpart does and forwards to glibc's own checked entry point.
+ssize_t __read_chk(int fd, void* buf, size_t count, size_t buflen) {
+  static void* const real = dlsym(RTLD_NEXT, "__read_chk");
+  const auto fn = cap::as_fn<cap::ReadChkFn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, buflen);
+  const std::int64_t start = cap::stamp();
+  const ssize_t ret = fn(fd, buf, count, buflen);
+  const int saved_errno = errno;
+  cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
+                 cap::stamp());
+  errno = saved_errno;
+  return ret;
+}
+
+ssize_t __pread_chk(int fd, void* buf, size_t count, off_t offset,
+                    size_t buflen) {
+  static void* const real = dlsym(RTLD_NEXT, "__pread_chk");
+  const auto fn = cap::as_fn<cap::PreadChkFn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset, buflen);
+  const std::int64_t start = cap::stamp();
+  const ssize_t ret = fn(fd, buf, count, offset, buflen);
+  const int saved_errno = errno;
+  cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
+                 cap::stamp());
+  errno = saved_errno;
+  return ret;
+}
+
+ssize_t __pread64_chk(int fd, void* buf, size_t count, off64_t offset,
+                      size_t buflen) {
+  static void* const real = dlsym(RTLD_NEXT, "__pread64_chk");
+  const auto fn = cap::as_fn<cap::Pread64ChkFn>(real);
+  if (fn == nullptr) {
+    errno = ENOSYS;
+    return -1;
+  }
+  if (count == 0 || !cap::should_record(fd)) return fn(fd, buf, count, offset, buflen);
+  const std::int64_t start = cap::stamp();
+  const ssize_t ret = fn(fd, buf, count, offset, buflen);
+  const int saved_errno = errno;
+  cap::record_io(bpsio::trace::IoOpKind::read, count, ret, start,
+                 cap::stamp());
   errno = saved_errno;
   return ret;
 }
@@ -591,11 +861,11 @@ int fsync(int fd) {
   const bool record = runtime != nullptr && runtime->cfg.record_fsync &&
                       cap::should_record(fd);
   if (!record) return fn(fd);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const int ret = fn(fd);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::write, 0, ret, start,
-                 bpsio::monotonic_ns(), /*is_sync=*/true);
+                 cap::stamp(), /*is_sync=*/true);
   errno = saved_errno;
   return ret;
 }
@@ -611,11 +881,11 @@ int fdatasync(int fd) {
   const bool record = runtime != nullptr && runtime->cfg.record_fsync &&
                       cap::should_record(fd);
   if (!record) return fn(fd);
-  const std::int64_t start = bpsio::monotonic_ns();
+  const std::int64_t start = cap::stamp();
   const int ret = fn(fd);
   const int saved_errno = errno;
   cap::record_io(bpsio::trace::IoOpKind::write, 0, ret, start,
-                 bpsio::monotonic_ns(), /*is_sync=*/true);
+                 cap::stamp(), /*is_sync=*/true);
   errno = saved_errno;
   return ret;
 }

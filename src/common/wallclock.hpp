@@ -11,9 +11,13 @@
 //
 // Both functions are async-signal-safe and allocation-free (clock_gettime is
 // a vDSO call on Linux), which the LD_PRELOAD interposer depends on: it must
-// be able to stamp I/O issued from malloc-hostile contexts. They are inline
-// because the interposer reads the clock twice per recorded call, and a
-// call layer around the vDSO read is a measurable share of that cost.
+// be able to stamp I/O issued from malloc-hostile contexts. Where the kernel
+// keeps time with the TSC, the interposer no longer reads this clock on
+// every call: it stamps TSC ticks and reads monotonic_ns() only for the
+// anchors that map them to ns (src/capture/tick_segment.hpp). Elsewhere it
+// still reads the clock twice per recorded call, so the functions stay
+// inline: a call layer around the vDSO read is a measurable share of that
+// cost.
 #pragma once
 
 #include <cstdint>

@@ -6,13 +6,15 @@
 // (streaming merge == in-memory merge == batch collector) and through the
 // bpsio_report CLI.
 //
-// The three binaries involved are injected by CMake through the test
-// ENVIRONMENT (BPSIO_CAPTURE_LIB, BPSIO_CAPTURE_SMOKE, BPSIO_REPORT_BIN);
-// when they are absent (e.g. running this test binary by hand) the tests
-// skip rather than fail.
+// The binaries involved are injected by CMake through the test ENVIRONMENT
+// (BPSIO_CAPTURE_LIB, BPSIO_CAPTURE_SMOKE, BPSIO_REPORT_BIN, and for the
+// fortified case BPSIO_CAPTURE_SMOKE_FORTIFIED and BPSIO_NM); when they are
+// absent (e.g. running this test binary by hand) the tests skip rather than
+// fail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -113,14 +115,19 @@ std::vector<std::string> split(const std::string& line, char sep) {
   return out;
 }
 
-/// The pid a trace file is named after: bpsio-<pid>-<tid>-<stamp>.bpstrace.
-std::uint32_t file_pid(const std::string& path) {
+/// A field of a trace file's name, bpsio-<pid>-<tid>-<stamp>.bpstrace:
+/// 1 is the pid, 2 the tid.
+std::uint32_t file_name_field(const std::string& path, std::size_t field) {
   const std::string name = std::filesystem::path(path).filename().string();
   const std::vector<std::string> parts = split(name, '-');
   EXPECT_GE(parts.size(), 4u) << name;
   return parts.size() >= 4
-             ? static_cast<std::uint32_t>(std::stoul(parts[1]))
+             ? static_cast<std::uint32_t>(std::stoul(parts[field]))
              : 0;
+}
+
+std::uint32_t file_pid(const std::string& path) {
+  return file_name_field(path, 1);
 }
 
 TEST(CaptureE2E, KnownPatternCapturesExactBlocks) {
@@ -430,6 +437,161 @@ TEST(CaptureE2E, ExcludedFdOpenedThroughWrappersRecordsNothing) {
     std::filesystem::remove_all(trace_dir);
   }
   std::filesystem::remove_all(data_dir);
+}
+
+TEST(CaptureE2E, FortifiedBuildRecordsEveryCall) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+  const char* fortified = env_or_null("BPSIO_CAPTURE_SMOKE_FORTIFIED");
+  const char* nm = env_or_null("BPSIO_NM");
+  if (fortified == nullptr || nm == nullptr) {
+    GTEST_SKIP() << "fortified writer not in environment";
+  }
+
+  // A -D_FORTIFY_SOURCE=2 build calls __open_2 for a two-argument open
+  // with run-time flags, and __read_chk/__pread_chk/__pread64_chk for a
+  // read into a buffer of known size: without wrappers for them, such a
+  // program leaves no trace at all. The fortified writer must really call
+  // them, or this case proves nothing.
+  int exit_code = 0;
+  const std::string imports = run_and_read(
+      "'" + std::string(nm) + "' -D --undefined-only '" + fortified + "'",
+      &exit_code);
+  ASSERT_EQ(exit_code, 0) << imports;
+  // nm prints "U <symbol>", versioned as "<symbol>@GLIBC_..." by newer
+  // binutils.
+  const auto imported = [&imports](const std::string& symbol) {
+    for (std::size_t at = imports.find(" " + symbol); at != std::string::npos;
+         at = imports.find(" " + symbol, at + 1)) {
+      const std::size_t end = at + 1 + symbol.size();
+      if (end == imports.size() || imports[end] == '@' ||
+          imports[end] == '\n') {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const char* symbol : {"__open_2", "__open64_2", "__openat_2",
+                             "__openat64_2", "__read_chk", "__pread_chk",
+                             "__pread64_chk", "creat", "creat64"}) {
+    EXPECT_TRUE(imported(symbol)) << symbol << " not imported:\n" << imports;
+  }
+
+  // 4 children, one per two-argument open, each creating its file with
+  // creat or creat64, writing it 8 times and reading it back 8 times
+  // through read, pread and pread64: the plain and the fortified build
+  // must both record every call.
+  constexpr int kChildren = 4;
+  constexpr int kCallsPerFile = 8;
+  constexpr std::uint64_t calls = kChildren * kCallsPerFile * 2;
+  for (const std::string& smoke : {paths->smoke, std::string(fortified)}) {
+    const std::string trace_dir = make_temp_dir("fortify_traces");
+    const std::string data_dir = make_temp_dir("fortify_data");
+    const std::string out = run_and_read(
+        "BPSIO_CAPTURE_DIR='" + trace_dir + "' LD_PRELOAD='" + paths->lib +
+            "' '" + smoke + "' '" + data_dir + "' " +
+            std::to_string(kChildren) + " " + std::to_string(kCallsPerFile) +
+            " 4096 --read-back 2>&1",
+        &exit_code);
+    ASSERT_EQ(exit_code, 0) << out;
+    const std::vector<std::string> files = trace_files(trace_dir);
+    EXPECT_EQ(files.size(), static_cast<std::size_t>(kChildren)) << smoke;
+    std::uint64_t records = 0;
+    std::uint64_t blocks = 0;
+    for (const std::string& file : files) {
+      auto loaded = trace::load_binary(file);
+      ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+      records += loaded->size();
+      for (const trace::IoRecord& r : *loaded) blocks += r.blocks;
+    }
+    EXPECT_EQ(records, calls) << smoke;
+    EXPECT_EQ(blocks, calls * (4096 / 512)) << smoke;
+    std::filesystem::remove_all(trace_dir);
+    std::filesystem::remove_all(data_dir);
+  }
+}
+
+TEST(CaptureE2E, RecordsLieInsideTheCallersOwnClockReads) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+
+  // The traced program reads CLOCK_MONOTONIC right before and right after
+  // each call (capture_smoke --bracket-calls): 2 threads of 50,000 preads
+  // with a 30 ms pause, longer than a tick segment, after every 10,000, and
+  // a fork halfway through the first thread. Whichever stamps the
+  // interposer takes (TSC ticks mapped to ns per segment where the kernel's
+  // clocksource is tsc, clock_gettime elsewhere), every record must lie
+  // inside its call's bracket. Once with the default buffer, which flushes
+  // every 4096 records, and once with one that holds a thread's whole run,
+  // where segments end on the record path.
+  constexpr long kCalls = 50'000;
+  std::ifstream clocksource(
+      "/sys/devices/system/clocksource/clocksource0/current_clocksource");
+  std::string source = "unknown";
+  std::getline(clocksource, source);
+  for (const char* buffer : {"4096", "65536"}) {
+    const std::string trace_dir = make_temp_dir("bracket_traces");
+    const std::string data_dir = make_temp_dir("bracket_data");
+    int exit_code = 0;
+    const std::string out = run_and_read(
+        std::string("BPSIO_CAPTURE_BUFFER_RECORDS=") + buffer +
+            " BPSIO_CAPTURE_DIR='" + trace_dir + "' LD_PRELOAD='" +
+            paths->lib + "' '" + paths->smoke + "' --bracket-calls=" +
+            std::to_string(kCalls) + " '" + data_dir + "' 2>&1",
+        &exit_code);
+    ASSERT_EQ(exit_code, 0) << out;
+
+    // Two threads and the fork child: one trace file and one bracket file
+    // each, matched by pid and tid.
+    const std::vector<std::string> files = trace_files(trace_dir);
+    ASSERT_EQ(files.size(), 3u);
+    std::uint64_t records = 0;
+    std::int64_t lead = INT64_MAX;   // smallest bracket start to record start
+    std::int64_t trail = INT64_MAX;  // smallest record end to bracket end
+    for (const std::string& file : files) {
+      auto loaded = trace::load_binary(file);
+      ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+      const auto report = trace::validate(*loaded, true);
+      EXPECT_TRUE(report.ok()) << file << ": " << report.to_string();
+      const std::string bracket_path =
+          data_dir + "/brackets." + std::to_string(file_name_field(file, 1)) +
+          "." + std::to_string(file_name_field(file, 2));
+      std::ifstream in(bracket_path, std::ios::binary);
+      ASSERT_TRUE(in) << bracket_path;
+      std::vector<std::int64_t> brackets(2 * loaded->size() + 1);
+      in.read(reinterpret_cast<char*>(brackets.data()),
+              static_cast<std::streamsize>(brackets.size() *
+                                           sizeof(std::int64_t)));
+      ASSERT_EQ(in.gcount(), static_cast<std::streamsize>(
+                                 2 * loaded->size() * sizeof(std::int64_t)))
+          << file << ": one bracket per record";
+      std::uint64_t outside = 0;
+      for (std::size_t i = 0; i < loaded->size(); ++i) {
+        const trace::IoRecord& r = (*loaded)[i];
+        const std::int64_t before = brackets[2 * i];
+        const std::int64_t after = brackets[2 * i + 1];
+        if (r.start_ns < before || r.end_ns > after) {
+          if (outside++ == 0) {
+            ADD_FAILURE() << file << " record " << i << ": [" << r.start_ns
+                          << ", " << r.end_ns << "] outside its call's ["
+                          << before << ", " << after << "]";
+          }
+        }
+        lead = std::min(lead, r.start_ns - before);
+        trail = std::min(trail, after - r.end_ns);
+        EXPECT_EQ(r.blocks, 4096u / 512) << file << " record " << i;
+      }
+      EXPECT_EQ(outside, 0u) << file << ": records outside their brackets";
+      records += loaded->size();
+    }
+    EXPECT_EQ(records, static_cast<std::uint64_t>(2 * kCalls + kCalls / 10));
+    std::printf("clocksource %s, buffer %s: smallest gaps %lld ns before a "
+                "record and %lld ns after\n",
+                source.c_str(), buffer, static_cast<long long>(lead),
+                static_cast<long long>(trail));
+    std::filesystem::remove_all(trace_dir);
+    std::filesystem::remove_all(data_dir);
+  }
 }
 
 TEST(CaptureE2E, PreloadWithoutCaptureDirIsPassthrough) {

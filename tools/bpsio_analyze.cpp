@@ -548,6 +548,9 @@ const std::set<std::string>& entry_point_names() {
       "open",  "open64",  "openat",  "openat64", "close",
       "read",  "write",   "pread",   "pwrite",   "pread64",
       "pwrite64", "fsync", "fdatasync",
+      // creat and the _FORTIFY_SOURCE entry points
+      "creat", "creat64", "__open_2", "__open64_2", "__openat_2",
+      "__openat64_2", "__read_chk", "__pread_chk", "__pread64_chk",
   };
   return kEntries;
 }

@@ -12,7 +12,9 @@
 //   iorecord-sort   std::sort/std::stable_sort over IoRecord ranges outside
 //                   the blessed comparators in trace/ and metrics/overlap*.
 //   raw-random      rand()/srand()/std::random_device/wall-clock reads
-//                   outside common/rng (determinism: seeds only).
+//                   outside common/rng (determinism: seeds only), and TSC
+//                   reads (__rdtsc, __rdtscp, rdtsc) outside src/capture/,
+//                   the one layer that maps ticks to ns.
 //   float-blocks    float/double variables holding block counts (B is exact;
 //                   floating accumulation drifts).
 //   bare-assert     assert( in src/ — contracts must use BPSIO_CHECK, which
@@ -134,7 +136,9 @@ void rule_iorecord_sort(const SourceFile& src, std::vector<Finding>& out) {
 }
 
 // Determinism contract: the only entropy source is common/rng (seeded,
-// replayable); wall-clock reads would make runs non-reproducible.
+// replayable); wall-clock reads would make runs non-reproducible. TSC ticks
+// are not even ns: only the capture interposer reads them, and it maps them
+// to CLOCK_MONOTONIC ns before its records leave the thread.
 void rule_raw_random(const SourceFile& src, std::vector<Finding>& out) {
   if (path_contains(src.path, "src/common/rng")) return;
   struct Probe {
@@ -148,12 +152,24 @@ void rule_raw_random(const SourceFile& src, std::vector<Finding>& out) {
       {"system_clock", false}, {"steady_clock", false},
       {"high_resolution_clock", false},
   };
+  const Probe tick_probes[] = {
+      {"__rdtsc", true}, {"__rdtscp", true}, {"rdtsc", true}};
+  const bool ticks_allowed = path_contains(src.path, "src/capture/");
   for (std::size_t i = 0; i < src.code.size(); ++i) {
     for (const Probe& p : probes) {
       if (!find_calls(src.code[i], p.token, p.call).empty()) {
         add_finding(src, out, i, "raw-random",
                     std::string("'") + p.token +
                         "' outside common/rng breaks deterministic replay");
+      }
+    }
+    if (ticks_allowed) continue;
+    for (const Probe& p : tick_probes) {
+      if (!find_calls(src.code[i], p.token, p.call).empty()) {
+        add_finding(src, out, i, "raw-random",
+                    std::string("'") + p.token +
+                        "' outside src/capture/: TSC ticks are not ns, and "
+                        "only the capture interposer maps them");
       }
     }
   }
@@ -623,6 +639,10 @@ const SelfCase kSelfCases[] = {
     {"raw-random", "src/device/ssd_model.cpp",
      "double now() { return std::chrono::system_clock::now().time_since_epoch().count(); }\n",
      "SimDuration busy = busy_time(now); // member call named time is fine\n"},
+    {"raw-random", "src/metrics/pipeline.cpp",
+     "std::int64_t stamp() { return static_cast<std::int64_t>(__rdtsc()); }\n",
+     // Names that merely contain the instruction's name are fine.
+     "std::int64_t stamp() { return read_rdtsc_free_clock(rdtsc_count); }\n"},
     {"float-blocks", "src/metrics/calculators.cpp",
      "double total_blocks = 0;\n",
      "std::uint64_t total_blocks = 0; double bps = 0;\n"},
@@ -787,6 +807,17 @@ int self_test() {
         "}\n");
     if (count_rule(lint_source(blessed), "iorecord-sort") != 0) {
       std::printf("SELF-TEST FAIL [iorecord-sort]: fired in blessed path\n");
+      ++failures;
+    }
+  }
+  // Path sensitivity: the capture interposer may read TSC ticks.
+  {
+    const SourceFile blessed = load_source(
+        "src/capture/interpose.cpp",
+        "std::int64_t read_ticks() { return __rdtsc(); }\n"
+        "unsigned aux = 0; std::int64_t t = __rdtscp(&aux);\n");
+    if (count_rule(lint_source(blessed), "raw-random") != 0) {
+      std::printf("SELF-TEST FAIL [raw-random]: fired on src/capture/ ticks\n");
       ++failures;
     }
   }

@@ -2,8 +2,9 @@
 // exercising libbpsio_capture.so end to end.
 //
 //   capture_smoke <dir> [procs=4] [writes=200] [bytes=65536]
-//                 [--threads=N] [--parent-writes=N]
+//                 [--threads=N] [--parent-writes=N] [--read-back]
 //   capture_smoke --errno-probe <dir>
+//   capture_smoke --bracket-calls=N <dir>
 //
 // Forks <procs> children. In each, <threads> threads (default 1: the
 // child's main thread) each open <dir>/data.<i>.<t>, issue <writes> write()
@@ -18,19 +19,34 @@
 //   traces  = one file per writing thread: procs * threads, plus one for
 //             the parent when it wrote
 //
+// --read-back doubles the children's records: each thread creates its file
+// with creat() or creat64() instead of open(), and after closing it opens
+// it again with the two-argument open(), open64(), openat() or openat64()
+// (one per child index, in turn) and reads it back with <writes> read(),
+// pread() and pread64() calls of <bytes> (at most 65536) bytes, in turn,
+// into a stack buffer. Built with -D_FORTIFY_SOURCE=2
+// (bpsio_capture_smoke_fortified), those opens and reads are __open_2,
+// __open64_2, __openat_2, __openat64_2, __read_chk, __pread_chk and
+// __pread64_chk calls, so its trace shows whether capture sees the I/O of
+// a fortified program.
+//
 // tests/test_capture_e2e.cpp and the CI capture-smoke job assert exactly
 // that. Deliberately no bpsio library dependencies — the traced program
 // stands in for an arbitrary third-party application (cli.hpp is
 // standard-library-only, so argument parsing still matches the other
 // tools).
 #include <fcntl.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,9 +55,33 @@
 
 namespace {
 
+/// The --read-back buffer: the largest <bytes> that mode accepts.
+constexpr long kReadBackBytes = 65536;
+
+/// Open `path` for writing, under --read-back with creat() or creat64()
+/// by `variant`.
+int create_file(const std::string& path, bool read_back, int variant) {
+  if (!read_back) return ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  return variant % 2 == 0 ? ::creat(path.c_str(), 0644)
+                          : ::creat64(path.c_str(), 0644);
+}
+
+/// write() until all `size` bytes are written; false on an error.
+bool write_all(int fd, const void* data, std::size_t size) {
+  const char* at = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t wrote = ::write(fd, at, size);
+    if (wrote < 0) return false;
+    at += wrote;
+    size -= static_cast<std::size_t>(wrote);
+  }
+  return true;
+}
+
 /// Open `path`, issue `writes` full writes of `bytes` bytes, fsync, close.
-int write_file(const std::string& path, long writes, long bytes) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+int write_file(const std::string& path, long writes, long bytes,
+               bool read_back = false, int variant = 0) {
+  const int fd = create_file(path, read_back, variant);
   if (fd < 0) {
     std::fprintf(stderr, "capture_smoke: open %s: %s\n", path.c_str(),
                  std::strerror(errno));
@@ -49,18 +89,11 @@ int write_file(const std::string& path, long writes, long bytes) {
   }
   const std::vector<char> buf(static_cast<std::size_t>(bytes), 'b');
   for (long i = 0; i < writes; ++i) {
-    const char* data = buf.data();
-    std::size_t left = buf.size();
-    while (left > 0) {
-      const ssize_t wrote = ::write(fd, data, left);
-      if (wrote < 0) {
-        std::fprintf(stderr, "capture_smoke: write %s: %s\n", path.c_str(),
-                     std::strerror(errno));
-        ::close(fd);
-        return 1;
-      }
-      data += wrote;
-      left -= static_cast<std::size_t>(wrote);
+    if (!write_all(fd, buf.data(), buf.size())) {
+      std::fprintf(stderr, "capture_smoke: write %s: %s\n", path.c_str(),
+                   std::strerror(errno));
+      ::close(fd);
+      return 1;
     }
   }
   if (::fsync(fd) != 0) {
@@ -72,23 +105,163 @@ int write_file(const std::string& path, long writes, long bytes) {
   return ::close(fd) == 0 ? 0 : 1;
 }
 
+/// --read-back: open `path` again with the two-argument open, open64,
+/// openat or openat64 by `variant`, and read it back with `reads` calls of
+/// `bytes` bytes, read(), pread() and pread64() in turn.
+int read_file(const std::string& path, long reads, long bytes, int variant) {
+  // Flags and a count read through volatiles are unknown at compile time,
+  // as a program that computes them would pass them: a fortified build
+  // then calls __open_2 (and its siblings) and the _chk reads.
+  const volatile int flags = O_RDONLY;
+  const volatile long count = bytes;
+  int fd = -1;
+  switch (variant % 4) {
+    case 0: fd = ::open(path.c_str(), flags); break;
+    case 1: fd = ::open64(path.c_str(), flags); break;
+    case 2: fd = ::openat(AT_FDCWD, path.c_str(), flags); break;
+    default: fd = ::openat64(AT_FDCWD, path.c_str(), flags); break;
+  }
+  if (fd < 0) {
+    std::fprintf(stderr, "capture_smoke: reopen %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
+  char chunk[kReadBackBytes];
+  for (long i = 0; i < reads; ++i) {
+    const auto size = static_cast<std::size_t>(count);
+    const off_t offset = i * bytes;
+    ssize_t got = 0;
+    switch (i % 3) {
+      case 0: got = ::read(fd, chunk, size); break;
+      case 1: got = ::pread(fd, chunk, size, offset); break;
+      default: got = ::pread64(fd, chunk, size, offset); break;
+    }
+    if (got != static_cast<ssize_t>(size)) {
+      std::fprintf(stderr, "capture_smoke: read %s: %zd of %zu bytes\n",
+                   path.c_str(), got, size);
+      ::close(fd);
+      return 1;
+    }
+  }
+  return ::close(fd) == 0 ? 0 : 1;
+}
+
 int run_child(const std::string& dir, int index, long threads, long writes,
-              long bytes) {
-  const auto path = [&](long thread) {
-    return dir + "/data." + std::to_string(index) + "." +
-           std::to_string(thread);
+              long bytes, bool read_back) {
+  const auto run = [&](long thread) {
+    const std::string path = dir + "/data." + std::to_string(index) + "." +
+                             std::to_string(thread);
+    if (write_file(path, writes, bytes, read_back, index) != 0) return 1;
+    return read_back ? read_file(path, writes, bytes, index) : 0;
   };
-  if (threads == 1) return write_file(path(0), writes, bytes);
+  if (threads == 1) return run(0);
   std::vector<int> results(static_cast<std::size_t>(threads), 1);
   std::vector<std::thread> workers;
   for (long t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      results[static_cast<std::size_t>(t)] = write_file(path(t), writes, bytes);
-    });
+    workers.emplace_back(
+        [&, t] { results[static_cast<std::size_t>(t)] = run(t); });
   }
   for (std::thread& worker : workers) worker.join();
   for (const int rc : results) {
     if (rc != 0) return 1;
+  }
+  return 0;
+}
+
+/// An fd opened by the raw openat syscall, which no wrapper sees: the
+/// interposer holds no record verdict for it and records none of its I/O.
+int open_untracked(const std::string& path) {
+  return static_cast<int>(::syscall(SYS_openat, AT_FDCWD, path.c_str(),
+                                    O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
+                                    0644));
+}
+
+std::int64_t monotonic_now() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+/// Issue `calls` 4 KiB preads of `fd`, each between two CLOCK_MONOTONIC
+/// reads appended to `brackets`, pausing 30 ms after every 10,000th.
+bool bracketed_preads(int fd, long calls, std::vector<std::int64_t>& brackets) {
+  char page[4096];
+  for (long i = 1; i <= calls; ++i) {
+    const std::int64_t before = monotonic_now();
+    const ssize_t got = ::pread(fd, page, sizeof page, 0);
+    const std::int64_t after = monotonic_now();
+    if (got != static_cast<ssize_t>(sizeof page)) return false;
+    brackets.push_back(before);
+    brackets.push_back(after);
+    if (i % 10'000 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  return true;
+}
+
+/// The calling thread's brackets, to <dir>/brackets.<pid>.<tid>.
+bool save_brackets(const std::string& dir,
+                   const std::vector<std::int64_t>& brackets) {
+  const std::string path = dir + "/brackets." + std::to_string(::getpid()) +
+                           "." + std::to_string(::gettid());
+  const int fd = open_untracked(path);
+  if (fd < 0) return false;
+  const bool wrote = write_all(fd, brackets.data(),
+                               brackets.size() * sizeof(std::int64_t));
+  return ::close(fd) == 0 && wrote;
+}
+
+/// --bracket-calls=N: the timestamp check. Two threads each issue N
+/// page-cached 4 KiB preads of <dir>/bracket.dat, each between the thread's
+/// own CLOCK_MONOTONIC reads, and pause 30 ms after every 10,000 calls,
+/// longer than one of the interposer's tick segments. Halfway through, the
+/// first thread forks a child that issues N / 10 such calls and exits.
+/// Each of the three writes its brackets, a (before, after) pair of int64
+/// ns per call in call order, to <dir>/brackets.<pid>.<tid> through an
+/// untracked fd, so every record of its trace file must lie inside the
+/// bracket at the same index.
+int run_bracket_calls(const std::string& dir, long calls) {
+  const std::string data = dir + "/bracket.dat";
+  const std::vector<char> page(4096, 'k');
+  const int out = open_untracked(data);
+  if (out < 0 || !write_all(out, page.data(), page.size()) ||
+      ::close(out) != 0) {
+    std::fprintf(stderr, "capture_smoke: write %s: %s\n", data.c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
+  std::vector<int> results(2, 1);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&, t] {
+      const int fd = ::open(data.c_str(), O_RDONLY);
+      if (fd < 0) return;
+      std::vector<std::int64_t> brackets;
+      brackets.reserve(static_cast<std::size_t>(2 * calls));
+      bool ok = bracketed_preads(fd, calls / 2, brackets);
+      if (ok && t == 0) {
+        const pid_t child = ::fork();
+        if (child == 0) {
+          std::vector<std::int64_t> own;
+          std::exit(bracketed_preads(fd, calls / 10, own) &&
+                            save_brackets(dir, own)
+                        ? 0
+                        : 1);
+        }
+        int status = 0;
+        ok = child > 0 && ::waitpid(child, &status, 0) == child &&
+             WIFEXITED(status) && WEXITSTATUS(status) == 0;
+      }
+      ok = ok && bracketed_preads(fd, calls - calls / 2, brackets) &&
+           save_brackets(dir, brackets);
+      results[static_cast<std::size_t>(t)] = ::close(fd) == 0 && ok ? 0 : 1;
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const int rc : results) {
+    if (rc != 0) {
+      std::fprintf(stderr, "capture_smoke: a bracketed thread failed\n");
+      return 1;
+    }
   }
   return 0;
 }
@@ -216,6 +389,15 @@ int main(int argc, char** argv) {
   parser.add_int("--parent-writes", &parent_writes, 0, 1'000'000, "N",
                  "writes the parent issues to <dir>/data.parent before "
                  "forking (default 0)");
+  bool read_back = false;
+  parser.add_flag("--read-back", &read_back,
+                  "create each file with creat/creat64 and read it back "
+                  "through the two-argument opens and read/pread/pread64");
+  long long bracket_calls = 0;
+  parser.add_int("--bracket-calls", &bracket_calls, 0, 1'000'000, "N",
+                 "instead of writing, bracket N preads in each of two "
+                 "threads with the program's own clock reads and save the "
+                 "brackets in <dir> (default 0: off)");
   std::vector<std::string> args;
   switch (parser.parse(argc, argv, args)) {
     case bpsio::cli::ArgParser::Outcome::ok:
@@ -236,12 +418,24 @@ int main(int argc, char** argv) {
     }
     return run_errno_probe(args[0]);
   }
+  if (bracket_calls > 0) {
+    if (args.size() != 1) {
+      std::fputs(parser.usage().c_str(), stderr);
+      return 2;
+    }
+    return run_bracket_calls(args[0], static_cast<long>(bracket_calls));
+  }
   const std::string dir = args[0];
   const long procs = args.size() > 1 ? std::strtol(args[1].c_str(), nullptr, 10) : 4;
   const long writes = args.size() > 2 ? std::strtol(args[2].c_str(), nullptr, 10) : 200;
   const long bytes = args.size() > 3 ? std::strtol(args[3].c_str(), nullptr, 10) : 65536;
   if (procs < 1 || writes < 1 || bytes < 1) {
     std::fprintf(stderr, "capture_smoke: all counts must be >= 1\n");
+    return 2;
+  }
+  if (read_back && bytes > kReadBackBytes) {
+    std::fprintf(stderr, "capture_smoke: --read-back takes bytes <= %ld\n",
+                 kReadBackBytes);
     return 2;
   }
 
@@ -260,7 +454,7 @@ int main(int argc, char** argv) {
     }
     if (pid == 0) {
       std::exit(run_child(dir, static_cast<int>(i), static_cast<long>(threads),
-                          writes, bytes));
+                          writes, bytes, read_back));
     }
     children.push_back(pid);
   }
